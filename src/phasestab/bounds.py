@@ -47,12 +47,13 @@ __all__ = [
     "support_measure",
     "exceptional_set",
     "spectral_tail",
-    "quartic_modulus",
+    "CertificationError",
     "is_certified",
+    "relative_slacks",
     "squared_rhs_of",
 ]
 
-# Relative slack tolerance: a report certifies when slack >= -rtol * rhs.
+# Relative slack tolerance of every certified form; see is_certified.
 CERTIFICATION_RTOL = 1e-6
 
 
@@ -62,8 +63,7 @@ class BoundReport:
 
     ``rhs`` is exactly ``term_modulus + term_smoothness + term_translation``
     and ``slack = rhs - lhs``; ``squared_form_slack`` is the slack of the
-    squared inequality.  Negative slack beyond -CERTIFICATION_RTOL * rhs means
-    the bound failed numerically.
+    squared inequality.  :func:`is_certified` gives the verdict on both.
     """
 
     p: float
@@ -245,11 +245,29 @@ def squared_rhs_of(report: BoundReport) -> float:
     return report.squared_form_slack + report.lhs**2
 
 
-def is_certified(report: BoundReport, rtol: float = CERTIFICATION_RTOL) -> bool:
-    """Whether both the headline and the squared form hold within tolerance."""
-    ok_linear = report.slack >= -rtol * report.rhs
-    ok_squared = report.squared_form_slack >= -rtol * squared_rhs_of(report)
-    return bool(ok_linear and ok_squared)
+class CertificationError(ArithmeticError):
+    """A report's inequality failed numerically beyond its tolerance."""
+
+
+def _forms(report: BoundReport | Corollary1Report) -> list[tuple[float, float]]:
+    """(slack, rhs) of every form a report certifies: the headline bound and,
+    for a BoundReport, its squared form."""
+    forms = [(report.slack, report.rhs)]
+    if isinstance(report, BoundReport):
+        forms.append((report.squared_form_slack, squared_rhs_of(report)))
+    return forms
+
+
+def is_certified(
+    report: BoundReport | Corollary1Report, rtol: float = CERTIFICATION_RTOL
+) -> bool:
+    """Whether every form of the report holds: slack >= -rtol * rhs."""
+    return all(slack >= -rtol * rhs for slack, rhs in _forms(report))
+
+
+def relative_slacks(report: BoundReport | Corollary1Report) -> tuple[float, ...]:
+    """slack / rhs of every form of the report (0 where rhs is 0)."""
+    return tuple(slack / rhs if rhs > 0 else 0.0 for slack, rhs in _forms(report))
 
 
 def support_measure(F: Spectrum, support_tol: float | None = None) -> float:
@@ -346,18 +364,3 @@ def evaluate_corollary1(
         rhs=rhs,
         slack=rhs - lhs,
     )
-
-
-def quartic_modulus(z):
-    """Generalized modulus ((Re z)^4 + (Im z)^4)^(1/4); helper only.
-
-    Provided as the measurement map of the generalized retrieval problem; no
-    stability machinery is built on it here.  Components are rescaled by their
-    maximum before raising to the fourth power, so values near the under- and
-    overflow thresholds stay accurate.
-    """
-    z = np.asarray(z, dtype=complex)
-    scale = np.maximum(np.abs(z.real), np.abs(z.imag))
-    safe = np.where(scale == 0.0, 1.0, scale)
-    val = scale * ((z.real / safe) ** 4 + (z.imag / safe) ** 4) ** 0.25
-    return val if val.ndim else float(val)

@@ -16,29 +16,50 @@ decimal formatting, so reports are byte-stable across runs):
 * ``lemma1 --radius-steps INT --angle-steps INT [--out PATH]`` - brute-force
   scan of the half-disk inequality; JSON {min_gap, argmin_z, steps, config}
   with argmin_z as [re, im].
-* ``experiment --name {optimality,triangle,translation,tail} [--sweep
+* ``experiment --name {optimality,triangle,translation,tail,all} [--sweep
   CSV-list] [--grid-n INT] [--grid-extent REAL] [--k INT] [--n INT]
   [--out PREFIX]`` - runs the named sweep.  JSON {name, results: [ScalingResult
   ...], config}; with --out, each ScalingResult is also written to
-  PREFIX.<result-name>.csv with header "parameter,observable".
+  PREFIX.<result-name>.csv with header "parameter,observable".  ``--name all``
+  runs the fixed list optimality, triangle, translation and tail at (k, n) =
+  (2, 1), (4, 1), (3, 2) with default sweeps and grids, and takes none of the
+  sweep, grid, k or n options.
+* ``certify [--count INT] [--seed INT] [--p CSV-list] [--out PATH]`` -
+  certifies the bound and its squared form on ``count`` random pairs from the
+  built-in families (``iter_certification_pairs`` seeded with ``seed``) at
+  every p.  JSON {count, seed, p_values, certification_rtol, failures,
+  per_family_worst: {family: {min_rel_slack, min_rel_sq_slack}}}; each failure
+  is printed on stderr with its family, pair index, p and seed.
 
-Exit codes: 0 certified / pass, 1 usage or input error, 2 mathematical
-certification failure.  All defaults are echoed into the "config" object of
-every report.
+Exit codes: 0 certified / pass, 1 usage, input or numerical error (overflow
+and other arithmetic faults), 2 mathematical certification failure: a violated
+inequality, or a fitted slope outside its tolerance.  All defaults are echoed
+into the "config" object of every report.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
-from .bounds import CERTIFICATION_RTOL, evaluate_corollary1, evaluate_theorem
+from .bounds import (
+    CERTIFICATION_RTOL,
+    CertificationError,
+    evaluate_corollary1,
+    evaluate_theorem,
+    is_certified,
+    relative_slacks,
+)
 from .experiments import (
     DEFAULT_SWEEPS,
     ScalingResult,
+    iter_certification_pairs,
     optimality_experiment,
     tail_experiment,
     translation_experiment,
@@ -53,6 +74,16 @@ EXIT_USAGE = 1
 EXIT_CERTIFICATION = 2
 
 LEMMA1_GAP_FLOOR = -1e-12
+DEFAULT_P_VALUES = (1.0, 1.25, 1.5, 1.75)
+# (name, k, n) of each run of ``experiment --name all``.
+ALL_EXPERIMENTS = (
+    ("optimality", None, None),
+    ("triangle", None, None),
+    ("translation", None, None),
+    ("tail", 2, 1),
+    ("tail", 4, 1),
+    ("tail", 3, 2),
+)
 
 
 def _emit(payload: dict, out: str | None, text: str | None = None) -> None:
@@ -94,8 +125,7 @@ def cmd_verify(args) -> int:
         _emit(payload, args.out, text=_report_csv(report.to_dict()))
     else:
         _emit(payload, args.out)
-    certified = report.slack >= -CERTIFICATION_RTOL * report.rhs
-    return EXIT_OK if certified else EXIT_CERTIFICATION
+    return EXIT_OK if is_certified(report) else EXIT_CERTIFICATION
 
 
 def cmd_corollary1(args) -> int:
@@ -110,7 +140,36 @@ def cmd_corollary1(args) -> int:
         "version": __version__,
     }
     _emit(payload, args.out)
-    return EXIT_OK if report.slack >= -CERTIFICATION_RTOL * report.rhs else EXIT_CERTIFICATION
+    return EXIT_OK if is_certified(report) else EXIT_CERTIFICATION
+
+
+def cmd_certify(args) -> int:
+    worst, failures = {}, 0
+    pairs = iter_certification_pairs(args.count, np.random.default_rng(args.seed))
+    for index, (family, f, g) in enumerate(pairs):
+        entry = worst.setdefault(family, {"min_rel_slack": math.inf, "min_rel_sq_slack": math.inf})
+        for p in args.p:
+            report = evaluate_theorem(f, g, p)
+            rel, rel_sq = relative_slacks(report)
+            entry["min_rel_slack"] = min(entry["min_rel_slack"], rel)
+            entry["min_rel_sq_slack"] = min(entry["min_rel_sq_slack"], rel_sq)
+            if not is_certified(report):
+                failures += 1
+                print(
+                    f"FAIL {family} pair={index} p={p!r} seed={args.seed}: "
+                    f"slack={report.slack:.3e}, squared_form_slack={report.squared_form_slack:.3e}",
+                    file=sys.stderr,
+                )
+    payload = {
+        "count": args.count,
+        "seed": args.seed,
+        "p_values": list(args.p),
+        "certification_rtol": CERTIFICATION_RTOL,
+        "failures": failures,
+        "per_family_worst": worst,
+    }
+    _emit(payload, args.out)
+    return EXIT_OK if failures == 0 else EXIT_CERTIFICATION
 
 
 def cmd_lemma1(args) -> int:
@@ -134,31 +193,45 @@ def _experiment_grid(args) -> GridSpec | None:
     return GridSpec.uniform(dimension, args.grid_extent, args.grid_n)
 
 
+def _run_experiment(name, sweep=None, grid=None, k=None, n=None) -> list[ScalingResult]:
+    if name == "optimality":
+        return optimality_experiment(sweep, grid=grid)[0]
+    if name == "triangle":
+        return [triangle_experiment(amplitudes=sweep, grid=grid)]
+    if name == "translation":
+        return [translation_experiment(epsilons=sweep, grid=grid)]
+    return [tail_experiment(k, n, epsilons=sweep, grid=grid)]
+
+
 def cmd_experiment(args) -> int:
-    grid = _experiment_grid(args)
-    sweep = args.sweep
-    if args.name == "optimality":
-        results, _ = optimality_experiment(sweep, grid=grid)
-    elif args.name == "triangle":
-        results = [triangle_experiment(amplitudes=sweep, grid=grid)]
-    elif args.name == "translation":
-        results = [translation_experiment(epsilons=sweep, grid=grid)]
-    elif args.name == "tail":
-        results = [tail_experiment(args.k, args.n, epsilons=sweep, grid=grid)]
-    else:  # pragma: no cover - argparse choices guard this
-        raise ValueError(f"unknown experiment {args.name!r}")
-    payload = {
-        "name": args.name,
-        "results": [r.to_dict() for r in results],
-        "config": {
+    options = {
+        "--sweep": args.sweep,
+        "--grid-n": args.grid_n,
+        "--grid-extent": args.grid_extent,
+        "--k": args.k,
+        "--n": args.n,
+    }
+    if args.name == "all":
+        given = [flag for flag, value in options.items() if value is not None]
+        if given:
+            raise ValueError(f"--name all runs a fixed list and takes no {', '.join(given)}")
+        results = [r for name, k, n in ALL_EXPERIMENTS for r in _run_experiment(name, k=k, n=n)]
+        config = {"runs": [r.name for r in results], "version": __version__}
+    else:
+        if args.name == "tail":
+            args.k = 2 if args.k is None else args.k
+            args.n = 1 if args.n is None else args.n
+        sweep = args.sweep
+        results = _run_experiment(args.name, sweep, _experiment_grid(args), args.k, args.n)
+        config = {
             "sweep": list(sweep) if sweep is not None else list(DEFAULT_SWEEPS[args.name]),
             "grid_n": args.grid_n,
             "grid_extent": args.grid_extent,
             "k": args.k if args.name == "tail" else None,
             "n": args.n if args.name == "tail" else None,
             "version": __version__,
-        },
-    }
+        }
+    payload = {"name": args.name, "results": [r.to_dict() for r in results], "config": config}
     _emit(payload, f"{args.out}.json" if args.out else None)
     if args.out:
         for result in results:
@@ -180,7 +253,7 @@ def _csv_floats(text: str) -> tuple[float, ...]:
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"not a comma-separated float list: {text!r}") from exc
     if not values:
-        raise argparse.ArgumentTypeError("sweep list is empty")
+        raise argparse.ArgumentTypeError("empty list")
     return values
 
 
@@ -215,15 +288,22 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_exp = sub.add_parser("experiment", help="run a named scaling experiment")
     p_exp.add_argument(
-        "--name", required=True, choices=("optimality", "triangle", "translation", "tail")
+        "--name", required=True, choices=("optimality", "triangle", "translation", "tail", "all")
     )
     p_exp.add_argument("--sweep", type=_csv_floats, default=None)
     p_exp.add_argument("--grid-n", type=int, default=None, dest="grid_n")
     p_exp.add_argument("--grid-extent", type=float, default=None, dest="grid_extent")
-    p_exp.add_argument("--k", type=int, default=2, help="decay order for the tail experiment")
-    p_exp.add_argument("--n", type=int, default=1, help="dimension for the tail experiment")
+    p_exp.add_argument("--k", type=int, default=None, help="decay order for tail (default 2)")
+    p_exp.add_argument("--n", type=int, default=None, help="dimension for tail (default 1)")
     p_exp.add_argument("--out", default=None, help="output prefix for JSON and CSV files")
     p_exp.set_defaults(run=cmd_experiment)
+
+    p_cert = sub.add_parser("certify", help="certify the bound on random pairs of all families")
+    p_cert.add_argument("--count", type=int, default=200, help="number of random pairs")
+    p_cert.add_argument("--seed", type=int, default=0)
+    p_cert.add_argument("--p", type=_csv_floats, default=DEFAULT_P_VALUES, help="exponents in [1, 2)")
+    p_cert.add_argument("--out", default=None, help="write the summary here as well")
+    p_cert.set_defaults(run=cmd_certify)
 
     return parser
 
@@ -240,9 +320,13 @@ def main(argv=None) -> int:
     except (ValueError, TypeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except ArithmeticError as exc:
+    except CertificationError as exc:
         print(f"certification failure: {exc}", file=sys.stderr)
         return EXIT_CERTIFICATION
+    except ArithmeticError as exc:
+        # overflow and other numerical faults say nothing about the inequality
+        print(f"numerical error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

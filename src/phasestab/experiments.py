@@ -18,7 +18,7 @@ exponent:
 
 Every generated pair is certified against the main bound as a side condition
 (and, where its real-spectrum hypothesis holds, against the band-limited
-form); a certification failure raises ArithmeticError.  Sweep defaults keep
+form); a certification failure raises CertificationError.  Sweep defaults keep
 the smallest feature above 8 grid cells so discretization error cannot
 masquerade as slope error.
 """
@@ -34,7 +34,7 @@ from scipy import stats
 
 from .bounds import (
     BoundReport,
-    CERTIFICATION_RTOL,
+    CertificationError,
     TailParams,
     evaluate_corollary1,
     evaluate_theorem,
@@ -158,15 +158,19 @@ def fit_scaling(
     )
 
 
-def certify_pair(f: SampledFunction, g: SampledFunction, p: float, context: str = "") -> BoundReport:
-    """Evaluate the bound and raise if it fails its certification tolerance."""
-    report = evaluate_theorem(f, g, p)
+def _require_certified(report, context: str):
+    """Return ``report``; raise CertificationError unless it is certified."""
     if not is_certified(report):
-        raise ArithmeticError(
-            f"stability certificate violated{' in ' + context if context else ''}: "
-            f"slack={report.slack:.3e}, squared_form_slack={report.squared_form_slack:.3e}"
+        slacks = ", ".join(f"{k}={v:.3e}" for k, v in report.to_dict().items() if k.endswith("slack"))
+        raise CertificationError(
+            f"{type(report).__name__} not certified{' in ' + context if context else ''}: {slacks}"
         )
     return report
+
+
+def certify_pair(f: SampledFunction, g: SampledFunction, p: float, context: str = "") -> BoundReport:
+    """Evaluate the bound and raise if it fails its certification tolerance."""
+    return _require_certified(evaluate_theorem(f, g, p), context)
 
 
 def gaussian(
@@ -248,10 +252,7 @@ def optimality_experiment(
     for L in L_values:
         f, g = optimality_family(grid, L)
         certify_pair(f, g, 1.0, context=f"optimality L={L}")
-        rep = evaluate_corollary1(f, g)
-        if rep.slack < -CERTIFICATION_RTOL * rep.rhs:
-            raise ArithmeticError(f"band-limited certificate violated at L={L}: {rep.slack:.3e}")
-        reports.append(rep)
+        reports.append(_require_certified(evaluate_corollary1(f, g), f"optimality L={L}"))
         diff = f - g
         l2s.append(lp_norm(diff, 2.0))
         l1s.append(lp_norm(diff, 1.0))
@@ -332,11 +333,7 @@ def triangle_experiment(
                 f"(odd component {odd:.3e}, imaginary component {imag:.3e})"
             )
         report = certify_pair(f, g, 1.0, context=f"triangle delta={delta}")
-        rep1 = evaluate_corollary1(f, g)
-        if rep1.slack < -CERTIFICATION_RTOL * rep1.rhs:
-            raise ArithmeticError(
-                f"band-limited certificate violated at delta={delta}: {rep1.slack:.3e}"
-            )
+        _require_certified(evaluate_corollary1(f, g), f"triangle delta={delta}")
         if 10.0 * report.epsilon <= 1.0:
             params.append(report.epsilon)
             observables.append(report.lhs - report.term_modulus)

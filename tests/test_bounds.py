@@ -1,8 +1,8 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
 from phasestab.bounds import (
     CERTIFICATION_RTOL,
@@ -11,7 +11,6 @@ from phasestab.bounds import (
     evaluate_theorem,
     exceptional_set,
     is_certified,
-    quartic_modulus,
     smoothness_modulus,
     spectral_tail,
     support_measure,
@@ -264,6 +263,13 @@ class TestCorollary1:
         assert rep.lhs == pytest.approx(2.0 * lp_norm(f, 2), rel=1e-12)
         assert rep.slack >= 0.0
 
+    def test_verdict(self):
+        grid = GridSpec.uniform(1, 256.0, 16384)
+        f = inverse_transform(triangle_spectrum(grid.dual()))
+        rep = evaluate_corollary1(f, -f)
+        assert is_certified(rep)
+        assert not is_certified(dataclasses.replace(rep, slack=-1e-3 * rep.rhs))
+
     def test_optimality_family_ratio_is_scale_free(self):
         grid = GridSpec.uniform(1, 16.0, 16384)
         ratios = []
@@ -365,33 +371,6 @@ class TestSpectralTail:
         tails = np.array([spectral_tail(F, e) for e in eps])
         slope = np.polyfit(np.log(eps), np.log(tails), 1)[0]
         assert slope == pytest.approx(1.5, abs=0.1)
-
-
-class TestQuarticModulus:
-    @pytest.mark.parametrize(
-        "z,expected",
-        [(0.0, 0.0), (1.0, 1.0), (1j, 1.0), (1.0 + 1.0j, 2.0**0.25), (3.0 - 4.0j, (81 + 256) ** 0.25)],
-    )
-    def test_reference_values(self, z, expected):
-        assert quartic_modulus(z) == pytest.approx(expected, rel=1e-15)
-
-    def test_array_input(self):
-        z = np.array([0.0, 1.0, 1.0 + 1.0j])
-        out = quartic_modulus(z)
-        assert out.shape == (3,)
-        assert out[2] == pytest.approx(2.0**0.25)
-
-    @given(
-        z=st.complex_numbers(
-            min_magnitude=1e-150, max_magnitude=1e150, allow_nan=False, allow_infinity=False
-        )
-    )
-    def test_dominated_by_modulus(self, z):
-        # subnormal components excluded: their reduced precision breaks
-        # relative comparisons
-        val = quartic_modulus(z)
-        assert val <= abs(z) * (1 + 1e-12)
-        assert val >= abs(z) / 2**0.25 * (1 - 1e-12)
 
 
 class TestTailParams:

@@ -1,8 +1,11 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
+from phasestab import cli, experiments
+from phasestab.bounds import evaluate_corollary1, evaluate_theorem
 from phasestab.cli import main
 from phasestab.experiments import gaussian, triangle_spectrum
 from phasestab.grid import GridSpec, SampledFunction, Spectrum, inverse_transform, shift
@@ -208,6 +211,27 @@ class TestCmdVerify:
         assert main(args + ["--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
+    def test_squared_form_violation_fails(self, gaussian_file, shifted_file, monkeypatch):
+        # the headline bound holds, its squared form does not: not certified
+        def violated(f, g, p, zero_tol=None):
+            report = evaluate_theorem(f, g, p, zero_tol)
+            return dataclasses.replace(report, squared_form_slack=-1.0)
+
+        monkeypatch.setattr(cli, "evaluate_theorem", violated)
+        code = main(["verify", "--f", str(gaussian_file), "--g", str(shifted_file), "--p", "1.0"])
+        assert code == 2
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_overflow_is_numerical_error(self, tmp_path, capsys):
+        # the squared form overflows at this scale; that is no counterexample
+        f = gaussian(GRID, amplitude=1e160)
+        f_path, g_path = tmp_path / "f.json", tmp_path / "g.json"
+        save_field(f_path, f)
+        save_field(g_path, shift(f, 0.1))
+        code = main(["verify", "--f", str(f_path), "--g", str(g_path), "--p", "1.5"])
+        assert code == 1
+        assert "numerical error" in capsys.readouterr().err
+
 
 # ---------------------------------------------------------------------------
 # CLI: corollary1, lemma1, experiment
@@ -235,6 +259,15 @@ class TestCmdCorollary1:
         code = main(["corollary1", "--f", str(f_path), "--g", str(f_path)])
         assert code == 1
         assert "real-valued" in capsys.readouterr().err
+
+    def test_negative_slack_fails(self, gaussian_file, shifted_file, monkeypatch):
+        def violated(f, g, support_tol=None):
+            report = evaluate_corollary1(f, g, support_tol)
+            return dataclasses.replace(report, slack=-1e-3 * report.rhs)
+
+        monkeypatch.setattr(cli, "evaluate_corollary1", violated)
+        code = main(["corollary1", "--f", str(gaussian_file), "--g", str(shifted_file)])
+        assert code == 2
 
 
 class TestCmdLemma1:
@@ -291,6 +324,66 @@ class TestCmdExperiment:
             ["experiment", "--name", "translation", "--grid-n", "512", "--grid-extent", "16.0"]
         )
         assert code == 0
+
+    def test_all_writes_every_result(self, tmp_path, capsys):
+        code = main(["experiment", "--name", "all", "--out", str(tmp_path / "all")])
+        assert code == 0
+        payload = json.loads((tmp_path / "all.json").read_text())
+        names = [r["name"] for r in payload["results"]]
+        assert names == [
+            "optimality_l2", "optimality_l1", "triangle", "translation",
+            "tail_k2_n1", "tail_k4_n1", "tail_k3_n2",
+        ]
+        for result in payload["results"]:
+            lines = (tmp_path / f"all.{result['name']}.csv").read_text().strip().split("\n")
+            assert lines[0] == "parameter,observable"
+            assert len(lines) == 1 + len(result["parameter_values"])
+
+    def test_violated_side_certificate_fails(self, monkeypatch, capsys):
+        def violated(f, g, support_tol=None):
+            return dataclasses.replace(evaluate_corollary1(f, g, support_tol), slack=-1.0)
+
+        monkeypatch.setattr(experiments, "evaluate_corollary1", violated)
+        assert main(["experiment", "--name", "optimality"]) == 2
+        assert "certification failure: Corollary1Report not certified" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "option", [["--sweep", "1,2,3,4"], ["--grid-n", "512"], ["--k", "2"], ["--n", "1"]]
+    )
+    def test_all_takes_no_run_options(self, option, capsys):
+        assert main(["experiment", "--name", "all", *option]) == 1
+        assert "fixed list" in capsys.readouterr().err
+
+
+class TestCmdCertify:
+    def test_summary(self, tmp_path, capsys):
+        out = tmp_path / "summary.json"
+        code = main(["certify", "--count", "10", "--seed", "0", "--out", str(out)])
+        assert code == 0
+        summary = json.loads(out.read_text())
+        assert set(summary) == {
+            "count", "seed", "p_values", "certification_rtol", "failures", "per_family_worst",
+        }
+        assert summary["count"] == 10
+        assert summary["p_values"] == [1.0, 1.25, 1.5, 1.75]
+        assert summary["failures"] == 0
+        assert len(summary["per_family_worst"]) == 5
+        for entry in summary["per_family_worst"].values():
+            assert set(entry) == {"min_rel_slack", "min_rel_sq_slack"}
+
+    def test_malformed_p_is_input_error(self):
+        assert main(["certify", "--count", "1", "--p", "1.0,x"]) == 1
+
+    def test_failure_names_its_pair(self, monkeypatch, capsys):
+        def violated(f, g, p):
+            return dataclasses.replace(evaluate_theorem(f, g, p), slack=-1.0)
+
+        monkeypatch.setattr(cli, "evaluate_theorem", violated)
+        code = main(["certify", "--count", "2", "--seed", "7", "--p", "1.5"])
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err[0].startswith("FAIL gaussian pair=0 p=1.5 seed=7:")
+        assert err[1].startswith("FAIL shifted_gaussian pair=1 p=1.5 seed=7:")
 
 
 class TestUsage:
