@@ -50,20 +50,34 @@ __all__ = [
     "CertificationError",
     "is_certified",
     "relative_slacks",
-    "squared_rhs_of",
 ]
 
 # Relative slack tolerance of every certified form; see is_certified.
 CERTIFICATION_RTOL = 1e-6
 
 
+class _Report:
+    """Shared by the report types: every field is a finite float."""
+
+    def __post_init__(self) -> None:
+        bad = [k for k, v in vars(self).items() if not math.isfinite(v)]
+        if bad:
+            raise ArithmeticError(
+                f"{type(self).__name__} has non-finite {', '.join(bad)} (overflow or NaN)"
+            )
+
+    def to_dict(self) -> dict:
+        return {k: float(v) for k, v in asdict(self).items()}
+
+
 @dataclass(frozen=True)
-class BoundReport:
+class BoundReport(_Report):
     """All evaluated terms of the stability bound for one (f, g, p) triple.
 
     ``rhs`` is exactly ``term_modulus + term_smoothness + term_translation``
     and ``slack = rhs - lhs``; ``squared_form_slack`` is the slack of the
-    squared inequality.  :func:`is_certified` gives the verdict on both.
+    squared inequality.  :func:`is_certified` gives the verdict on both.  A
+    non-finite field raises ArithmeticError.
     """
 
     p: float
@@ -76,17 +90,15 @@ class BoundReport:
     slack: float
     squared_form_slack: float
 
-    def to_dict(self) -> dict:
-        return {k: float(v) for k, v in asdict(self).items()}
-
 
 @dataclass(frozen=True)
-class Corollary1Report:
+class Corollary1Report(_Report):
     """Terms of the band-limited form of the bound (real spectrum hypothesis).
 
     The smoothness term is replaced by ``30 sqrt(L) |f - g|_1`` where ``L`` is
     the measure of the numerical support of the spectrum of f, and the
-    translation term by ``2 | Im G |_2``.
+    translation term by ``2 | Im G |_2``.  A non-finite field raises
+    ArithmeticError.
     """
 
     epsilon: float
@@ -97,9 +109,6 @@ class Corollary1Report:
     support_measure: float
     rhs: float
     slack: float
-
-    def to_dict(self) -> dict:
-        return {k: float(v) for k, v in asdict(self).items()}
 
 
 @dataclass(frozen=True)
@@ -144,8 +153,29 @@ def _check_p(p: float) -> float:
     return p
 
 
+def _default_tol(mags: np.ndarray, tol: float | None, name: str) -> float:
+    """``tol``, or 1e-12 * max|F| when it is None; rejects a negative value."""
+    if tol is None:
+        tol = 1e-12 * float(mags.max(initial=0.0))
+    tol = float(tol)
+    if tol < 0.0:
+        raise ValueError(f"{name} must be nonnegative")
+    return tol
+
+
 def _l2_quadrature(grid: GridSpec, field: np.ndarray) -> float:
     return float(np.sqrt(grid.cell_volume * np.sum(np.abs(field) ** 2)))
+
+
+def _pair(f, g, caller: str) -> tuple[SampledFunction, Spectrum, Spectrum, float]:
+    """The one pass over a pair: f - g, the spectra F and G, and | |F|-|G| |_2."""
+    if not isinstance(f, SampledFunction) or not isinstance(g, SampledFunction):
+        raise TypeError(f"{caller} expects two SampledFunction inputs")
+    _require_same_grid(f, g)
+    F = fourier_transform(f)
+    G = fourier_transform(g)
+    modulus_l2 = _l2_quadrature(F.grid, np.abs(F.values) - np.abs(G.values))
+    return f - g, F, G, modulus_l2
 
 
 def _sublevel_mass(F: Spectrum, threshold: float) -> float:
@@ -153,6 +183,11 @@ def _sublevel_mass(F: Spectrum, threshold: float) -> float:
     mags = np.abs(F.values)
     sq = mags * mags
     return float(F.grid.cell_volume * np.sum(np.where(mags <= threshold, sq, 0.0)))
+
+
+def _smoothness(mass: float, x: float, p: float) -> float:
+    """h at x from the sub-level mass at threshold 10 x."""
+    return math.sqrt(8.0 * mass) + (x if p > 1.0 else 0.0)
 
 
 def smoothness_modulus(f_spectrum: Spectrum, x: float, p: float) -> float:
@@ -167,10 +202,7 @@ def smoothness_modulus(f_spectrum: Spectrum, x: float, p: float) -> float:
     if x < 0.0 or not math.isfinite(x):
         raise ValueError(f"x must be a nonnegative finite real, got {x}")
     p = _check_p(p)
-    value = math.sqrt(8.0 * _sublevel_mass(f_spectrum, 10.0 * x))
-    if p > 1.0:
-        value += x
-    return value
+    return _smoothness(_sublevel_mass(f_spectrum, 10.0 * x), x, p)
 
 
 def translation_term(
@@ -188,12 +220,7 @@ def translation_term(
     F = f_spectrum.values
     G = g_spectrum.values
     magF = np.abs(F)
-    if zero_tol is None:
-        zero_tol = 1e-12 * float(magF.max(initial=0.0))
-    zero_tol = float(zero_tol)
-    if zero_tol < 0.0:
-        raise ValueError("zero_tol must be nonnegative")
-    keep = magF > zero_tol
+    keep = magF > _default_tol(magF, zero_tol, "zero_tol")
     field = np.zeros_like(magF)
     field[keep] = (np.conj(F[keep]) * G[keep]).imag / magF[keep]
     return 2.0 * _l2_quadrature(f_spectrum.grid, field)
@@ -206,26 +233,20 @@ def evaluate_theorem(
     zero_tol: float | None = None,
 ) -> BoundReport:
     """Evaluate every term of the stability bound for (f, g) at exponent p."""
-    if not isinstance(f, SampledFunction) or not isinstance(g, SampledFunction):
-        raise TypeError("evaluate_theorem expects two SampledFunction inputs")
-    _require_same_grid(f, g)
+    diff, F, G, modulus_l2 = _pair(f, g, "evaluate_theorem")
     p = _check_p(p)
-    diff = f - g
     epsilon = lp_norm(diff, p)
     lhs = lp_norm(diff, 2.0)
-    F = fourier_transform(f)
-    G = fourier_transform(g)
-    modulus_l2 = _l2_quadrature(F.grid, np.abs(F.values) - np.abs(G.values))
     term_modulus = 2.0 * modulus_l2
     term_translation = translation_term(F, G, zero_tol)
-    term_smoothness = smoothness_modulus(F, epsilon, p)
+    mass = _sublevel_mass(F, 10.0 * epsilon)
+    term_smoothness = _smoothness(mass, epsilon, p)
     rhs = term_modulus + term_smoothness + term_translation
-    tail = _sublevel_mass(F, 10.0 * epsilon)
     squared_rhs = (
         2.0 * modulus_l2**2
         + (6.0 / 5.0) * (term_translation / 2.0) ** 2
         + (epsilon**2 if p > 1.0 else 0.0)
-        + 8.0 * tail
+        + 8.0 * mass
     )
     return BoundReport(
         p=p,
@@ -240,11 +261,6 @@ def evaluate_theorem(
     )
 
 
-def squared_rhs_of(report: BoundReport) -> float:
-    """Right-hand side of the squared form implied by a report."""
-    return report.squared_form_slack + report.lhs**2
-
-
 class CertificationError(ArithmeticError):
     """A report's inequality failed numerically beyond its tolerance."""
 
@@ -254,7 +270,7 @@ def _forms(report: BoundReport | Corollary1Report) -> list[tuple[float, float]]:
     for a BoundReport, its squared form."""
     forms = [(report.slack, report.rhs)]
     if isinstance(report, BoundReport):
-        forms.append((report.squared_form_slack, squared_rhs_of(report)))
+        forms.append((report.squared_form_slack, report.squared_form_slack + report.lhs**2))
     return forms
 
 
@@ -280,11 +296,7 @@ def support_measure(F: Spectrum, support_tol: float | None = None) -> float:
     """
     _require_spectrum(F)
     mags = np.abs(F.values)
-    if support_tol is None:
-        support_tol = 1e-12 * float(mags.max(initial=0.0))
-    support_tol = float(support_tol)
-    if support_tol < 0.0:
-        raise ValueError("support_tol must be nonnegative")
+    support_tol = _default_tol(mags, support_tol, "support_tol")
     return float(F.grid.cell_volume * np.count_nonzero(mags > support_tol))
 
 
@@ -333,24 +345,18 @@ def evaluate_corollary1(
     Requires the spectrum of f to be real valued (relative imaginary part at
     most 1e-8); rejects otherwise, naming the violated hypothesis.
     """
-    if not isinstance(f, SampledFunction) or not isinstance(g, SampledFunction):
-        raise TypeError("evaluate_corollary1 expects two SampledFunction inputs")
-    _require_same_grid(f, g)
-    F = fourier_transform(f)
-    magF = np.abs(F.values)
-    peak = float(magF.max(initial=0.0))
+    diff, F, G, modulus_l2 = _pair(f, g, "evaluate_corollary1")
+    peak = float(np.abs(F.values).max(initial=0.0))
     im_peak = float(np.abs(F.values.imag).max(initial=0.0))
     if im_peak > 1e-8 * peak:
         raise ValueError(
             "hypothesis violated: spectrum of f must be real-valued "
             f"(max |Im| = {im_peak:.3e} exceeds 1e-8 * max |F| = {1e-8 * peak:.3e})"
         )
-    G = fourier_transform(g)
     L = support_measure(F, support_tol)
-    diff = f - g
     epsilon = lp_norm(diff, 1.0)
     lhs = lp_norm(diff, 2.0)
-    term_modulus = 2.0 * _l2_quadrature(F.grid, magF - np.abs(G.values))
+    term_modulus = 2.0 * modulus_l2
     term_bandlimit = 30.0 * math.sqrt(L) * epsilon
     term_translation = 2.0 * _l2_quadrature(G.grid, G.values.imag)
     rhs = term_modulus + term_bandlimit + term_translation

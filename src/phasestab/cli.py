@@ -109,38 +109,31 @@ def _report_csv(d: dict) -> str:
     return ",".join(keys) + "\n" + ",".join(repr(float(d[k])) for k in keys)
 
 
-def cmd_verify(args) -> int:
-    f, g = _load_pair(args.f, args.g)
-    report = evaluate_theorem(f, g, args.p, zero_tol=args.zero_tol)
+def _emit_report(args, report, options: dict) -> int:
+    """Write a pair report with its config echo; exit code from its verdict."""
     payload = report.to_dict()
     payload["config"] = {
         "f": args.f,
         "g": args.g,
-        "p": args.p,
-        "zero_tol": args.zero_tol,
+        **options,
         "certification_rtol": CERTIFICATION_RTOL,
         "version": __version__,
     }
-    if args.format == "csv":
-        _emit(payload, args.out, text=_report_csv(report.to_dict()))
-    else:
-        _emit(payload, args.out)
+    text = _report_csv(report.to_dict()) if args.format == "csv" else None
+    _emit(payload, args.out, text=text)
     return EXIT_OK if is_certified(report) else EXIT_CERTIFICATION
+
+
+def cmd_verify(args) -> int:
+    f, g = _load_pair(args.f, args.g)
+    report = evaluate_theorem(f, g, args.p, zero_tol=args.zero_tol)
+    return _emit_report(args, report, {"p": args.p, "zero_tol": args.zero_tol})
 
 
 def cmd_corollary1(args) -> int:
     f, g = _load_pair(args.f, args.g)
     report = evaluate_corollary1(f, g, support_tol=args.support_tol)
-    payload = report.to_dict()
-    payload["config"] = {
-        "f": args.f,
-        "g": args.g,
-        "support_tol": args.support_tol,
-        "certification_rtol": CERTIFICATION_RTOL,
-        "version": __version__,
-    }
-    _emit(payload, args.out)
-    return EXIT_OK if is_certified(report) else EXIT_CERTIFICATION
+    return _emit_report(args, report, {"support_tol": args.support_tol})
 
 
 def cmd_certify(args) -> int:
@@ -278,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cor.add_argument("--g", required=True)
     p_cor.add_argument("--support-tol", type=float, default=None, dest="support_tol")
     p_cor.add_argument("--out", default=None)
-    p_cor.set_defaults(run=cmd_corollary1)
+    p_cor.set_defaults(run=cmd_corollary1, format="json")
 
     p_lem = sub.add_parser("lemma1", help="brute-force scan of the half-disk inequality")
     p_lem.add_argument("--radius-steps", required=True, type=int, dest="radius_steps")

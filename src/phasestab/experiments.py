@@ -33,16 +33,14 @@ import numpy as np
 from scipy import stats
 
 from .bounds import (
-    BoundReport,
     CertificationError,
     TailParams,
     evaluate_corollary1,
     evaluate_theorem,
     is_certified,
     spectral_tail,
-    translation_term,
 )
-from .grid import GridSpec, SampledFunction, Spectrum, fourier_transform, inverse_transform, lp_norm, shift
+from .grid import GridSpec, SampledFunction, Spectrum, fourier_transform, inverse_transform, shift
 
 __all__ = [
     "ScalingResult",
@@ -56,7 +54,6 @@ __all__ = [
     "triangle_experiment",
     "translation_experiment",
     "tail_experiment",
-    "certify_pair",
     "iter_certification_pairs",
     "FAMILY_BUILDERS",
     "DEFAULT_GRID",
@@ -168,11 +165,6 @@ def _require_certified(report, context: str):
     return report
 
 
-def certify_pair(f: SampledFunction, g: SampledFunction, p: float, context: str = "") -> BoundReport:
-    """Evaluate the bound and raise if it fails its certification tolerance."""
-    return _require_certified(evaluate_theorem(f, g, p), context)
-
-
 def gaussian(
     grid: GridSpec,
     center: float | Sequence[float] = 0.0,
@@ -251,11 +243,10 @@ def optimality_experiment(
     l2s, l1s, reports = [], [], []
     for L in L_values:
         f, g = optimality_family(grid, L)
-        certify_pair(f, g, 1.0, context=f"optimality L={L}")
+        report = _require_certified(evaluate_theorem(f, g, 1.0), f"optimality L={L}")
         reports.append(_require_certified(evaluate_corollary1(f, g), f"optimality L={L}"))
-        diff = f - g
-        l2s.append(lp_norm(diff, 2.0))
-        l1s.append(lp_norm(diff, 1.0))
+        l2s.append(report.lhs)
+        l1s.append(report.epsilon)
     results = [
         fit_scaling("optimality_l2", L_values, l2s, expected_slope=-0.5, slope_tolerance=0.1),
         fit_scaling("optimality_l1", L_values, l1s, expected_slope=-1.0, slope_tolerance=0.1),
@@ -332,7 +323,7 @@ def triangle_experiment(
                 "perturbation must produce a real even function "
                 f"(odd component {odd:.3e}, imaginary component {imag:.3e})"
             )
-        report = certify_pair(f, g, 1.0, context=f"triangle delta={delta}")
+        report = _require_certified(evaluate_theorem(f, g, 1.0), f"triangle delta={delta}")
         _require_certified(evaluate_corollary1(f, g), f"triangle delta={delta}")
         if 10.0 * report.epsilon <= 1.0:
             params.append(report.epsilon)
@@ -363,9 +354,8 @@ def translation_experiment(
     params, observables = [], []
     for eps in epsilons:
         eps = float(eps)
-        g = shift(f, eps)
-        G = fourier_transform(g)
-        term = translation_term(F, G)
+        report = evaluate_theorem(f, shift(f, eps), 1.0)
+        term = report.term_translation
         reference = 2.0 * math.sqrt(
             vol * float(np.sum((np.abs(F.values) * np.sin(2.0 * np.pi * eps * xi)) ** 2))
         )
@@ -373,11 +363,11 @@ def translation_experiment(
             raise ArithmeticError(
                 f"translation term {term!r} deviates from closed form {reference!r} at eps={eps}"
             )
-        report = certify_pair(f, g, 1.0, context=f"translation eps={eps}")
         if report.term_modulus > 1e-10:
             raise ArithmeticError(
                 f"modulus term {report.term_modulus:.3e} nonzero under a pure shift at eps={eps}"
             )
+        _require_certified(report, f"translation eps={eps}")
         params.append(eps)
         observables.append(report.lhs)
     return fit_scaling("translation", params, observables, expected_slope=1.0, slope_tolerance=0.05)

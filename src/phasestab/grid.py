@@ -187,8 +187,9 @@ class Spectrum(_GridField):
     """Frequency-domain samples on the dual GridSpec, physical ordering."""
 
 
-def _all_axes(g: GridSpec) -> tuple[int, ...]:
-    return tuple(range(g.dimension))
+def _centred(transform, values: np.ndarray) -> np.ndarray:
+    """``transform`` over every axis of zero-centred (physically ordered) samples."""
+    return np.fft.fftshift(transform(np.fft.ifftshift(values)))
 
 
 def fourier_transform(f: SampledFunction) -> Spectrum:
@@ -204,11 +205,7 @@ def fourier_transform(f: SampledFunction) -> Spectrum:
     """
     if not isinstance(f, SampledFunction):
         raise TypeError("fourier_transform expects a SampledFunction")
-    axes = _all_axes(f.grid)
-    vals = np.fft.fftshift(
-        np.fft.fftn(np.fft.ifftshift(f.values, axes=axes), axes=axes), axes=axes
-    )
-    return Spectrum(f.grid.dual(), vals * f.grid.cell_volume)
+    return Spectrum(f.grid.dual(), _centred(np.fft.fftn, f.values) * f.grid.cell_volume)
 
 
 def inverse_transform(spectrum: Spectrum) -> SampledFunction:
@@ -216,12 +213,9 @@ def inverse_transform(spectrum: Spectrum) -> SampledFunction:
     if not isinstance(spectrum, Spectrum):
         raise TypeError("inverse_transform expects a Spectrum")
     g = spectrum.grid
-    axes = _all_axes(g)
-    vals = np.fft.fftshift(
-        np.fft.ifftn(np.fft.ifftshift(spectrum.values, axes=axes), axes=axes), axes=axes
-    )
     # ifftn divides by the point count; dxi^n * N^n = 1 / dx^n restores the
     # quadrature scaling of the inverse integral.
+    vals = _centred(np.fft.ifftn, spectrum.values)
     return SampledFunction(g.dual(), vals * (g.cell_volume * g.size))
 
 

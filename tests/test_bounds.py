@@ -204,6 +204,19 @@ class TestEvaluateTheorem:
             sq_rhs = rep.squared_form_slack + rep.lhs**2
             assert rep.squared_form_slack >= -CERTIFICATION_RTOL * sq_rhs
 
+    @pytest.mark.parametrize("p", [1.0, 1.25, 1.5, 1.75])
+    def test_report_fields_are_the_public_quantities(self, p, rng):
+        # exact equality: callers read these quantities from the report
+        for name, f, g in iter_certification_pairs(10, rng):
+            F, G = fourier_transform(f), fourier_transform(g)
+            rep = evaluate_theorem(f, g, p)
+            assert rep.epsilon == lp_norm(f - g, p)
+            assert rep.lhs == lp_norm(f - g, 2.0)
+            assert rep.term_translation == translation_term(F, G)
+            assert rep.term_smoothness == smoothness_modulus(F, rep.epsilon, p)
+            if name == "signflip_bump":
+                assert evaluate_corollary1(f, g).support_measure == support_measure(F)
+
     def test_report_serialization_field_names(self, grid_1d):
         rep = evaluate_theorem(gaussian(grid_1d), gaussian(grid_1d, width=2.0), 1.5)
         d = rep.to_dict()

@@ -222,15 +222,33 @@ class TestCmdVerify:
         assert code == 2
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-    def test_overflow_is_numerical_error(self, tmp_path, capsys):
-        # the squared form overflows at this scale; that is no counterexample
-        f = gaussian(GRID, amplitude=1e160)
+    @pytest.mark.parametrize(
+        "amplitude, command",
+        [
+            # an overflowed squared form
+            pytest.param(1e160, ["verify", "--p", "1.5"], id="verify-p1.5-1e160"),
+            # an rhs of inf, which would certify vacuously
+            pytest.param(1e154, ["verify", "--p", "1"], id="verify-p1-1e154"),
+            pytest.param(1e154, ["verify", "--p", "1.5"], id="verify-p1.5-1e154"),
+            # a slack of inf - inf = NaN
+            pytest.param(1e160, ["verify", "--p", "1"], id="verify-p1-1e160"),
+            pytest.param(1e160, ["corollary1"], id="corollary1-1e160"),
+            # an epsilon of inf
+            pytest.param(1e300, ["verify", "--p", "1.5"], id="verify-p1.5-1e300"),
+        ],
+    )
+    def test_overflow_is_numerical_error(self, amplitude, command, tmp_path, capsys):
+        # an overflow at this scale is no counterexample, and no report is written
+        f = gaussian(GRID, amplitude=amplitude)
         f_path, g_path = tmp_path / "f.json", tmp_path / "g.json"
         save_field(f_path, f)
         save_field(g_path, shift(f, 0.1))
-        code = main(["verify", "--f", str(f_path), "--g", str(g_path), "--p", "1.5"])
+        out = tmp_path / "report.json"
+        name, *options = command
+        code = main([name, "--f", str(f_path), "--g", str(g_path), "--out", str(out), *options])
         assert code == 1
         assert "numerical error" in capsys.readouterr().err
+        assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -346,6 +364,16 @@ class TestCmdExperiment:
         monkeypatch.setattr(experiments, "evaluate_corollary1", violated)
         assert main(["experiment", "--name", "optimality"]) == 2
         assert "certification failure: Corollary1Report not certified" in capsys.readouterr().err
+
+    def test_translation_identity_failure_is_numerical_error(self, monkeypatch, capsys):
+        # a nonzero modulus term under a pure shift is a numerical fault, not a
+        # violated inequality
+        def perturbed(f, g, p, zero_tol=None):
+            return dataclasses.replace(evaluate_theorem(f, g, p, zero_tol), term_modulus=1e-3)
+
+        monkeypatch.setattr(experiments, "evaluate_theorem", perturbed)
+        assert main(["experiment", "--name", "translation"]) == 1
+        assert "numerical error: modulus term" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "option", [["--sweep", "1,2,3,4"], ["--grid-n", "512"], ["--k", "2"], ["--n", "1"]]
