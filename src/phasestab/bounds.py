@@ -154,12 +154,12 @@ def _check_p(p: float) -> float:
 
 
 def _default_tol(mags: np.ndarray, tol: float | None, name: str) -> float:
-    """``tol``, or 1e-12 * max|F| when it is None; rejects a negative value."""
+    """``tol``, or 1e-12 * max|F| when it is None; it must be finite and nonnegative."""
     if tol is None:
         tol = 1e-12 * float(mags.max(initial=0.0))
     tol = float(tol)
-    if tol < 0.0:
-        raise ValueError(f"{name} must be nonnegative")
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"{name} must be a nonnegative finite real, got {tol}")
     return tol
 
 
@@ -242,12 +242,16 @@ def evaluate_theorem(
     mass = _sublevel_mass(F, 10.0 * epsilon)
     term_smoothness = _smoothness(mass, epsilon, p)
     rhs = term_modulus + term_smoothness + term_translation
-    squared_rhs = (
-        2.0 * modulus_l2**2
-        + (6.0 / 5.0) * (term_translation / 2.0) ** 2
-        + (epsilon**2 if p > 1.0 else 0.0)
-        + 8.0 * mass
-    )
+    try:
+        squared_form_slack = (
+            2.0 * modulus_l2**2
+            + (6.0 / 5.0) * (term_translation / 2.0) ** 2
+            + (epsilon**2 if p > 1.0 else 0.0)
+            + 8.0 * mass
+        ) - lhs**2
+    except OverflowError:
+        # a Python float ** past the double range; the report refuses it by name
+        squared_form_slack = math.inf
     return BoundReport(
         p=p,
         epsilon=epsilon,
@@ -257,7 +261,7 @@ def evaluate_theorem(
         term_translation=term_translation,
         rhs=rhs,
         slack=rhs - lhs,
-        squared_form_slack=squared_rhs - lhs**2,
+        squared_form_slack=squared_form_slack,
     )
 
 
@@ -274,11 +278,9 @@ def _forms(report: BoundReport | Corollary1Report) -> list[tuple[float, float]]:
     return forms
 
 
-def is_certified(
-    report: BoundReport | Corollary1Report, rtol: float = CERTIFICATION_RTOL
-) -> bool:
-    """Whether every form of the report holds: slack >= -rtol * rhs."""
-    return all(slack >= -rtol * rhs for slack, rhs in _forms(report))
+def is_certified(report: BoundReport | Corollary1Report) -> bool:
+    """Whether every form of the report holds: slack >= -CERTIFICATION_RTOL * rhs."""
+    return all(slack >= -CERTIFICATION_RTOL * rhs for slack, rhs in _forms(report))
 
 
 def relative_slacks(report: BoundReport | Corollary1Report) -> tuple[float, ...]:

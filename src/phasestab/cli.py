@@ -137,6 +137,8 @@ def cmd_corollary1(args) -> int:
 
 
 def cmd_certify(args) -> int:
+    if args.count < 1:
+        raise ValueError(f"--count must be at least 1, got {args.count}")
     worst, failures = {}, 0
     pairs = iter_certification_pairs(args.count, np.random.default_rng(args.seed))
     for index, (family, f, g) in enumerate(pairs):

@@ -26,7 +26,7 @@ masquerade as slope error.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -110,16 +110,9 @@ class ScalingResult:
             raise ValueError("log-log fit requires strictly positive values")
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "parameter_values": [float(v) for v in self.parameter_values],
-            "observable_values": [float(v) for v in self.observable_values],
-            "fitted_slope": float(self.fitted_slope),
-            "slope_stderr": float(self.slope_stderr),
-            "expected_slope": float(self.expected_slope),
-            "slope_tolerance": float(self.slope_tolerance),
-            "pass": bool(self.passed),
-        }
+        d = asdict(self)
+        d["pass"] = d.pop("passed")
+        return d
 
 
 def fit_scaling(
@@ -202,10 +195,8 @@ def triangle_spectrum(freq_grid: GridSpec) -> Spectrum:
     return Spectrum(freq_grid, np.maximum(0.0, 1.0 - np.abs(xi)))
 
 
-def optimality_family(
-    grid: GridSpec, L: float, bump: Callable[[np.ndarray], np.ndarray] = smooth_bump
-) -> tuple[SampledFunction, SampledFunction]:
-    """The sign-flip pair with spectrum (1/L) bump(xi / L) and its negative.
+def optimality_family(grid: GridSpec, L: float) -> tuple[SampledFunction, SampledFunction]:
+    """The sign-flip pair with spectrum (1/L) smooth_bump(xi / L) and its negative.
 
     Both functions have identical spectral modulus and a real spectrum, so the
     whole L^2 distance 2 |f|_2 must be carried by the smoothness term.
@@ -221,7 +212,7 @@ def optimality_family(
             f"frequency domain half-extent {freq.half_extent[0]} does not cover [-L, L] for L={L}"
         )
     xi = freq.axis_coordinate(0)
-    fhat = Spectrum(freq, bump(xi / L) / L)
+    fhat = Spectrum(freq, smooth_bump(xi / L) / L)
     f = inverse_transform(fhat)
     return f, -f
 
@@ -259,28 +250,21 @@ def _quintic_smoothstep(t):
     return t * t * t * (t * (6.0 * t - 15.0) + 10.0)
 
 
-def edge_sign_flip(transition_fraction: float = 0.5):
-    """Family of even modulus-invisible perturbations of the triangle spectrum.
+def edge_sign_flip(xi: np.ndarray, fhat: np.ndarray, delta: float) -> np.ndarray:
+    """Even modulus-invisible perturbation of the triangle spectrum at amplitude delta.
 
-    For amplitude delta, the spectrum's sign is flipped on the outer band
-    where the triangle drops below delta, with a smooth transition over the
-    inner ``transition_fraction`` of the band.  The smooth transition keeps
-    f - g integrable-looking on the truncated grid (a hard flip edge would add
-    a slowly decaying 1/x tail whose L^1 mass grows logarithmically and
-    pollutes the fitted exponent).
+    The spectrum's sign is flipped on the outer band where the triangle drops
+    below delta, with a smooth transition over the inner half of the band.
+    The smooth transition keeps f - g integrable-looking on the truncated grid
+    (a hard flip edge would add a slowly decaying 1/x tail whose L^1 mass grows
+    logarithmically and pollutes the fitted exponent).
     """
-    if not 0.0 < transition_fraction < 1.0:
-        raise ValueError("transition_fraction must lie in (0, 1)")
-
-    def family(xi: np.ndarray, fhat: np.ndarray, delta: float) -> np.ndarray:
-        u = 1.0 - np.abs(xi)  # height of the triangle at xi, negative outside
-        inner = (1.0 - transition_fraction) * delta
-        ramp = _quintic_smoothstep((delta - u) / (transition_fraction * delta))
-        chi = np.where(u <= inner, 1.0, np.where(u >= delta, 0.0, ramp))
-        chi = np.where(u < 0.0, 0.0, chi)
-        return (1.0 - 2.0 * chi) * fhat
-
-    return family
+    u = 1.0 - np.abs(xi)  # height of the triangle at xi, negative outside
+    inner = 0.5 * delta
+    ramp = _quintic_smoothstep((delta - u) / inner)
+    chi = np.where(u <= inner, 1.0, np.where(u >= delta, 0.0, ramp))
+    chi = np.where(u < 0.0, 0.0, chi)
+    return (1.0 - 2.0 * chi) * fhat
 
 
 def _mirror(values: np.ndarray) -> np.ndarray:
@@ -305,7 +289,7 @@ def triangle_experiment(
     imaginary component beyond 1e-8 of the peak is rejected).
     """
     grid = TRIANGLE_GRID if grid is None else grid
-    family = edge_sign_flip() if perturbation_family is None else perturbation_family
+    family = edge_sign_flip if perturbation_family is None else perturbation_family
     amplitudes = DEFAULT_SWEEPS["triangle"] if amplitudes is None else tuple(amplitudes)
     freq = grid.dual()
     fhat = triangle_spectrum(freq)
@@ -442,7 +426,7 @@ def _perturbed_triangle_pair(rng, grid):
     f = inverse_transform(fhat)
     xi = freq.axis_coordinate(0)
     if rng.uniform() < 0.5:
-        ghat_vals = edge_sign_flip()(xi, fhat.values, rng.uniform(0.05, 0.9))
+        ghat_vals = edge_sign_flip(xi, fhat.values, rng.uniform(0.05, 0.9))
     else:
         # additive even real bump, modulus-visible perturbation
         c = rng.uniform(0.0, 2.0)

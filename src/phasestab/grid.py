@@ -141,17 +141,13 @@ class _GridField:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        vals = np.asarray(self.values, dtype=np.complex128)
+        vals = np.array(self.values, dtype=np.complex128)
         if vals.shape != self.grid.shape:
-            if vals.size == self.grid.size:
-                vals = vals.reshape(self.grid.shape)
-            else:
-                raise ValueError(
-                    f"values shape {vals.shape} does not match grid shape {self.grid.shape}"
-                )
+            raise ValueError(
+                f"values shape {vals.shape} does not match grid shape {self.grid.shape}"
+            )
         if not np.all(np.isfinite(vals)):
             raise ValueError("non-finite sample in values (NaN or Inf)")
-        vals = vals.copy()
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
 
@@ -233,13 +229,7 @@ def lp_norm(field: SampledFunction | Spectrum, p: float) -> float:
     mags = np.abs(field.values)
     if math.isinf(p):
         return float(mags.max())
-    if p == 1.0:
-        total = float(np.sum(mags))
-    elif p == 2.0:
-        total = float(np.sum(mags * mags))
-    else:
-        total = float(np.sum(mags**p))
-    return float((field.grid.cell_volume * total) ** (1.0 / p))
+    return float((field.grid.cell_volume * float(np.sum(mags**p))) ** (1.0 / p))
 
 
 def shift(f: SampledFunction, offset) -> SampledFunction:

@@ -314,6 +314,20 @@ class TestCorollary1:
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.parametrize("tol", [-1e-3, math.nan, math.inf])
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda F, tol: translation_term(F, F, zero_tol=tol), id="zero_tol"),
+        pytest.param(lambda F, tol: support_measure(F, support_tol=tol), id="support_tol"),
+    ],
+)
+def test_tolerance_must_be_finite_and_nonnegative(call, tol, grid_1d):
+    F = fourier_transform(gaussian(grid_1d))
+    with pytest.raises(ValueError, match="nonnegative"):
+        call(F, tol)
+
+
 class TestSupportMeasure:
     def test_triangle(self, triangle):
         dxi = triangle.grid.spacing[0]

@@ -113,7 +113,7 @@ class TestTriangleExperiment:
         def family(xi, fhat, delta):
             if delta == 0.0:
                 return fhat.copy()
-            return edge_sign_flip()(xi, fhat, delta)
+            return edge_sign_flip(xi, fhat, delta)
 
         res = triangle_experiment(perturbation_family=family, amplitudes=deltas)
         assert len(res.parameter_values) == len(DEFAULT_SWEEPS["triangle"])

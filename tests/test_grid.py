@@ -96,9 +96,16 @@ class TestFieldTypes:
         with pytest.raises(ValueError, match="non-finite sample"):
             Spectrum(grid_1d.dual(), vals)
 
-    def test_wrong_length_rejected(self, grid_1d):
+    @pytest.mark.parametrize(
+        "grid, size",
+        [
+            pytest.param(GridSpec.uniform(1, 16.0, 1024), 17, id="wrong-size"),
+            pytest.param(GridSpec.uniform(2, 8.0, 16), 256, id="flat-2d"),
+        ],
+    )
+    def test_wrong_length_rejected(self, grid, size):
         with pytest.raises(ValueError, match="shape"):
-            SampledFunction(grid_1d, np.ones(17, dtype=complex))
+            SampledFunction(grid, np.ones(size, dtype=complex))
 
     def test_values_immutable(self, grid_1d):
         f = gaussian(grid_1d)
@@ -255,6 +262,17 @@ class TestLpNorm:
     def test_sup_norm(self, grid_1d):
         f = gaussian(grid_1d)
         assert lp_norm(f, math.inf) == 1.0
+
+    @pytest.mark.parametrize("shape", [(1024,), (64, 32), (16, 8, 12)])
+    def test_p1_and_p2_are_the_plain_sums(self, shape, rng):
+        # numpy's array power returns the moduli for p = 1 and their square for
+        # p = 2 bit for bit, so one reduction serves every finite p
+        grid = GridSpec(len(shape), (4.0,) * len(shape), shape)
+        f = SampledFunction(grid, rng.normal(size=shape) + 1j * rng.normal(size=shape))
+        m = np.abs(f.values)
+        vol = grid.cell_volume
+        assert lp_norm(f, 1.0) == (vol * float(np.sum(m))) ** 1.0
+        assert lp_norm(f, 2.0) == (vol * float(np.sum(m * m))) ** 0.5
 
     @pytest.mark.parametrize("p", [0.5, 0.999, -1.0, math.nan])
     def test_invalid_p_rejected(self, grid_1d, p):

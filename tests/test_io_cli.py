@@ -247,7 +247,9 @@ class TestCmdVerify:
         name, *options = command
         code = main([name, "--f", str(f_path), "--g", str(g_path), "--out", str(out), *options])
         assert code == 1
-        assert "numerical error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "numerical error" in err
+        assert "non-finite" in err
         assert not out.exists()
 
 
@@ -277,6 +279,14 @@ class TestCmdCorollary1:
         code = main(["corollary1", "--f", str(f_path), "--g", str(f_path)])
         assert code == 1
         assert "real-valued" in capsys.readouterr().err
+
+    def test_nan_support_tol_is_input_error(self, gaussian_file, tmp_path, capsys):
+        out = tmp_path / "rep.json"
+        f = str(gaussian_file)
+        code = main(["corollary1", "--f", f, "--g", f, "--support-tol", "nan", "--out", str(out)])
+        assert code == 1
+        assert "support_tol" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_negative_slack_fails(self, gaussian_file, shifted_file, monkeypatch):
         def violated(f, g, support_tol=None):
@@ -399,8 +409,16 @@ class TestCmdCertify:
         for entry in summary["per_family_worst"].values():
             assert set(entry) == {"min_rel_slack", "min_rel_sq_slack"}
 
-    def test_malformed_p_is_input_error(self):
-        assert main(["certify", "--count", "1", "--p", "1.0,x"]) == 1
+    @pytest.mark.parametrize(
+        "options",
+        [
+            pytest.param(["--count", "1", "--p", "1.0,x"], id="malformed-p"),
+            pytest.param(["--count", "0"], id="count-0"),
+            pytest.param(["--count", "-3"], id="count-negative"),
+        ],
+    )
+    def test_malformed_p_is_input_error(self, options):
+        assert main(["certify", *options]) == 1
 
     def test_failure_names_its_pair(self, monkeypatch, capsys):
         def violated(f, g, p):
