@@ -167,15 +167,24 @@ def _l2_quadrature(grid: GridSpec, field: np.ndarray) -> float:
     return float(np.sqrt(grid.cell_volume * np.sum(np.abs(field) ** 2)))
 
 
-def _pair(f, g, caller: str) -> tuple[SampledFunction, Spectrum, Spectrum, float]:
-    """The one pass over a pair: f - g, the spectra F and G, and | |F|-|G| |_2."""
+def _pair(f, g, caller: str) -> tuple[SampledFunction, float, Spectrum, Spectrum, float]:
+    """The one pass over a pair: f - g, lhs = |f - g|_2, the spectra F and G,
+    and | |F|-|G| |_2.
+
+    An lhs of 0 for f != g can only be underflow, and every other term then
+    underflows too, so it raises ArithmeticError rather than certify vacuously.
+    """
     if not isinstance(f, SampledFunction) or not isinstance(g, SampledFunction):
         raise TypeError(f"{caller} expects two SampledFunction inputs")
     _require_same_grid(f, g)
+    diff = f - g
+    lhs = lp_norm(diff, 2.0)
+    if lhs == 0.0 and np.any(diff.values):
+        raise ArithmeticError(f"{caller}: |f - g|_2 is 0 although f != g (underflow)")
     F = fourier_transform(f)
     G = fourier_transform(g)
     modulus_l2 = _l2_quadrature(F.grid, np.abs(F.values) - np.abs(G.values))
-    return f - g, F, G, modulus_l2
+    return diff, lhs, F, G, modulus_l2
 
 
 def _sublevel_mass(F: Spectrum, threshold: float) -> float:
@@ -226,6 +235,7 @@ def translation_term(
     return 2.0 * _l2_quadrature(f_spectrum.grid, field)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def evaluate_theorem(
     f: SampledFunction,
     g: SampledFunction,
@@ -233,10 +243,9 @@ def evaluate_theorem(
     zero_tol: float | None = None,
 ) -> BoundReport:
     """Evaluate every term of the stability bound for (f, g) at exponent p."""
-    diff, F, G, modulus_l2 = _pair(f, g, "evaluate_theorem")
+    diff, lhs, F, G, modulus_l2 = _pair(f, g, "evaluate_theorem")
     p = _check_p(p)
     epsilon = lp_norm(diff, p)
-    lhs = lp_norm(diff, 2.0)
     term_modulus = 2.0 * modulus_l2
     term_translation = translation_term(F, G, zero_tol)
     mass = _sublevel_mass(F, 10.0 * epsilon)
@@ -339,6 +348,7 @@ def spectral_tail(f_spectrum: Spectrum, epsilon: float) -> float:
     return _sublevel_mass(f_spectrum, 10.0 * epsilon)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def evaluate_corollary1(
     f: SampledFunction, g: SampledFunction, support_tol: float | None = None
 ) -> Corollary1Report:
@@ -347,7 +357,7 @@ def evaluate_corollary1(
     Requires the spectrum of f to be real valued (relative imaginary part at
     most 1e-8); rejects otherwise, naming the violated hypothesis.
     """
-    diff, F, G, modulus_l2 = _pair(f, g, "evaluate_corollary1")
+    diff, lhs, F, G, modulus_l2 = _pair(f, g, "evaluate_corollary1")
     peak = float(np.abs(F.values).max(initial=0.0))
     im_peak = float(np.abs(F.values.imag).max(initial=0.0))
     if im_peak > 1e-8 * peak:
@@ -357,7 +367,6 @@ def evaluate_corollary1(
         )
     L = support_measure(F, support_tol)
     epsilon = lp_norm(diff, 1.0)
-    lhs = lp_norm(diff, 2.0)
     term_modulus = 2.0 * modulus_l2
     term_bandlimit = 30.0 * math.sqrt(L) * epsilon
     term_translation = 2.0 * _l2_quadrature(G.grid, G.values.imag)

@@ -30,7 +30,6 @@ from dataclasses import asdict, dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import stats
 
 from .bounds import (
     CertificationError,
@@ -134,14 +133,20 @@ def fit_scaling(
             obs.append(float(y))
     if len(params) < 4:
         raise ValueError(f"{name}: fewer than 4 positive sweep points remain for the fit")
-    res = stats.linregress(np.log(params), np.log(obs))
-    fitted = float(res.slope)
+    x, y = np.log(params), np.log(obs)
+    if x.max() == x.min():
+        raise ValueError("Cannot calculate a linear regression if all x values are identical")
+    # the steps of scipy.stats.linregress, whose slope and stderr this gives bit for bit;
+    # a constant y has zero residuals, so r = 0 there and the stderr is 0
+    ssxm, ssxym, _, ssym = np.cov(x, y, bias=1).flat
+    r = min(max(ssxym / np.sqrt(ssxm * ssym), -1.0), 1.0) if ssym > 0 else 0.0
+    fitted = float(ssxym / ssxm)
     return ScalingResult(
         name=name,
         parameter_values=tuple(params),
         observable_values=tuple(obs),
         fitted_slope=fitted,
-        slope_stderr=float(res.stderr),
+        slope_stderr=float(np.sqrt((1 - r**2) * ssym / ssxm / (len(x) - 2))),
         expected_slope=float(expected_slope),
         slope_tolerance=float(slope_tolerance),
         passed=bool(abs(fitted - expected_slope) <= slope_tolerance),

@@ -310,6 +310,86 @@ class TestCorollary1:
 
 
 # ---------------------------------------------------------------------------
+# the constants of the bound, against closed forms and a numpy-only reference
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("lam", [0.5, 1.5])
+@pytest.mark.parametrize(
+    "evaluate",
+    [
+        pytest.param(lambda f, g: evaluate_theorem(f, g, 1.0), id="theorem-p1"),
+        pytest.param(lambda f, g: evaluate_theorem(f, g, 1.5), id="theorem-p1.5"),
+        pytest.param(evaluate_corollary1, id="corollary1"),
+    ],
+)
+def test_scaled_pair_modulus_term_closed_form(evaluate, lam, grid_1d):
+    # g = lam f: | |F| - |G| | = |1 - lam| |F| and conj(F) G is real, so the
+    # modulus term is 2 |1 - lam| |f|_2 (Parseval) and the translation term 0
+    f = gaussian(grid_1d)  # real, even: a real spectrum, as the corollary needs
+    f_l2 = math.sqrt(grid_1d.cell_volume * np.sum(np.abs(f.values) ** 2))
+    rep = evaluate(f, lam * f)
+    assert rep.term_modulus == pytest.approx(2.0 * abs(1.0 - lam) * f_l2, rel=1e-12)
+    assert rep.term_translation <= 1e-12 * rep.rhs
+
+
+def _squared_form_slack_reference(f, g, p):
+    """The squared form's slack from np.fft alone, never through fourier_transform.
+
+    The uncentred FFT differs from the centred transform by a unimodular factor
+    common to F and G, which leaves |F|, |G| and conj(F) G unchanged.
+    """
+    dx = f.grid.cell_volume
+    dxi = 1.0 / (f.grid.size * dx)
+    F, G = np.fft.fftn(f.values) * dx, np.fft.fftn(g.values) * dx
+    d = np.abs(f.values - g.values)
+    eps = (dx * np.sum(d**p)) ** (1.0 / p)
+    magF = np.abs(F)
+    keep = magF > 1e-12 * magF.max()  # the default zero_tol
+    im = np.zeros_like(magF)
+    im[keep] = (np.conj(F[keep]) * G[keep]).imag / magF[keep]
+    modulus_sq = dxi * np.sum((magF - np.abs(G)) ** 2)
+    translation_sq = dxi * np.sum(im**2)
+    mass = dxi * np.sum(magF[magF <= 10.0 * eps] ** 2)
+    rhs_sq = 2.0 * modulus_sq + 1.2 * translation_sq + (eps**2 if p > 1 else 0.0) + 8.0 * mass
+    return rhs_sq - dx * np.sum(d**2)
+
+
+def _scaled_pair(grid):
+    f = gaussian(grid, center=0.3)
+    return f, 1.5 * f
+
+
+def _shifted_pair(grid):
+    f = gaussian(grid)
+    return f, shift(f, 0.1)
+
+
+def _signflip_bump_pair(grid):
+    return optimality_family(grid, 4.0)
+
+
+def _gaussian_pair(grid):
+    return gaussian(grid), gaussian(grid, center=0.2, width=1.5)
+
+
+@pytest.mark.parametrize(
+    "pair, p",
+    [
+        pytest.param(_scaled_pair, 1.0, id="scaled"),
+        pytest.param(_shifted_pair, 1.0, id="shifted"),
+        pytest.param(_shifted_pair, 1.25, id="shifted-p1.25"),
+        pytest.param(_signflip_bump_pair, 1.0, id="signflip-bump"),
+        pytest.param(_gaussian_pair, 1.5, id="gaussian-p1.5"),
+    ],
+)
+def test_squared_form_slack_matches_reference(pair, p, grid_1d):
+    f, g = pair(grid_1d)
+    rep = evaluate_theorem(f, g, p)
+    assert rep.squared_form_slack == pytest.approx(_squared_form_slack_reference(f, g, p), rel=1e-9)
+
+
+# ---------------------------------------------------------------------------
 # support, exceptional set, tail
 # ---------------------------------------------------------------------------
 

@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import phasestab
 from phasestab.bounds import evaluate_theorem
 from phasestab.experiments import (
     DEFAULT_SWEEPS,
@@ -65,6 +71,61 @@ class TestFitScaling:
             ScalingResult("bad", (1.0, 2.0, 3.0, 4.0), (1.0, 2.0, 3.0), 1, 0, 1, 0.1, True)
         with pytest.raises(ValueError):
             ScalingResult("bad", (1.0, -2.0, 3.0, 4.0), (1.0, 2.0, 3.0, 4.0), 1, 0, 1, 0.1, True)
+
+    def test_matches_linregress_bit_for_bit(self):
+        # scipy is a test-only dependency: the reference the closed form follows
+        from scipy.stats import linregress
+
+        rng = np.random.default_rng(7)
+        for _ in range(200):
+            n = int(rng.integers(4, 12))
+            xs = np.sort(rng.uniform(1e-3, 1e2, n))
+            noise = 10.0 ** rng.uniform(-12, 0)
+            ys = np.exp(rng.uniform(-2, 2) * np.log(xs) + noise * rng.standard_normal(n))
+            res = fit_scaling("demo", xs, ys, 0.0, 1.0)
+            ref = linregress(np.log(xs), np.log(ys))
+            assert res.fitted_slope == ref.slope
+            assert res.slope_stderr == ref.stderr
+
+    def test_identical_parameters_rejected(self):
+        with pytest.raises(ValueError, match="all x values are identical"):
+            fit_scaling("demo", [0.01] * 4, [1.0, 2.0, 3.0, 4.0], 1.0, 0.1)
+
+    @pytest.mark.parametrize("level", [1.0, 1.5707963218278655])
+    def test_constant_observable_has_zero_stderr(self, level):
+        # the second level is the saturated sub-level mass of `tail --sweep 100,200,300,400`
+        res = fit_scaling("demo", [100.0, 200.0, 300.0, 400.0], [level] * 4, 1.5, 0.1)
+        assert res.fitted_slope == 0.0
+        assert res.slope_stderr == 0.0
+        assert not res.passed
+
+
+_IMPORT_CLI = "import sys, phasestab, phasestab.cli\n"
+
+
+@pytest.mark.parametrize(
+    "script",
+    [
+        pytest.param(
+            _IMPORT_CLI + "assert not [m for m in sys.modules if m.split('.')[0] == 'scipy']",
+            id="loads-no-scipy",
+        ),
+        pytest.param(
+            "import sys\nsys.modules['scipy'] = None\n"
+            + _IMPORT_CLI
+            + "from phasestab.experiments import fit_scaling\n"
+            + "assert fit_scaling('demo', [1, 2, 4, 8], [1, 4, 16, 64], 2.0, 1e-9).passed",
+            id="runs-with-scipy-blocked",
+        ),
+    ],
+)
+def test_runtime_needs_numpy_only(script):
+    # a fresh interpreter, so that modules the tests import do not count
+    src = str(Path(phasestab.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
 
 
 class TestSmoothBump:

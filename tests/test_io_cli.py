@@ -221,24 +221,28 @@ class TestCmdVerify:
         code = main(["verify", "--f", str(gaussian_file), "--g", str(shifted_file), "--p", "1.0"])
         assert code == 2
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize(
-        "amplitude, command",
+        "amplitude, command, fragment",
         [
             # an overflowed squared form
-            pytest.param(1e160, ["verify", "--p", "1.5"], id="verify-p1.5-1e160"),
+            pytest.param(1e160, ["verify", "--p", "1.5"], "non-finite", id="verify-p1.5-1e160"),
             # an rhs of inf, which would certify vacuously
-            pytest.param(1e154, ["verify", "--p", "1"], id="verify-p1-1e154"),
-            pytest.param(1e154, ["verify", "--p", "1.5"], id="verify-p1.5-1e154"),
+            pytest.param(1e154, ["verify", "--p", "1"], "non-finite", id="verify-p1-1e154"),
+            pytest.param(1e154, ["verify", "--p", "1.5"], "non-finite", id="verify-p1.5-1e154"),
             # a slack of inf - inf = NaN
-            pytest.param(1e160, ["verify", "--p", "1"], id="verify-p1-1e160"),
-            pytest.param(1e160, ["corollary1"], id="corollary1-1e160"),
+            pytest.param(1e160, ["verify", "--p", "1"], "non-finite", id="verify-p1-1e160"),
+            pytest.param(1e160, ["corollary1"], "non-finite", id="corollary1-1e160"),
             # an epsilon of inf
-            pytest.param(1e300, ["verify", "--p", "1.5"], id="verify-p1.5-1e300"),
+            pytest.param(1e300, ["verify", "--p", "1.5"], "non-finite", id="verify-p1.5-1e300"),
+            # an lhs of 0 beside epsilon > 0, with every term 0, which would certify vacuously
+            pytest.param(1e-170, ["verify", "--p", "1"], "underflow", id="verify-p1-1e-170"),
+            pytest.param(1e-170, ["corollary1"], "underflow", id="corollary1-1e-170"),
+            pytest.param(1e-300, ["verify", "--p", "1.5"], "underflow", id="verify-p1.5-1e-300"),
         ],
     )
-    def test_overflow_is_numerical_error(self, amplitude, command, tmp_path, capsys):
-        # an overflow at this scale is no counterexample, and no report is written
+    def test_overflow_is_numerical_error(self, amplitude, command, fragment, tmp_path, capsys):
+        # an overflow or underflow at this scale is no counterexample, and no report is written
         f = gaussian(GRID, amplitude=amplitude)
         f_path, g_path = tmp_path / "f.json", tmp_path / "g.json"
         save_field(f_path, f)
@@ -249,7 +253,7 @@ class TestCmdVerify:
         assert code == 1
         err = capsys.readouterr().err
         assert "numerical error" in err
-        assert "non-finite" in err
+        assert fragment in err
         assert not out.exists()
 
 
