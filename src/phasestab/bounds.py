@@ -29,11 +29,13 @@ side, since the test families span several orders of magnitude in norm.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, asdict
+from typing import NamedTuple
 
 import numpy as np
 
-from .grid import GridSpec, SampledFunction, Spectrum, fourier_transform, lp_norm
+from .grid import SampledFunction, Spectrum, _centred, _finite, _lp_norm
 
 __all__ = [
     "BoundReport",
@@ -163,35 +165,56 @@ def _default_tol(mags: np.ndarray, tol: float | None, name: str) -> float:
     return tol
 
 
-def _l2_quadrature(grid: GridSpec, field: np.ndarray) -> float:
-    return float(np.sqrt(grid.cell_volume * np.sum(np.abs(field) ** 2)))
+def _l2_quadrature(volume: float, field: np.ndarray) -> float:
+    """L^2 quadrature norm of a real array on cells of ``volume``."""
+    return float(np.sqrt(volume * np.sum(field * field)))
 
 
-def _pair(f, g, caller: str) -> tuple[SampledFunction, float, Spectrum, Spectrum, float]:
-    """The one pass over a pair: f - g, lhs = |f - g|_2, the spectra F and G,
-    and | |F|-|G| |_2.
+class _Pair(NamedTuple):
+    """What both evaluators read of a pair; the arrays are the pass's own."""
 
-    An lhs of 0 for f != g can only be underflow, and every other term then
-    underflows too, so it raises ArithmeticError rather than certify vacuously.
+    epsilon: float
+    lhs: float
+    F: np.ndarray
+    G: np.ndarray
+    magF: np.ndarray
+    modulus_l2: float
+    volume: float
+
+
+def _pair(f, g, p: float, caller: str) -> _Pair:
+    """The one pass over a pair: eps = |f - g|_p at a checked p, lhs = |f - g|_2,
+    the spectra F and G, |F|, and | |F|-|G| |_2, with ``volume`` the dual grid's
+    cell volume.
+
+    |f - g| and |F| are each computed once.  An lhs of 0 for f != g can only be
+    underflow, and every other term then underflows too, so it raises
+    ArithmeticError rather than certify vacuously.
     """
     if not isinstance(f, SampledFunction) or not isinstance(g, SampledFunction):
         raise TypeError(f"{caller} expects two SampledFunction inputs")
     _require_same_grid(f, g)
-    diff = f - g
-    lhs = lp_norm(diff, 2.0)
-    if lhs == 0.0 and np.any(diff.values):
+    space_volume = f.grid.cell_volume
+    absdiff = np.abs(_finite(f.values - g.values))
+    lhs = _lp_norm(absdiff, space_volume, 2.0)
+    if lhs == 0.0 and np.any(absdiff):
         raise ArithmeticError(f"{caller}: |f - g|_2 is 0 although f != g (underflow)")
-    F = fourier_transform(f)
-    G = fourier_transform(g)
-    modulus_l2 = _l2_quadrature(F.grid, np.abs(F.values) - np.abs(G.values))
-    return diff, lhs, F, G, modulus_l2
+    epsilon = _lp_norm(absdiff, space_volume, p)
+    del absdiff
+    F = _finite(_centred(np.fft.fftn, f.values, space_volume))
+    G = _finite(_centred(np.fft.fftn, g.values, space_volume))
+    magF = np.abs(F)
+    modulus = np.abs(G)
+    np.subtract(magF, modulus, out=modulus)
+    volume = f.grid.dual().cell_volume
+    return _Pair(epsilon, lhs, F, G, magF, _l2_quadrature(volume, modulus), volume)
 
 
-def _sublevel_mass(F: Spectrum, threshold: float) -> float:
+def _sublevel_mass(mags: np.ndarray, volume: float, threshold: float) -> float:
     """integral of |F|^2 over the sub-level set {|F| <= threshold} (ties in)."""
-    mags = np.abs(F.values)
     sq = mags * mags
-    return float(F.grid.cell_volume * np.sum(np.where(mags <= threshold, sq, 0.0)))
+    np.copyto(sq, 0.0, where=mags > threshold)
+    return float(volume * np.sum(sq))
 
 
 def _smoothness(mass: float, x: float, p: float) -> float:
@@ -211,7 +234,23 @@ def smoothness_modulus(f_spectrum: Spectrum, x: float, p: float) -> float:
     if x < 0.0 or not math.isfinite(x):
         raise ValueError(f"x must be a nonnegative finite real, got {x}")
     p = _check_p(p)
-    return _smoothness(_sublevel_mass(f_spectrum, 10.0 * x), x, p)
+    mass = _sublevel_mass(np.abs(f_spectrum.values), f_spectrum.grid.cell_volume, 10.0 * x)
+    return _smoothness(mass, x, p)
+
+
+def _translation(
+    F: np.ndarray, G: np.ndarray, magF: np.ndarray, tol: float, volume: float, out=None
+) -> float:
+    """2 * L^2 norm of Im(conj(F) G / |F|), set to 0 where |F| <= tol.
+
+    conj(F) G is formed in ``out`` (a new array when None; the pair pass passes
+    F itself, which it no longer needs).
+    """
+    cross = np.conjugate(F, out=out)
+    np.multiply(cross, G, out=cross)
+    field = np.zeros_like(magF)
+    np.divide(cross.imag, magF, out=field, where=magF > tol)
+    return 2.0 * _l2_quadrature(volume, field)
 
 
 def translation_term(
@@ -226,13 +265,11 @@ def translation_term(
     _require_spectrum(f_spectrum)
     _require_spectrum(g_spectrum)
     _require_same_grid(f_spectrum, g_spectrum)
-    F = f_spectrum.values
-    G = g_spectrum.values
-    magF = np.abs(F)
-    keep = magF > _default_tol(magF, zero_tol, "zero_tol")
-    field = np.zeros_like(magF)
-    field[keep] = (np.conj(F[keep]) * G[keep]).imag / magF[keep]
-    return 2.0 * _l2_quadrature(f_spectrum.grid, field)
+    magF = np.abs(f_spectrum.values)
+    tol = _default_tol(magF, zero_tol, "zero_tol")
+    return _translation(
+        f_spectrum.values, g_spectrum.values, magF, tol, f_spectrum.grid.cell_volume
+    )
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -242,18 +279,29 @@ def evaluate_theorem(
     p: float,
     zero_tol: float | None = None,
 ) -> BoundReport:
-    """Evaluate every term of the stability bound for (f, g) at exponent p."""
-    diff, lhs, F, G, modulus_l2 = _pair(f, g, "evaluate_theorem")
+    """Evaluate every term of the stability bound for (f, g) at exponent p.
+
+    A pair whose |f - g|_2^2 underflows below the smallest normal double
+    raises ArithmeticError: its squared form would be checked with no
+    significant digits.
+    """
     p = _check_p(p)
-    epsilon = lp_norm(diff, p)
-    term_modulus = 2.0 * modulus_l2
-    term_translation = translation_term(F, G, zero_tol)
-    mass = _sublevel_mass(F, 10.0 * epsilon)
+    pair = _pair(f, g, p, "evaluate_theorem")
+    epsilon, lhs, magF = pair.epsilon, pair.lhs, pair.magF
+    if 0.0 < lhs and lhs**2 < sys.float_info.min:
+        raise ArithmeticError(
+            f"evaluate_theorem: |f - g|_2^2 = {lhs**2!r} is below the smallest normal "
+            "double (underflow), so the squared form has no significant digits"
+        )
+    term_modulus = 2.0 * pair.modulus_l2
+    tol = _default_tol(magF, zero_tol, "zero_tol")
+    term_translation = _translation(pair.F, pair.G, magF, tol, pair.volume, out=pair.F)
+    mass = _sublevel_mass(magF, pair.volume, 10.0 * epsilon)
     term_smoothness = _smoothness(mass, epsilon, p)
     rhs = term_modulus + term_smoothness + term_translation
     try:
         squared_form_slack = (
-            2.0 * modulus_l2**2
+            2.0 * pair.modulus_l2**2
             + (6.0 / 5.0) * (term_translation / 2.0) ** 2
             + (epsilon**2 if p > 1.0 else 0.0)
             + 8.0 * mass
@@ -297,6 +345,11 @@ def relative_slacks(report: BoundReport | Corollary1Report) -> tuple[float, ...]
     return tuple(slack / rhs if rhs > 0 else 0.0 for slack, rhs in _forms(report))
 
 
+def _support_measure(mags: np.ndarray, volume: float, support_tol: float | None) -> float:
+    support_tol = _default_tol(mags, support_tol, "support_tol")
+    return float(volume * np.count_nonzero(mags > support_tol))
+
+
 def support_measure(F: Spectrum, support_tol: float | None = None) -> float:
     """Volume of the numerical support {|F| > support_tol} of a spectrum.
 
@@ -306,9 +359,7 @@ def support_measure(F: Spectrum, support_tol: float | None = None) -> float:
     volume.
     """
     _require_spectrum(F)
-    mags = np.abs(F.values)
-    support_tol = _default_tol(mags, support_tol, "support_tol")
-    return float(F.grid.cell_volume * np.count_nonzero(mags > support_tol))
+    return _support_measure(np.abs(F.values), F.grid.cell_volume, support_tol)
 
 
 def exceptional_set(
@@ -345,7 +396,7 @@ def spectral_tail(f_spectrum: Spectrum, epsilon: float) -> float:
     epsilon = float(epsilon)
     if not epsilon > 0.0:
         raise ValueError("epsilon must be positive")
-    return _sublevel_mass(f_spectrum, 10.0 * epsilon)
+    return _sublevel_mass(np.abs(f_spectrum.values), f_spectrum.grid.cell_volume, 10.0 * epsilon)
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -357,19 +408,19 @@ def evaluate_corollary1(
     Requires the spectrum of f to be real valued (relative imaginary part at
     most 1e-8); rejects otherwise, naming the violated hypothesis.
     """
-    diff, lhs, F, G, modulus_l2 = _pair(f, g, "evaluate_corollary1")
-    peak = float(np.abs(F.values).max(initial=0.0))
-    im_peak = float(np.abs(F.values.imag).max(initial=0.0))
+    pair = _pair(f, g, 1.0, "evaluate_corollary1")
+    peak = float(pair.magF.max(initial=0.0))
+    im_peak = float(np.abs(pair.F.imag).max(initial=0.0))
     if im_peak > 1e-8 * peak:
         raise ValueError(
             "hypothesis violated: spectrum of f must be real-valued "
             f"(max |Im| = {im_peak:.3e} exceeds 1e-8 * max |F| = {1e-8 * peak:.3e})"
         )
-    L = support_measure(F, support_tol)
-    epsilon = lp_norm(diff, 1.0)
-    term_modulus = 2.0 * modulus_l2
+    L = _support_measure(pair.magF, pair.volume, support_tol)
+    epsilon, lhs = pair.epsilon, pair.lhs
+    term_modulus = 2.0 * pair.modulus_l2
     term_bandlimit = 30.0 * math.sqrt(L) * epsilon
-    term_translation = 2.0 * _l2_quadrature(G.grid, G.values.imag)
+    term_translation = 2.0 * _l2_quadrature(pair.volume, pair.G.imag)
     rhs = term_modulus + term_bandlimit + term_translation
     return Corollary1Report(
         epsilon=epsilon,

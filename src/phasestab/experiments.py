@@ -372,6 +372,8 @@ def tail_experiment(
 
     Expected log-log slope 2 - n/k, valid under k > (n + 2)/2.  The spectrum
     is built directly on a frequency grid; no space-domain side is needed.
+    A sweep point with 10 eps >= max|F| = 1 is refused with ValueError: its
+    sub-level set is the whole grid, so its mass carries no decay.
     """
     tp = TailParams(k=int(k), n=int(n))
     grid = TAIL_GRIDS[tp.n] if grid is None else grid
@@ -381,11 +383,19 @@ def tail_experiment(
     rsq = np.zeros(grid.shape, dtype=float)
     for xi in grid.coordinate_grids():
         rsq = rsq + xi * xi
-    F = Spectrum(grid, 1.0 / (1.0 + np.sqrt(rsq) ** tp.k))
+    mags = 1.0 / (1.0 + np.sqrt(rsq) ** tp.k)
+    F = Spectrum(grid, mags)
+    peak = float(mags.max())
     params, observables = [], []
     for eps in epsilons:
-        params.append(float(eps))
-        observables.append(spectral_tail(F, float(eps)))
+        eps = float(eps)
+        if 10.0 * eps >= peak:
+            raise ValueError(
+                f"tail sweep point eps={eps!r}: 10 eps >= max|F| = {peak!r}, "
+                "so the sub-level set is the whole grid"
+            )
+        params.append(eps)
+        observables.append(spectral_tail(F, eps))
     return fit_scaling(
         f"tail_k{tp.k}_n{tp.n}",
         params,

@@ -67,6 +67,17 @@ class TestSmoothnessModulus:
         full = math.sqrt(8.0) * lp_norm(triangle, 2)
         assert smoothness_modulus(triangle, 1.0, 1.0) == pytest.approx(full, rel=1e-12)
 
+    def test_ties_are_in_the_sublevel_set(self):
+        # |F| = 1 everywhere and 10 x == 1.0 exactly: every sample sits on the threshold
+        grid = GridSpec.uniform(1, 2.0, 64)
+        F = Spectrum(grid, np.tile([1.0, 1j, -1.0, -1j], 16))
+        x = 0.1
+        assert 10.0 * x == 1.0
+        full = grid.cell_volume * grid.size
+        assert spectral_tail(F, x) == full
+        assert smoothness_modulus(F, x, 1.0) == math.sqrt(8.0 * full)
+        assert smoothness_modulus(F, x, 1.5) == math.sqrt(8.0 * full) + x
+
     def test_p_branch_adds_x(self, triangle):
         x = 0.37
         base = smoothness_modulus(triangle, x, 1.0)
@@ -242,6 +253,14 @@ class TestEvaluateTheorem:
             evaluate_theorem(f, f, 2.0)
         with pytest.raises(ValueError, match="p must"):
             evaluate_theorem(f, f, 0.9)
+
+    def test_subnormal_squared_distance_refused(self, grid_1d):
+        # lhs = 1.5e-161 > 0 but lhs**2 is subnormal; the corollary has no squared form
+        f = gaussian(grid_1d, amplitude=1e-160)
+        g = shift(f, 0.1)
+        with pytest.raises(ArithmeticError, match="underflow"):
+            evaluate_theorem(f, g, 1.0)
+        assert is_certified(evaluate_corollary1(f, g))
 
     def test_deterministic_reports(self, grid_1d):
         f = gaussian(grid_1d, center=0.3)

@@ -230,6 +230,12 @@ class TestTailExperiment:
         with pytest.raises(ValueError, match="dimension"):
             tail_experiment(3, 2, grid=GridSpec.uniform(1, 64.0, 1024))
 
+    @pytest.mark.parametrize("eps", [0.1, 100.0])
+    def test_saturated_sweep_point_rejected(self, eps):
+        # 10 eps >= max|F| = 1 puts the whole grid in the sub-level set (ties in)
+        with pytest.raises(ValueError, match=f"eps={eps!r}.*whole grid"):
+            tail_experiment(2, 1, epsilons=[1e-3, 2e-3, 3e-3, eps])
+
 
 class TestCertificationFamilies:
     def test_all_families_produce_valid_pairs(self, rng):

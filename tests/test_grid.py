@@ -196,6 +196,32 @@ class TestFourierTransform:
             inverse_transform(f)
 
 
+def _shifted_transforms(shape, rng):
+    """(transform, fftshift reference) pairs, forward and inverse, on random data."""
+    grid = GridSpec(len(shape), (1.0,) * len(shape), shape)
+    x = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    F = fourier_transform(SampledFunction(grid, x)).values
+    f = inverse_transform(Spectrum(grid, x)).values
+    ref_F = np.fft.fftshift(np.fft.fftn(np.fft.ifftshift(x))) * grid.cell_volume
+    ref_f = np.fft.fftshift(np.fft.ifftn(np.fft.ifftshift(x))) * (grid.cell_volume * grid.size)
+    return [(F, ref_F), (f, ref_f)]
+
+
+class TestCentredTransform:
+    """The sign-modulated transform against fftshift(fftn(ifftshift(x)))."""
+
+    @pytest.mark.parametrize("shape", [(2,), (1024,), (64, 64), (32, 32, 32)])
+    def test_bit_identical_on_power_of_two_axes(self, shape, rng):
+        for values, reference in _shifted_transforms(shape, rng):
+            assert np.array_equal(values.view(np.uint64), reference.view(np.uint64))
+
+    # N = 6, 10 and 1000 are 2 (mod 4), so (-1)^(N/2) = -1 on those axes
+    @pytest.mark.parametrize("shape", [(6,), (10,), (1000,), (6, 10), (12, 8, 6)])
+    def test_rounding_only_on_other_even_axes(self, shape, rng):
+        for values, reference in _shifted_transforms(shape, rng):
+            assert np.abs(values - reference).max() <= 1e-15 * np.abs(reference).max()
+
+
 @st.composite
 def small_fields(draw):
     n = draw(st.sampled_from([8, 16, 32]))

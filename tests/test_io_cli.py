@@ -239,6 +239,8 @@ class TestCmdVerify:
             pytest.param(1e-170, ["verify", "--p", "1"], "underflow", id="verify-p1-1e-170"),
             pytest.param(1e-170, ["corollary1"], "underflow", id="corollary1-1e-170"),
             pytest.param(1e-300, ["verify", "--p", "1.5"], "underflow", id="verify-p1.5-1e-300"),
+            # an lhs > 0 whose square is subnormal, so the squared form has no significant digits
+            pytest.param(1e-160, ["verify", "--p", "1"], "underflow", id="verify-p1-1e-160"),
         ],
     )
     def test_overflow_is_numerical_error(self, amplitude, command, fragment, tmp_path, capsys):
@@ -336,6 +338,11 @@ class TestCmdExperiment:
         lines = csv_path.read_text().strip().split("\n")
         assert lines[0] == "parameter,observable"
         assert len(lines) == 1 + len(result["parameter_values"])
+
+    def test_saturated_tail_sweep_is_input_error(self, capsys):
+        code = main(["experiment", "--name", "tail", "--sweep", "100,200,300,400"])
+        assert code == 1
+        assert "eps=100.0" in capsys.readouterr().err
 
     def test_translation_with_custom_sweep(self, tmp_path):
         code = main(
