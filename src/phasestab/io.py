@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -40,9 +39,15 @@ _REQUIRED_KEYS = (
 
 
 def write_text_atomic(path: str | Path, text: str) -> None:
-    """Write ``text`` to ``path`` via a temp file in the same directory."""
+    """Write ``text`` to ``path`` via a temp file in the same directory.
+
+    The temp file is created with mode 0o666 less the umask, as ``open`` would
+    create ``path``; ``tempfile.mkstemp``'s 0o600 would make every file
+    owner-only.
+    """
     path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), prefix=path.name, suffix=".tmp")
+    tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as handle:
             handle.write(text)

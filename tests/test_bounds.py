@@ -1,9 +1,12 @@
 import dataclasses
 import math
+import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from phasestab import bounds
 from phasestab.bounds import (
     CERTIFICATION_RTOL,
     TailParams,
@@ -17,6 +20,7 @@ from phasestab.bounds import (
     translation_term,
 )
 from phasestab.experiments import (
+    FAMILY_BUILDERS,
     TRIANGLE_QUADRATURE_GRID,
     gaussian,
     iter_certification_pairs,
@@ -27,6 +31,7 @@ from phasestab.grid import (
     GridSpec,
     SampledFunction,
     Spectrum,
+    _centred,
     fourier_transform,
     inverse_transform,
     lp_norm,
@@ -509,3 +514,233 @@ class TestTailParams:
     def test_hypothesis_violations(self, k, n):
         with pytest.raises(ValueError):
             TailParams(k, n)
+
+
+# ---------------------------------------------------------------------------
+# the pair pass on two threads (grids of _CONCURRENT_SPECTRA_MIN_POINTS or more)
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def no_thread_outlives_the_call():
+    before = threading.active_count()
+    yield
+    assert threading.active_count() == before
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).tobytes()
+
+
+@pytest.mark.usefixtures("no_thread_outlives_the_call")
+class TestConcurrentPairPass:
+    @pytest.mark.parametrize(
+        "shape, concurrent",
+        [
+            pytest.param((128, 256), False, id="128x256-below-the-gate"),
+            pytest.param((256, 256), True, id="256x256-at-the-gate"),
+        ],
+    )
+    def test_spectra_match_the_sequential_transform(self, shape, concurrent, monkeypatch):
+        grid = GridSpec(2, (8.0, 8.0), shape)
+        f = gaussian(grid, center=(0.3, -0.2))
+        g = shift(gaussian(grid, width=1.2), (0.1, 0.05))
+        started = []
+
+        class Recorded(bounds._SpectrumThread):
+            def start(self):
+                started.append(self)
+                super().start()
+
+        monkeypatch.setattr(bounds, "_SpectrumThread", Recorded)
+        pair = bounds._pair(f, g, 1.5, "test")
+        assert len(started) == int(concurrent)
+        F = _centred(np.fft.fftn, f.values, grid.cell_volume)
+        G = _centred(np.fft.fftn, g.values, grid.cell_volume)
+        magF = np.abs(F)
+        volume = grid.dual().cell_volume
+        assert _bits(pair.F) == _bits(F)
+        assert _bits(pair.G) == _bits(G)
+        assert _bits(pair.magF) == _bits(magF)
+        assert pair.modulus_l2 == math.sqrt(volume * np.sum((magF - np.abs(G)) ** 2))
+        assert pair.volume == volume
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            pytest.param(GridSpec.uniform(1, 16.0, 1024), id="1d"),
+            pytest.param(GridSpec.uniform(2, 8.0, 256), id="256x256"),
+        ],
+    )
+    @pytest.mark.parametrize("huge", ["f", "g"])
+    @pytest.mark.parametrize(
+        "evaluate",
+        [
+            pytest.param(lambda f, g: evaluate_theorem(f, g, 1.0), id="theorem"),
+            pytest.param(evaluate_corollary1, id="corollary1"),
+        ],
+    )
+    def test_fft_overflow_is_the_same_error(self, grid, huge, evaluate):
+        # finite samples whose transform overflows; the error state of the
+        # evaluators must hold on the worker too, or numpy warns from there
+        big, small = gaussian(grid, amplitude=1e307), gaussian(grid)
+        f, g = (big, small) if huge == "f" else (small, big)
+        with pytest.raises(ValueError, match=r"non-finite sample in values \(NaN or Inf\)"):
+            evaluate(f, g)
+
+    def test_worker_exception_is_raised_in_the_caller(self, grid_2d, monkeypatch):
+        def centred(transform, values, scale):
+            if threading.current_thread() is not threading.main_thread():
+                raise MemoryError("worker")
+            return _centred(transform, values, scale)
+
+        monkeypatch.setattr(bounds, "_centred", centred)
+        f = gaussian(grid_2d)
+        with pytest.raises(MemoryError, match="worker"):
+            evaluate_theorem(f, shift(f, 0.1), 1.0)
+
+
+# ---------------------------------------------------------------------------
+# symmetries of the bound (property tests)
+# ---------------------------------------------------------------------------
+
+# The symmetries are checked at zero_tol = 1e-6 max|F|, scaled with the pair.
+# At the default 1e-12 max|F| the translation term is ill-conditioned: where
+# |F| is that small its phase carries rounding noise of order 1e-4 rad while
+# |G| there need not be small, so a roll or a global phase moved the term by up
+# to 2e-8 of rhs on these families (2000 pairs).  At 1e-6 max|F| the worst
+# deviation over the same pairs and all five symmetries was 3e-14 of rhs.
+SYMMETRY_ZERO_TOL = 1e-6
+SYMMETRY_RTOL = 1e-12
+_REPORT_FIELDS = [f.name for f in dataclasses.fields(bounds.BoundReport) if f.name != "p"]
+
+
+def _axes(values):
+    return tuple(range(values.ndim))
+
+
+def _roll(values, s):
+    return np.roll(values, s, axis=_axes(values))
+
+
+def _modulate(values, m):
+    """values * exp(2 pi i x.xi) at xi = m dual-grid steps per axis: the spectrum
+    rolls by m samples.  The phase is reduced mod N in integers first."""
+    for axis, n in enumerate(values.shape):
+        j = (np.arange(n) - n // 2) * m % n
+        shape = [1] * values.ndim
+        shape[axis] = n
+        values = values * np.exp(2j * np.pi * j / n).reshape(shape)
+    return values
+
+
+def _reflect(values):
+    """conj(f(-x)): x_j = (j - N/2) dx maps to x_{N - j}, index 0 to itself (periodically)."""
+    return np.conj(_roll(np.flip(values), 1))
+
+
+def _reports(f, g, p, transform, lam=1.0, relative_tol=SYMMETRY_ZERO_TOL):
+    """The reports of (f, g) and of (transform f, transform g) at zero_tol =
+    relative_tol * max|F|, times |lam| for the second (the default when None)."""
+    tol = moved_tol = None
+    if relative_tol is not None:
+        tol = relative_tol * float(np.abs(fourier_transform(f).values).max())
+        moved_tol = abs(lam) * tol
+    moved = [SampledFunction(h.grid, transform(h.values)) for h in (f, g)]
+    return evaluate_theorem(f, g, p, tol), evaluate_theorem(*moved, p, moved_tol)
+
+
+def _assert_equivariant(before, after, lam, exact=(), rtol=SYMMETRY_RTOL):
+    """Each field of ``after`` is |lam| times that of ``before`` (|lam|^2 for the
+    squared form): those named in ``exact`` bit for bit, the others to ``rtol``
+    of the form's right-hand side."""
+    scale = abs(lam)
+    assert after.p == before.p
+    for name in _REPORT_FIELDS:
+        squared = name == "squared_form_slack"
+        factor = scale**2 if squared else scale
+        rhs = before.squared_form_slack + before.lhs**2 if squared else before.rhs
+        want, got = factor * getattr(before, name), getattr(after, name)
+        if name in exact:
+            assert got == want, name
+        else:
+            assert abs(got - want) <= rtol * factor * rhs, name
+
+
+_N = 1024
+_P_VALUES = st.sampled_from([1.0, 1.25, 1.5, 1.75])
+
+
+@st.composite
+def family_pairs(draw):
+    """A pair from one of the certification families on the default 1-D grid."""
+    name = draw(st.sampled_from(sorted(FAMILY_BUILDERS)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return FAMILY_BUILDERS[name](rng, GridSpec.uniform(1, 16.0, _N))
+
+
+class TestSymmetries:
+    @settings(deadline=None, max_examples=40)
+    @given(pair=family_pairs(), p=_P_VALUES, k=st.integers(-100, 100))
+    def test_power_of_two_scaling(self, pair, p, k):
+        # exact through the FFT, |.|, the sums, the divisions and np.sqrt; what
+        # goes through libm pow (lhs's ** 0.5, eps's ** p and ** (1/p), the
+        # squared form's ** 2) can round one ulp apart
+        lam = 2.0**k
+        before, after = _reports(*pair, p, lambda v: lam * v, lam, relative_tol=None)
+        exact = ["term_modulus", "term_translation"]
+        if p == 1.0:
+            exact += ["epsilon", "term_smoothness", "rhs"]
+        _assert_equivariant(before, after, lam, exact, rtol=1e-14)
+
+    @settings(deadline=None, max_examples=40)
+    @given(pair=family_pairs(), p=_P_VALUES, lam=st.floats(1e-3, 1e3))
+    def test_scaling(self, pair, p, lam):
+        _assert_equivariant(*_reports(*pair, p, lambda v: lam * v, lam), lam)
+
+    @settings(deadline=None, max_examples=40)
+    @given(pair=family_pairs(), p=_P_VALUES, s=st.integers(1, _N - 1))
+    def test_grid_translation(self, pair, p, s):
+        _assert_equivariant(*_reports(*pair, p, lambda v: _roll(v, s)), 1.0)
+
+    @settings(deadline=None, max_examples=40)
+    @given(pair=family_pairs(), p=_P_VALUES, m=st.integers(-_N // 2, _N // 2 - 1))
+    def test_modulation(self, pair, p, m):
+        _assert_equivariant(*_reports(*pair, p, lambda v: _modulate(v, m)), 1.0)
+
+    @settings(deadline=None, max_examples=40)
+    @given(pair=family_pairs(), p=_P_VALUES, theta=st.floats(0.0, 2.0 * math.pi))
+    def test_global_phase(self, pair, p, theta):
+        _assert_equivariant(*_reports(*pair, p, lambda v: np.exp(1j * theta) * v), 1.0)
+
+    @settings(deadline=None, max_examples=40)
+    @given(pair=family_pairs(), p=_P_VALUES)
+    def test_conjugate_reflection(self, pair, p):
+        _assert_equivariant(*_reports(*pair, p, _reflect), 1.0)
+
+    @pytest.mark.usefixtures("no_thread_outlives_the_call")
+    @pytest.mark.parametrize(
+        "transform, lam",
+        [
+            pytest.param(lambda v: 3.7 * v, 3.7, id="scaling"),
+            pytest.param(lambda v: _roll(v, 37), 1.0, id="translation"),
+            pytest.param(lambda v: _modulate(v, -5), 1.0, id="modulation"),
+            pytest.param(lambda v: np.exp(2.1j) * v, 1.0, id="global-phase"),
+            pytest.param(_reflect, 1.0, id="conjugate-reflection"),
+        ],
+    )
+    @pytest.mark.parametrize("p", [1.0, 1.5])
+    def test_on_the_concurrent_grid(self, transform, lam, p, grid_2d):
+        f = gaussian(grid_2d, center=(0.3, -0.2), width=(1.0, 1.4), amplitude=0.8 + 0.6j)
+        g = shift(gaussian(grid_2d, center=(0.3, -0.2), width=1.1), (0.1, 0.05))
+        assert grid_2d.size >= bounds._CONCURRENT_SPECTRA_MIN_POINTS
+        _assert_equivariant(*_reports(f, g, p, transform, lam), lam)
+
+    @pytest.mark.usefixtures("no_thread_outlives_the_call")
+    def test_power_of_two_scaling_on_the_concurrent_grid(self, grid_2d):
+        f = gaussian(grid_2d, center=(0.3, -0.2))
+        g = shift(f, (0.1, 0.05))
+        before, after = _reports(f, g, 1.0, lambda v: 2.0**-37 * v, 2.0**-37, relative_tol=None)
+        exact = ["epsilon", "term_modulus", "term_smoothness", "term_translation", "rhs"]
+        _assert_equivariant(before, after, 2.0**-37, exact, rtol=1e-14)

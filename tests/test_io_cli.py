@@ -1,5 +1,7 @@
 import dataclasses
 import json
+import os
+import stat
 
 import numpy as np
 import pytest
@@ -9,7 +11,7 @@ from phasestab.bounds import evaluate_corollary1, evaluate_theorem
 from phasestab.cli import main
 from phasestab.experiments import gaussian, triangle_spectrum
 from phasestab.grid import GridSpec, SampledFunction, Spectrum, inverse_transform, shift
-from phasestab.io import load_field, save_field
+from phasestab.io import load_field, save_field, write_text_atomic
 
 GRID = GridSpec.uniform(1, 16.0, 1024)
 
@@ -58,6 +60,27 @@ class TestFieldFiles:
         loaded = load_field(path)
         assert loaded.grid == grid_2d
         assert np.array_equal(loaded.values, f.values)
+
+    @pytest.mark.parametrize(
+        "umask, mode",
+        [pytest.param(0o022, 0o644, id="umask-022"), pytest.param(0o077, 0o600, id="umask-077")],
+    )
+    def test_written_files_follow_the_umask(self, umask, mode, tmp_path):
+        # as open() would create them: 0o666 less the umask
+        old = os.umask(umask)
+        try:
+            save_field(tmp_path / "f.json", gaussian(GRID))
+            write_text_atomic(tmp_path / "report.json", "{}")
+        finally:
+            os.umask(old)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["f.json", "report.json"]
+        for p in tmp_path.iterdir():
+            assert stat.S_IMODE(p.stat().st_mode) == mode
+
+    def test_failed_write_leaves_nothing(self, tmp_path):
+        with pytest.raises(TypeError):
+            write_text_atomic(tmp_path / "report.json", None)
+        assert list(tmp_path.iterdir()) == []
 
     def test_exact_schema(self, gaussian_file):
         payload = json.loads(gaussian_file.read_text())

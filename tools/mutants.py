@@ -1,0 +1,144 @@
+"""Run the tier-1 suite against one-token mutants of ``src/phasestab/bounds.py``.
+
+Each mutant edits one constant or operator of the bound.  It is applied to a
+fresh copy of ``src/``, ``tests/`` and ``pyproject.toml`` in a temporary
+directory, never to the working tree, and tier-1 runs in that copy with
+``-x``.  A mutant that passes tier-1 survives.  The unmutated copy runs
+first and must pass.
+
+    python tools/mutants.py
+
+Exit status: 0 when every mutant is killed, 1 when one survives or the
+unmutated copy fails, 2 when a mutant no longer matches the source.
+"""
+
+from __future__ import annotations
+
+import ast
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+TARGET = Path("src/phasestab/bounds.py")
+COPIED = ("src", "tests", "pyproject.toml")
+
+# (name, the function whose body holds the edit or None for the module, old, new);
+# ``old`` must occur exactly once in that scope.
+MUTANTS = [
+    ("theorem modulus 2 -> 1.5", "evaluate_theorem",
+     "term_modulus = 2.0 *", "term_modulus = 1.5 *"),
+    ("theorem modulus 2 -> 3", "evaluate_theorem",
+     "term_modulus = 2.0 *", "term_modulus = 3.0 *"),
+    ("corollary modulus 2 -> 1.5", "evaluate_corollary1",
+     "term_modulus = 2.0 *", "term_modulus = 1.5 *"),
+    ("h: 8 -> 4", "_smoothness",
+     "math.sqrt(8.0 * mass)", "math.sqrt(4.0 * mass)"),
+    ("h: +x -> +0.5x", "_smoothness",
+     "(x if p > 1.0 else 0.0)", "(0.5 * x if p > 1.0 else 0.0)"),
+    ("sub-level threshold 10 eps -> 5 eps", "evaluate_theorem",
+     "10.0 * epsilon", "5.0 * epsilon"),
+    ("sub-level ties: <= -> <", "_sublevel_mass",
+     "mags > threshold", "mags >= threshold"),
+    ("translation 2 -> 1.5", "_translation",
+     "return 2.0 *", "return 1.5 *"),
+    ("corollary translation 2 -> 1", "evaluate_corollary1",
+     "term_translation = 2.0 *", "term_translation = 1.0 *"),
+    ("corollary band limit 30 -> 15", "evaluate_corollary1",
+     "30.0 * math.sqrt(L)", "15.0 * math.sqrt(L)"),
+    ("squared form modulus 2 -> 3", "evaluate_theorem",
+     "2.0 * pair.modulus_l2**2", "3.0 * pair.modulus_l2**2"),
+    ("squared form 6/5 -> 1", "evaluate_theorem",
+     "(6.0 / 5.0)", "(5.0 / 5.0)"),
+    ("squared form 6/5 -> 2", "evaluate_theorem",
+     "(6.0 / 5.0)", "(10.0 / 5.0)"),
+    ("squared form |f-g|_p^2 dropped", "evaluate_theorem",
+     "(epsilon**2 if p > 1.0 else 0.0)", "(0.0 if p > 1.0 else 0.0)"),
+    ("squared form 8 mass -> 4 mass", "evaluate_theorem",
+     "+ 8.0 * mass", "+ 4.0 * mass"),
+    ("CERTIFICATION_RTOL 1e-6 -> 1e-2", None,
+     "CERTIFICATION_RTOL = 1e-6", "CERTIFICATION_RTOL = 1e-2"),
+]
+
+
+def mutate(source: str, scope: str | None, old: str, new: str) -> str:
+    """``source`` with the one occurrence of ``old`` in ``scope`` replaced by ``new``."""
+    lines = source.splitlines(keepends=True)
+    start, end = 0, len(lines)
+    if scope is not None:
+        found = [
+            node
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.FunctionDef) and node.name == scope
+        ]
+        if len(found) != 1:
+            raise LookupError(f"{len(found)} functions named {scope}")
+        start, end = found[0].lineno - 1, found[0].end_lineno
+    body = "".join(lines[start:end])
+    if body.count(old) != 1:
+        raise LookupError(f"{old!r} occurs {body.count(old)} times in {scope or 'the module'}")
+    return "".join(lines[:start]) + body.replace(old, new) + "".join(lines[end:])
+
+
+def run_tier1(source: str) -> tuple[int, str]:
+    """Tier-1's exit code and output on a copy of the tree with ``source`` as bounds.py."""
+    with tempfile.TemporaryDirectory(prefix="phasestab-mutant-") as tmp:
+        tree = Path(tmp)
+        for name in COPIED:
+            src = ROOT / name
+            if src.is_dir():
+                shutil.copytree(src, tree / name, ignore=shutil.ignore_patterns("__pycache__"))
+            else:
+                shutil.copy2(src, tree / name)
+        (tree / TARGET).write_text(source)
+        pythonpath = os.pathsep.join(filter(None, [str(tree / "src"), os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, PYTHONPATH=pythonpath, PYTHONDONTWRITEBYTECODE="1")
+        where = subprocess.run(
+            [sys.executable, "-c", "import phasestab; print(phasestab.__file__)"],
+            cwd=tree, env=env, capture_output=True, text=True, check=True,
+        ).stdout.strip()
+        if not Path(where).resolve().is_relative_to(tree.resolve()):
+            raise RuntimeError(f"the copy imports phasestab from {where}, not from its own src/")
+        proc = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+             "--continue-on-collection-errors"],
+            cwd=tree, env=env, capture_output=True, text=True,
+        )
+        return proc.returncode, proc.stdout + proc.stderr
+
+
+def first_failure(output: str) -> str:
+    return next((line for line in output.splitlines() if line.startswith(("FAILED", "ERROR"))), "")
+
+
+def main() -> int:
+    source = (ROOT / TARGET).read_text()
+    try:
+        mutants = [(name, mutate(source, scope, old, new)) for name, scope, old, new in MUTANTS]
+    except LookupError as exc:
+        print(f"a mutant no longer matches {TARGET}: {exc}", file=sys.stderr)
+        return 2
+    code, output = run_tier1(source)
+    if code != 0:
+        print(f"the unmutated copy fails tier-1 (exit {code}):\n{output}", file=sys.stderr)
+        return 1
+    survivors = []
+    for name, mutant in mutants:
+        code, output = run_tier1(mutant)
+        if code == 0:
+            survivors.append(name)
+            print(f"SURVIVED  {name}", flush=True)
+        elif code == 1:
+            print(f"killed    {name}: {first_failure(output)}", flush=True)
+        else:
+            print(f"tier-1 did not run for {name} (exit {code}):\n{output}", file=sys.stderr)
+            return 1
+    print(f"{len(mutants) - len(survivors)} of {len(mutants)} mutants killed")
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
