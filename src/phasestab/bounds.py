@@ -31,7 +31,6 @@ from __future__ import annotations
 import contextvars
 import math
 import sys
-import threading
 from dataclasses import dataclass, asdict
 from typing import NamedTuple
 
@@ -167,46 +166,12 @@ def _default_tol(mags: np.ndarray, tol: float | None, name: str) -> float:
     return tol
 
 
-def _l2_quadrature(volume: float, field: np.ndarray) -> float:
-    """L^2 quadrature norm of a real array on cells of ``volume``."""
-    return float(np.sqrt(volume * np.sum(field * field)))
-
-
 # From this many grid points on, the pair pass computes G on a second thread
 # while this one computes F and |F|; numpy's FFT releases the GIL.  Time of the
 # two spectra, concurrent over sequential, on 2 CPUs: 1.38 at 1024 points
 # (thread start-up dominates), 0.9-1.0 at 16384-32768, 0.72-0.80 at 65536 and
 # 0.55-0.8 at 128^3.
 _CONCURRENT_SPECTRA_MIN_POINTS = 2**16
-
-
-class _SpectrumThread(threading.Thread):
-    """The centred spectrum of ``values`` computed on a thread of its own.
-
-    It runs in a copy of the caller's context, so numpy's error state (a
-    context variable, which the evaluators set with ``np.errstate``) holds
-    there too.  After ``join``, ``result()`` returns the spectrum or re-raises
-    the thread's exception (a MemoryError, say) in the caller.
-    """
-
-    def __init__(self, values: np.ndarray, scale: float) -> None:
-        super().__init__(name="phasestab-spectrum")
-        self._values, self._scale = values, scale
-        self._context = contextvars.copy_context()
-        self._spectrum = self._error = None
-
-    def run(self) -> None:
-        try:
-            self._spectrum = self._context.run(
-                _centred, np.fft.fftn, self._values, self._scale
-            )
-        except BaseException as exc:  # re-raised in the caller by result()
-            self._error = exc
-
-    def result(self) -> np.ndarray:
-        if self._error is not None:
-            raise self._error
-        return self._spectrum
 
 
 class _Pair(NamedTuple):
@@ -248,21 +213,25 @@ def _pair(f, g, p: float, caller: str) -> _Pair:
         magF = np.abs(F)
         G = _centred(np.fft.fftn, g.values, space_volume)
     else:
-        worker = _SpectrumThread(g.values, space_volume)
-        worker.start()
-        try:
+        # imported here: concurrent.futures adds about 5 ms to the package's
+        # import, which runs that stay below the gate should not pay
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(1, thread_name_prefix="phasestab-spectrum") as pool:
+            # in a copy of this context, so the evaluators' np.errstate holds there
+            future = pool.submit(
+                contextvars.copy_context().run, _centred, np.fft.fftn, g.values, space_volume
+            )
             F = _finite(_centred(np.fft.fftn, f.values, space_volume))
             magF = np.abs(F)
-        finally:
-            worker.join()
-        G = worker.result()
+        G = future.result()
     # |G| is allocated here: on the worker, in that thread's own malloc arena,
     # it raised peak RSS
     G = _finite(G)
     modulus = np.abs(G)
     np.subtract(magF, modulus, out=modulus)
     volume = f.grid.dual().cell_volume
-    return _Pair(epsilon, lhs, F, G, magF, _l2_quadrature(volume, modulus), volume)
+    return _Pair(epsilon, lhs, F, G, magF, _lp_norm(modulus, volume, 2.0), volume)
 
 
 def _sublevel_mass(mags: np.ndarray, volume: float, threshold: float) -> float:
@@ -305,7 +274,7 @@ def _translation(
     np.multiply(cross, G, out=cross)
     field = np.zeros_like(magF)
     np.divide(cross.imag, magF, out=field, where=magF > tol)
-    return 2.0 * _l2_quadrature(volume, field)
+    return 2.0 * _lp_norm(field, volume, 2.0)
 
 
 def translation_term(
@@ -475,7 +444,7 @@ def evaluate_corollary1(
     epsilon, lhs = pair.epsilon, pair.lhs
     term_modulus = 2.0 * pair.modulus_l2
     term_bandlimit = 30.0 * math.sqrt(L) * epsilon
-    term_translation = 2.0 * _l2_quadrature(pair.volume, pair.G.imag)
+    term_translation = 2.0 * _lp_norm(pair.G.imag, pair.volume, 2.0)
     rhs = term_modulus + term_bandlimit + term_translation
     return Corollary1Report(
         epsilon=epsilon,

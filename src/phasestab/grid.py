@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,6 +44,16 @@ __all__ = [
 # Plain product of points_per_axis must stay below this; keeps a single value
 # array comfortably in memory on ordinary hardware.
 MAX_TOTAL_POINTS = 2**26
+
+
+def _index(value) -> int | None:
+    """``operator.index(value)``, or None for a bool or any other non-integer."""
+    if isinstance(value, bool):
+        return None
+    try:
+        return operator.index(value)
+    except TypeError:
+        return None
 
 
 @dataclass(frozen=True)
@@ -73,14 +84,13 @@ class GridSpec:
     )
 
     def __post_init__(self) -> None:
-        try:
-            object.__setattr__(self, "dimension", int(self.dimension))
-        except (TypeError, ValueError):
+        dimension = _index(self.dimension)
+        if dimension is None or not 1 <= dimension <= 3:
             raise ValueError(f"dimension must be an integer in [1, 3], got {self.dimension!r}")
-        if not 1 <= self.dimension <= 3:
-            raise ValueError(f"dimension must be an integer in [1, 3], got {self.dimension!r}")
+        object.__setattr__(self, "dimension", dimension)
         object.__setattr__(self, "half_extent", tuple(float(t) for t in self.half_extent))
-        object.__setattr__(self, "points_per_axis", tuple(int(n) for n in self.points_per_axis))
+        given = tuple(self.points_per_axis)
+        object.__setattr__(self, "points_per_axis", tuple(map(_index, given)))
         if len(self.half_extent) != self.dimension or len(self.points_per_axis) != self.dimension:
             raise ValueError(
                 "half_extent and points_per_axis must each have one entry per axis"
@@ -88,9 +98,9 @@ class GridSpec:
         for t in self.half_extent:
             if not (math.isfinite(t) and t > 0.0):
                 raise ValueError(f"half_extent entries must be positive finite, got {t}")
-        for n in self.points_per_axis:
-            if n <= 0 or n % 2 != 0:
-                raise ValueError(f"points_per_axis entries must be positive and even, got {n}")
+        for n, raw in zip(self.points_per_axis, given):
+            if n is None or n <= 0 or n % 2 != 0:
+                raise ValueError(f"points_per_axis entries must be positive and even, got {raw!r}")
         if self.size > MAX_TOTAL_POINTS:
             raise ValueError(
                 f"grid with {self.size} points exceeds the supported limit {MAX_TOTAL_POINTS}"
@@ -249,9 +259,13 @@ def inverse_transform(spectrum: Spectrum) -> SampledFunction:
 
 
 def _lp_norm(mags: np.ndarray, volume: float, p: float) -> float:
-    """L^p quadrature norm of moduli ``mags`` on cells of ``volume``; max for p = inf."""
+    """L^p quadrature norm of moduli ``mags`` (any real array at p = 2) on cells
+    of ``volume``; max for p = inf."""
     if math.isinf(p):
         return float(mags.max())
+    if p == 2.0:
+        # math.sqrt is correctly rounded, libm's ** 0.5 is not
+        return math.sqrt(volume * float(np.sum(mags * mags)))
     return float((volume * float(np.sum(mags**p))) ** (1.0 / p))
 
 

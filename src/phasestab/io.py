@@ -94,9 +94,7 @@ def load_field(path: str | Path) -> SampledFunction | Spectrum:
         raise ValueError(f'{path}: domain must be "space" or "frequency", got {domain!r}')
     try:
         grid = GridSpec(
-            int(payload["dimension"]),
-            tuple(payload["half_extent"]),
-            tuple(payload["points_per_axis"]),
+            payload["dimension"], tuple(payload["half_extent"]), tuple(payload["points_per_axis"])
         )
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{path}: invalid grid: {exc}") from exc

@@ -545,16 +545,17 @@ class TestConcurrentPairPass:
         grid = GridSpec(2, (8.0, 8.0), shape)
         f = gaussian(grid, center=(0.3, -0.2))
         g = shift(gaussian(grid, width=1.2), (0.1, 0.05))
-        started = []
+        threads = []
 
-        class Recorded(bounds._SpectrumThread):
-            def start(self):
-                started.append(self)
-                super().start()
+        def centred(transform, values, scale):
+            threads.append(threading.current_thread())
+            return _centred(transform, values, scale)
 
-        monkeypatch.setattr(bounds, "_SpectrumThread", Recorded)
+        monkeypatch.setattr(bounds, "_centred", centred)
         pair = bounds._pair(f, g, 1.5, "test")
-        assert len(started) == int(concurrent)
+        assert len(threads) == 2
+        off_main = [t for t in threads if t is not threading.main_thread()]
+        assert len(off_main) == int(concurrent)
         F = _centred(np.fft.fftn, f.values, grid.cell_volume)
         G = _centred(np.fft.fftn, g.values, grid.cell_volume)
         magF = np.abs(F)
@@ -684,14 +685,14 @@ class TestSymmetries:
     @settings(deadline=None, max_examples=40)
     @given(pair=family_pairs(), p=_P_VALUES, k=st.integers(-100, 100))
     def test_power_of_two_scaling(self, pair, p, k):
-        # exact through the FFT, |.|, the sums, the divisions and np.sqrt; what
-        # goes through libm pow (lhs's ** 0.5, eps's ** p and ** (1/p), the
-        # squared form's ** 2) can round one ulp apart
+        # exact through the FFT, |.|, the sums, the divisions and the correctly
+        # rounded square roots (lhs among them); what goes through libm pow
+        # (eps's ** p and ** (1/p), the squared form's ** 2) can round one ulp apart
         lam = 2.0**k
         before, after = _reports(*pair, p, lambda v: lam * v, lam, relative_tol=None)
-        exact = ["term_modulus", "term_translation"]
+        exact = ["lhs", "term_modulus", "term_translation"]
         if p == 1.0:
-            exact += ["epsilon", "term_smoothness", "rhs"]
+            exact += ["epsilon", "term_smoothness", "rhs", "slack"]
         _assert_equivariant(before, after, lam, exact, rtol=1e-14)
 
     @settings(deadline=None, max_examples=40)
@@ -742,5 +743,17 @@ class TestSymmetries:
         f = gaussian(grid_2d, center=(0.3, -0.2))
         g = shift(f, (0.1, 0.05))
         before, after = _reports(f, g, 1.0, lambda v: 2.0**-37 * v, 2.0**-37, relative_tol=None)
-        exact = ["epsilon", "term_modulus", "term_smoothness", "term_translation", "rhs"]
+        exact = [name for name in _REPORT_FIELDS if name != "squared_form_slack"]
         _assert_equivariant(before, after, 2.0**-37, exact, rtol=1e-14)
+
+    @pytest.mark.parametrize("k", [-37, 37])
+    @pytest.mark.parametrize("p", [1.0, 1.5])
+    def test_lhs_scales_exactly_by_powers_of_two(self, k, p):
+        # pair 556 of the seed-0 certification stream (shifted_gaussian): with
+        # lhs = (vol * sum|x|^2) ** 0.5 it came out one ulp off 2^k times the
+        # original, since libm's pow is not correctly rounded and math.sqrt is
+        *_, (name, f, g) = iter_certification_pairs(557, np.random.default_rng(0))
+        assert name == "shifted_gaussian"
+        lam = 2.0**k
+        scaled = [SampledFunction(h.grid, lam * h.values) for h in (f, g)]
+        assert evaluate_theorem(*scaled, p).lhs == lam * evaluate_theorem(f, g, p).lhs

@@ -117,6 +117,11 @@ _IMPORT_CLI = "import sys, phasestab, phasestab.cli\n"
             + "assert fit_scaling('demo', [1, 2, 4, 8], [1, 4, 16, 64], 2.0, 1e-9).passed",
             id="runs-with-scipy-blocked",
         ),
+        pytest.param(
+            # the pair pass imports concurrent.futures only on grids past its gate
+            _IMPORT_CLI + "assert not [m for m in sys.modules if m.split('.')[0] == 'concurrent']",
+            id="loads-no-concurrent",
+        ),
     ],
 )
 def test_runtime_needs_numpy_only(script):

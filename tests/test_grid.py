@@ -72,11 +72,23 @@ class TestGridSpec:
             dict(dimension=1, half_extent=(1.0,), points_per_axis=(0,)),
             dict(dimension=2, half_extent=(1.0,), points_per_axis=(8, 8)),
             dict(dimension=1, half_extent=(math.inf,), points_per_axis=(8,)),
+            dict(dimension=1.9, half_extent=(1.0,), points_per_axis=(8,)),
+            dict(dimension="1", half_extent=(1.0,), points_per_axis=(8,)),
+            dict(dimension=True, half_extent=(1.0,), points_per_axis=(8,)),
+            dict(dimension=1, half_extent=(1.0,), points_per_axis=(4.7,)),
+            dict(dimension=1, half_extent=(1.0,), points_per_axis=(8.0,)),
+            dict(dimension=1, half_extent=(1.0,), points_per_axis=("4",)),
+            dict(dimension=2, half_extent=(1.0, 1.0), points_per_axis=(True, 8)),
         ],
     )
     def test_invalid_specs_rejected(self, kwargs):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="dimension must|half_extent|points_per_axis"):
             GridSpec(**kwargs)
+
+    def test_numpy_integer_counts_accepted(self):
+        grid = GridSpec(np.int64(2), (1.0, 1.0), (np.int64(8), np.int32(4)))
+        assert (grid.dimension, grid.points_per_axis) == (2, (8, 4))
+        assert type(grid.dimension) is int
 
     def test_oversized_grid_rejected(self):
         with pytest.raises(ValueError, match="exceeds"):
@@ -291,14 +303,14 @@ class TestLpNorm:
 
     @pytest.mark.parametrize("shape", [(1024,), (64, 32), (16, 8, 12)])
     def test_p1_and_p2_are_the_plain_sums(self, shape, rng):
-        # numpy's array power returns the moduli for p = 1 and their square for
-        # p = 2 bit for bit, so one reduction serves every finite p
+        # numpy's array power returns the moduli for p = 1 bit for bit; p = 2
+        # takes the correctly rounded math.sqrt, not libm's ** 0.5
         grid = GridSpec(len(shape), (4.0,) * len(shape), shape)
         f = SampledFunction(grid, rng.normal(size=shape) + 1j * rng.normal(size=shape))
         m = np.abs(f.values)
         vol = grid.cell_volume
         assert lp_norm(f, 1.0) == (vol * float(np.sum(m))) ** 1.0
-        assert lp_norm(f, 2.0) == (vol * float(np.sum(m * m))) ** 0.5
+        assert lp_norm(f, 2.0) == math.sqrt(vol * float(np.sum(m * m)))
 
     @pytest.mark.parametrize("p", [0.5, 0.999, -1.0, math.nan])
     def test_invalid_p_rejected(self, grid_1d, p):

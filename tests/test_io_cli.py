@@ -145,6 +145,33 @@ class TestFieldFiles:
         with pytest.raises(ValueError, match="even"):
             load_field(bad)
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            pytest.param("points_per_axis", [4.7], id="points-4.7"),
+            pytest.param("points_per_axis", ["4"], id="points-str"),
+            pytest.param("dimension", 1.9, id="dimension-1.9"),
+            pytest.param("dimension", True, id="dimension-bool"),
+        ],
+    )
+    def test_non_integer_count(self, key, value, tmp_path, capsys):
+        # 4 samples: a file whose counts int() would truncate to 1 and 4 loads
+        payload = {
+            "dimension": 1,
+            "half_extent": [1.0],
+            "points_per_axis": [4],
+            "domain": "space",
+            "values_re": [0.0] * 4,
+            "values_im": [0.0] * 4,
+        }
+        payload[key] = value
+        bad = tmp_path / "counts.json"
+        bad.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match="invalid grid"):
+            load_field(bad)
+        assert main(["verify", "--f", str(bad), "--g", str(bad), "--p", "1.0"]) == 1
+        assert "invalid grid" in capsys.readouterr().err
+
     def test_malformed_json(self, tmp_path):
         bad = tmp_path / "broken.json"
         bad.write_text("{not json")
