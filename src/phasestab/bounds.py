@@ -36,7 +36,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .grid import SampledFunction, Spectrum, _centred, _finite, _lp_norm
+from .grid import SampledFunction, Spectrum, _centred, _finite, _index, _lp_norm
 
 __all__ = [
     "BoundReport",
@@ -57,6 +57,10 @@ __all__ = [
 
 # Relative slack tolerance of every certified form; see is_certified.
 CERTIFICATION_RTOL = 1e-6
+
+# The regime factor: the per-frequency estimate holds where |F| >= 10 eps, and
+# the sub-level set {|F| <= 10 x} of the smoothness modulus is where it does not.
+_REGIME = 10.0
 
 
 class _Report:
@@ -126,10 +130,13 @@ class TailParams:
     n: int
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.k, int) and self.k >= 1):
+        k, n = _index(self.k), _index(self.n)
+        if k is None or k < 1:
             raise ValueError(f"k must be a positive integer, got {self.k!r}")
-        if not (isinstance(self.n, int) and 1 <= self.n <= 3):
+        if n is None or not 1 <= n <= 3:
             raise ValueError(f"n must be an integer in [1, 3], got {self.n!r}")
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "n", n)
         if not self.k > (self.n + 2) / 2:
             raise ValueError(f"need k > (n + 2)/2, got k={self.k}, n={self.n}")
 
@@ -234,10 +241,10 @@ def _pair(f, g, p: float, caller: str) -> _Pair:
     return _Pair(epsilon, lhs, F, G, magF, _lp_norm(modulus, volume, 2.0), volume)
 
 
-def _sublevel_mass(mags: np.ndarray, volume: float, threshold: float) -> float:
-    """integral of |F|^2 over the sub-level set {|F| <= threshold} (ties in)."""
+def _sublevel_mass(mags: np.ndarray, volume: float, x: float) -> float:
+    """integral of |F|^2 over the sub-level set {|F| <= 10 x} (ties in)."""
     sq = mags * mags
-    np.copyto(sq, 0.0, where=mags > threshold)
+    np.copyto(sq, 0.0, where=mags > _REGIME * x)
     return float(volume * np.sum(sq))
 
 
@@ -258,7 +265,7 @@ def smoothness_modulus(f_spectrum: Spectrum, x: float, p: float) -> float:
     if x < 0.0 or not math.isfinite(x):
         raise ValueError(f"x must be a nonnegative finite real, got {x}")
     p = _check_p(p)
-    mass = _sublevel_mass(np.abs(f_spectrum.values), f_spectrum.grid.cell_volume, 10.0 * x)
+    mass = _sublevel_mass(np.abs(f_spectrum.values), f_spectrum.grid.cell_volume, x)
     return _smoothness(mass, x, p)
 
 
@@ -320,7 +327,7 @@ def evaluate_theorem(
     term_modulus = 2.0 * pair.modulus_l2
     tol = _default_tol(magF, zero_tol, "zero_tol")
     term_translation = _translation(pair.F, pair.G, magF, tol, pair.volume, out=pair.F)
-    mass = _sublevel_mass(magF, pair.volume, 10.0 * epsilon)
+    mass = _sublevel_mass(magF, pair.volume, epsilon)
     term_smoothness = _smoothness(mass, epsilon, p)
     rhs = term_modulus + term_smoothness + term_translation
     try:
@@ -404,7 +411,7 @@ def exceptional_set(
         raise ValueError("epsilon must be positive")
     magF = np.abs(f_spectrum.values)
     magdiff = np.abs(f_spectrum.values - g_spectrum.values)
-    mask = (magF >= 10.0 * epsilon) & (magdiff >= epsilon)
+    mask = (magF >= _REGIME * epsilon) & (magdiff >= epsilon)
     measure = float(f_spectrum.grid.cell_volume * np.count_nonzero(mask))
     return measure, mask
 
@@ -420,7 +427,7 @@ def spectral_tail(f_spectrum: Spectrum, epsilon: float) -> float:
     epsilon = float(epsilon)
     if not epsilon > 0.0:
         raise ValueError("epsilon must be positive")
-    return _sublevel_mass(np.abs(f_spectrum.values), f_spectrum.grid.cell_volume, 10.0 * epsilon)
+    return _sublevel_mass(np.abs(f_spectrum.values), f_spectrum.grid.cell_volume, epsilon)
 
 
 @np.errstate(over="ignore", invalid="ignore")

@@ -32,6 +32,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .bounds import (
+    _REGIME,
     CertificationError,
     TailParams,
     evaluate_corollary1,
@@ -314,7 +315,7 @@ def triangle_experiment(
             )
         report = _require_certified(evaluate_theorem(f, g, 1.0), f"triangle delta={delta}")
         _require_certified(evaluate_corollary1(f, g), f"triangle delta={delta}")
-        if 10.0 * report.epsilon <= 1.0:
+        if _REGIME * report.epsilon <= 1.0:
             params.append(report.epsilon)
             observables.append(report.lhs - report.term_modulus)
     return fit_scaling("triangle", params, observables, expected_slope=1.5, slope_tolerance=0.15)
@@ -375,7 +376,7 @@ def tail_experiment(
     A sweep point with 10 eps >= max|F| = 1 is refused with ValueError: its
     sub-level set is the whole grid, so its mass carries no decay.
     """
-    tp = TailParams(k=int(k), n=int(n))
+    tp = TailParams(k=k, n=n)
     grid = TAIL_GRIDS[tp.n] if grid is None else grid
     if grid.dimension != tp.n:
         raise ValueError(f"grid dimension {grid.dimension} does not match n={tp.n}")
@@ -389,7 +390,7 @@ def tail_experiment(
     params, observables = [], []
     for eps in epsilons:
         eps = float(eps)
-        if 10.0 * eps >= peak:
+        if _REGIME * eps >= peak:
             raise ValueError(
                 f"tail sweep point eps={eps!r}: 10 eps >= max|F| = {peak!r}, "
                 "so the sub-level set is the whole grid"

@@ -25,6 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bounds import _REGIME
+
 __all__ = [
     "Decomposition",
     "Lemma1Scan",
@@ -156,7 +158,7 @@ def pointwise_first_term_check(fhat_val, ghat_val, epsilon: float):
     F = np.asarray(fhat_val, dtype=complex)
     G = np.asarray(ghat_val, dtype=complex)
     magF = np.abs(F)
-    if np.any(magF < 10.0 * epsilon * (1.0 - _BOUNDARY_RTOL)):
+    if np.any(magF < _REGIME * epsilon * (1.0 - _BOUNDARY_RTOL)):
         raise ValueError("regime violation: need |fhat_val| >= 10 epsilon")
     if np.any(np.abs(F - G) > epsilon * (1.0 + _BOUNDARY_RTOL)):
         raise ValueError("regime violation: need |fhat_val - ghat_val| <= epsilon")

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 import operator
 from dataclasses import dataclass, field
 
@@ -54,6 +55,13 @@ def _index(value) -> int | None:
         return operator.index(value)
     except TypeError:
         return None
+
+
+def _real(value) -> float | None:
+    """``float(value)``, or None for a bool, a string or any other non-real."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return None
+    return float(value)
 
 
 @dataclass(frozen=True)
@@ -88,16 +96,17 @@ class GridSpec:
         if dimension is None or not 1 <= dimension <= 3:
             raise ValueError(f"dimension must be an integer in [1, 3], got {self.dimension!r}")
         object.__setattr__(self, "dimension", dimension)
-        object.__setattr__(self, "half_extent", tuple(float(t) for t in self.half_extent))
+        extents = tuple(self.half_extent)
+        object.__setattr__(self, "half_extent", tuple(map(_real, extents)))
         given = tuple(self.points_per_axis)
         object.__setattr__(self, "points_per_axis", tuple(map(_index, given)))
         if len(self.half_extent) != self.dimension or len(self.points_per_axis) != self.dimension:
             raise ValueError(
                 "half_extent and points_per_axis must each have one entry per axis"
             )
-        for t in self.half_extent:
-            if not (math.isfinite(t) and t > 0.0):
-                raise ValueError(f"half_extent entries must be positive finite, got {t}")
+        for t, raw in zip(self.half_extent, extents):
+            if t is None or not (math.isfinite(t) and t > 0.0):
+                raise ValueError(f"half_extent entries must be positive finite, got {raw!r}")
         for n, raw in zip(self.points_per_axis, given):
             if n is None or n <= 0 or n % 2 != 0:
                 raise ValueError(f"points_per_axis entries must be positive and even, got {raw!r}")
@@ -157,9 +166,11 @@ def _finite(values: np.ndarray) -> np.ndarray:
     return values
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _GridField:
-    """Complex samples attached to a grid; immutable after construction."""
+    """Complex samples attached to a grid; immutable after construction.  Fields
+    compare and hash by identity: equality of two sample arrays is elementwise.
+    """
 
     grid: GridSpec
     values: np.ndarray

@@ -25,6 +25,7 @@ from phasestab.experiments import (
     gaussian,
     iter_certification_pairs,
     optimality_family,
+    smooth_bump,
     triangle_spectrum,
 )
 from phasestab.grid import (
@@ -322,6 +323,19 @@ class TestCorollary1:
         with pytest.raises(ValueError, match="real-valued"):
             evaluate_corollary1(f, f)
 
+    @pytest.mark.parametrize("delta, refused", [(1e-7, True), (1e-9, False)])
+    def test_real_spectrum_tolerance_is_1e_8_of_the_peak(self, delta, refused, grid_1d):
+        # spectrum b + i delta b: max|Im| = delta max b = 0.368 delta against
+        # the threshold 1e-8 max|F| = 0.368e-8
+        freq = grid_1d.dual()
+        b = smooth_bump(freq.axis_coordinate(0) / 4.0)
+        f = inverse_transform(Spectrum(freq, b + 1j * delta * b))
+        if refused:
+            with pytest.raises(ValueError, match="real-valued"):
+                evaluate_corollary1(f, 0.5 * f)
+        else:
+            assert is_certified(evaluate_corollary1(f, 0.5 * f))
+
     def test_terms_agree_with_theorem_for_real_spectrum(self, grid_1d):
         # Gaussian spectrum is real and everywhere nonzero, so both the
         # modulus and translation terms coincide with the main bound's
@@ -479,6 +493,17 @@ class TestExceptionalSet:
         with pytest.raises(ValueError, match="positive"):
             exceptional_set(F, F, 0.0)
 
+    @pytest.mark.parametrize("eps, whole", [(0.1, True), (0.15, False)])
+    def test_regime_edges(self, eps, whole, grid_1d):
+        # F = 1 and G = 1 + i eps: |F - G| = eps exactly, and |F| = 1 equals
+        # 10 eps at eps = 0.1 (ties are in the set) and lies below it at 0.15
+        freq = grid_1d.dual()
+        F = Spectrum(freq, np.ones(freq.shape))
+        G = Spectrum(freq, np.full(freq.shape, 1.0 + 1j * eps))
+        measure, mask = exceptional_set(F, G, eps)
+        assert mask.all() if whole else not mask.any()
+        assert measure == (freq.cell_volume * freq.size if whole else 0.0)
+
 
 class TestSpectralTail:
     def test_full_coverage(self, triangle):
@@ -510,10 +535,19 @@ class TestTailParams:
         tp = TailParams(k, n)
         assert tp.expected_exponent == pytest.approx(2 - n / k)
 
-    @pytest.mark.parametrize("k,n", [(1, 1), (2, 2), (2, 3), (0, 1), (-1, 1)])
+    @pytest.mark.parametrize(
+        "k,n",
+        [(1, 1), (2, 2), (2, 3), (0, 1), (-1, 1), (3, True), (True, 1), (2.9, 1), (3.0, 1),
+         (3, 1.7), ("3", 1)],
+    )
     def test_hypothesis_violations(self, k, n):
         with pytest.raises(ValueError):
             TailParams(k, n)
+
+    def test_numpy_integers_accepted(self):
+        tp = TailParams(np.int64(3), np.int32(2))
+        assert (tp.k, tp.n) == (3, 2)
+        assert type(tp.k) is int and type(tp.n) is int
 
 
 # ---------------------------------------------------------------------------

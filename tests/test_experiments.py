@@ -197,6 +197,13 @@ class TestTriangleExperiment:
         with pytest.raises(ValueError, match="fewer than 4"):
             triangle_experiment(amplitudes=[0.3, 0.5, 0.7, 0.9])
 
+    def test_h_regime_filter_is_10_eps(self):
+        # the three extra amplitudes give eps = 0.126, 0.158 and 0.190, so
+        # 10 eps > 1 drops them while 5 eps <= 1 would keep them
+        res = triangle_experiment(amplitudes=[*DEFAULT_SWEEPS["triangle"], 0.08, 0.1, 0.12])
+        assert len(res.parameter_values) == len(DEFAULT_SWEEPS["triangle"]) == 8
+        assert max(res.parameter_values) <= 0.1
+
 
 class TestTranslationExperiment:
     def test_default_run(self):
@@ -234,6 +241,12 @@ class TestTailExperiment:
     def test_grid_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension"):
             tail_experiment(3, 2, grid=GridSpec.uniform(1, 64.0, 1024))
+
+    @pytest.mark.parametrize("k,n", [(2.9, 1.7), (2.0, 1), (3, True)])
+    def test_non_integer_k_or_n_rejected(self, k, n):
+        # not truncated to a neighbouring (k, n) with another expected slope
+        with pytest.raises(ValueError, match="must be"):
+            tail_experiment(k, n)
 
     @pytest.mark.parametrize("eps", [0.1, 100.0])
     def test_saturated_sweep_point_rejected(self, eps):

@@ -79,6 +79,9 @@ class TestGridSpec:
             dict(dimension=1, half_extent=(1.0,), points_per_axis=(8.0,)),
             dict(dimension=1, half_extent=(1.0,), points_per_axis=("4",)),
             dict(dimension=2, half_extent=(1.0, 1.0), points_per_axis=(True, 8)),
+            dict(dimension=1, half_extent=("1.5",), points_per_axis=(8,)),
+            dict(dimension=1, half_extent=(True,), points_per_axis=(8,)),
+            dict(dimension=2, half_extent=(1.0, np.True_), points_per_axis=(8, 8)),
         ],
     )
     def test_invalid_specs_rejected(self, kwargs):
@@ -89,6 +92,11 @@ class TestGridSpec:
         grid = GridSpec(np.int64(2), (1.0, 1.0), (np.int64(8), np.int32(4)))
         assert (grid.dimension, grid.points_per_axis) == (2, (8, 4))
         assert type(grid.dimension) is int
+
+    def test_real_extents_accepted(self):
+        grid = GridSpec(3, (2, np.float32(1.5), np.int64(4)), (8, 8, 8))
+        assert grid.half_extent == (2.0, 1.5, 4.0)
+        assert all(type(t) is float for t in grid.half_extent)
 
     def test_oversized_grid_rejected(self):
         with pytest.raises(ValueError, match="exceeds"):
@@ -135,6 +143,12 @@ class TestFieldTypes:
         F = fourier_transform(f)
         with pytest.raises(TypeError):
             f + F
+
+    def test_fields_compare_and_hash_by_identity(self, grid_1d):
+        f, h = gaussian(grid_1d), gaussian(grid_1d, center=0.5)
+        assert f == f and f != h and f != gaussian(grid_1d)
+        assert f in [h, f] and h not in [f]
+        assert len({f, h, f}) == 2
 
 
 # ---------------------------------------------------------------------------

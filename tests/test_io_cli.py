@@ -152,10 +152,13 @@ class TestFieldFiles:
             pytest.param("points_per_axis", ["4"], id="points-str"),
             pytest.param("dimension", 1.9, id="dimension-1.9"),
             pytest.param("dimension", True, id="dimension-bool"),
+            pytest.param("half_extent", ["1.0"], id="extent-str"),
+            pytest.param("half_extent", [True], id="extent-bool"),
         ],
     )
     def test_non_integer_count(self, key, value, tmp_path, capsys):
-        # 4 samples: a file whose counts int() would truncate to 1 and 4 loads
+        # 4 samples: a file whose counts int() would truncate to 1 and 4, or
+        # whose extent float() would parse or take as 1.0, loads
         payload = {
             "dimension": 1,
             "half_extent": [1.0],

@@ -39,16 +39,24 @@ MUTANTS = [
      "math.sqrt(8.0 * mass)", "math.sqrt(4.0 * mass)"),
     ("h: +x -> +0.5x", "_smoothness",
      "(x if p > 1.0 else 0.0)", "(0.5 * x if p > 1.0 else 0.0)"),
-    ("sub-level threshold 10 eps -> 5 eps", "evaluate_theorem",
-     "10.0 * epsilon", "5.0 * epsilon"),
+    ("regime factor 10 -> 5, at every site", None,
+     "_REGIME = 10.0", "_REGIME = 5.0"),
     ("sub-level ties: <= -> <", "_sublevel_mass",
-     "mags > threshold", "mags >= threshold"),
+     "mags > _REGIME * x", "mags >= _REGIME * x"),
     ("translation 2 -> 1.5", "_translation",
      "return 2.0 *", "return 1.5 *"),
     ("corollary translation 2 -> 1", "evaluate_corollary1",
      "term_translation = 2.0 *", "term_translation = 1.0 *"),
     ("corollary band limit 30 -> 15", "evaluate_corollary1",
      "30.0 * math.sqrt(L)", "15.0 * math.sqrt(L)"),
+    ("corollary real-spectrum tolerance 1e-8 -> 1e-6", "evaluate_corollary1",
+     "im_peak > 1e-8 * peak", "im_peak > 1e-6 * peak"),
+    ("exceptional set 10 eps -> 5 eps", "exceptional_set",
+     "_REGIME * epsilon", "5.0 * epsilon"),
+    ("exceptional set |F| ties: >= -> >", "exceptional_set",
+     "magF >= _REGIME", "magF > _REGIME"),
+    ("exceptional set |F - G| ties: >= -> >", "exceptional_set",
+     "magdiff >= epsilon", "magdiff > epsilon"),
     ("squared form modulus 2 -> 3", "evaluate_theorem",
      "2.0 * pair.modulus_l2**2", "3.0 * pair.modulus_l2**2"),
     ("squared form 6/5 -> 1", "evaluate_theorem",
