@@ -36,7 +36,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .grid import SampledFunction, Spectrum, _centred, _finite, _index, _lp_norm
+from .grid import SampledFunction, Spectrum, _centred, _index, _lp_norm
 
 __all__ = [
     "BoundReport",
@@ -164,9 +164,9 @@ def _check_p(p: float) -> float:
 
 
 def _default_tol(mags: np.ndarray, tol: float | None, name: str) -> float:
-    """``tol``, or 1e-12 * max|F| when it is None; it must be finite and nonnegative."""
+    """``tol``, checked finite and nonnegative, or 1e-12 * max|F| when it is None."""
     if tol is None:
-        tol = 1e-12 * float(mags.max(initial=0.0))
+        return 1e-12 * float(mags.max(initial=0.0))
     tol = float(tol)
     if not (math.isfinite(tol) and tol >= 0.0):
         raise ValueError(f"{name} must be a nonnegative finite real, got {tol}")
@@ -204,19 +204,24 @@ def _pair(f, g, p: float, caller: str) -> _Pair:
     input either way, so the bits do not depend on the branch.  An lhs of 0
     for f != g can only be underflow, and every other term then underflows
     too, so it raises ArithmeticError rather than certify vacuously.
+
+    No array is checked for inf or NaN: overflow is the reports' to refuse.
+    f and g are finite by construction, so a non-finite sample of f - g is an
+    overflow and makes lhs non-finite; one of F or G makes | |F|-|G| | inf or
+    NaN there, so ``modulus_l2`` and the reports' ``term_modulus`` are too.
     """
     if not isinstance(f, SampledFunction) or not isinstance(g, SampledFunction):
         raise TypeError(f"{caller} expects two SampledFunction inputs")
     _require_same_grid(f, g)
     space_volume = f.grid.cell_volume
-    absdiff = np.abs(_finite(f.values - g.values))
+    absdiff = np.abs(f.values - g.values)
     lhs = _lp_norm(absdiff, space_volume, 2.0)
     if lhs == 0.0 and np.any(absdiff):
         raise ArithmeticError(f"{caller}: |f - g|_2 is 0 although f != g (underflow)")
     epsilon = _lp_norm(absdiff, space_volume, p)
     del absdiff
     if f.grid.size < _CONCURRENT_SPECTRA_MIN_POINTS:
-        F = _finite(_centred(np.fft.fftn, f.values, space_volume))
+        F = _centred(np.fft.fftn, f.values, space_volume)
         magF = np.abs(F)
         G = _centred(np.fft.fftn, g.values, space_volume)
     else:
@@ -229,12 +234,11 @@ def _pair(f, g, p: float, caller: str) -> _Pair:
             future = pool.submit(
                 contextvars.copy_context().run, _centred, np.fft.fftn, g.values, space_volume
             )
-            F = _finite(_centred(np.fft.fftn, f.values, space_volume))
+            F = _centred(np.fft.fftn, f.values, space_volume)
             magF = np.abs(F)
         G = future.result()
     # |G| is allocated here: on the worker, in that thread's own malloc arena,
     # it raised peak RSS
-    G = _finite(G)
     modulus = np.abs(G)
     np.subtract(magF, modulus, out=modulus)
     volume = f.grid.dual().cell_volume

@@ -25,7 +25,6 @@ masquerade as slope error.
 
 from __future__ import annotations
 
-import math
 from dataclasses import asdict, dataclass
 from typing import Callable, Sequence
 
@@ -40,7 +39,8 @@ from .bounds import (
     is_certified,
     spectral_tail,
 )
-from .grid import GridSpec, SampledFunction, Spectrum, fourier_transform, inverse_transform, shift
+from .grid import GridSpec, SampledFunction, Spectrum, fourier_transform, inverse_transform
+from .grid import _lp_norm, shift
 
 __all__ = [
     "ScalingResult",
@@ -330,7 +330,7 @@ def translation_experiment(
 
     Along the way the translation term is checked against its closed form
     2 | F(xi) sin(2 pi eps xi) |_2 to 1e-8 relative, and the modulus term is
-    checked to vanish (below 1e-10): a shift leaves |F| untouched.
+    checked to vanish (below 1e-10 |F|_2): a shift leaves |F| untouched.
     """
     grid = DEFAULT_GRID if grid is None else grid
     if f is None:
@@ -341,19 +341,19 @@ def translation_experiment(
     F = fourier_transform(f)
     xi = F.grid.axis_coordinate(0)
     vol = F.grid.cell_volume
+    mags = np.abs(F.values)
+    modulus_floor = 1e-10 * _lp_norm(mags, vol, 2.0)
     params, observables = [], []
     for eps in epsilons:
         eps = float(eps)
         report = evaluate_theorem(f, shift(f, eps), 1.0)
         term = report.term_translation
-        reference = 2.0 * math.sqrt(
-            vol * float(np.sum((np.abs(F.values) * np.sin(2.0 * np.pi * eps * xi)) ** 2))
-        )
+        reference = 2.0 * _lp_norm(mags * np.sin(2.0 * np.pi * eps * xi), vol, 2.0)
         if reference > 0 and abs(term - reference) > 1e-8 * reference:
             raise ArithmeticError(
                 f"translation term {term!r} deviates from closed form {reference!r} at eps={eps}"
             )
-        if report.term_modulus > 1e-10:
+        if report.term_modulus > modulus_floor:
             raise ArithmeticError(
                 f"modulus term {report.term_modulus:.3e} nonzero under a pure shift at eps={eps}"
             )

@@ -58,10 +58,14 @@ def _index(value) -> int | None:
 
 
 def _real(value) -> float | None:
-    """``float(value)``, or None for a bool, a string or any other non-real."""
+    """``float(value)``, or None for a bool, a string, any other non-real or an
+    integer too large for a double."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         return None
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        return None
 
 
 @dataclass(frozen=True)
@@ -159,13 +163,6 @@ class GridSpec:
         )
 
 
-def _finite(values: np.ndarray) -> np.ndarray:
-    """``values``, or ValueError if any sample is NaN or infinite."""
-    if not np.all(np.isfinite(values)):
-        raise ValueError("non-finite sample in values (NaN or Inf)")
-    return values
-
-
 @dataclass(frozen=True, eq=False)
 class _GridField:
     """Complex samples attached to a grid; immutable after construction.  Fields
@@ -181,7 +178,8 @@ class _GridField:
             raise ValueError(
                 f"values shape {vals.shape} does not match grid shape {self.grid.shape}"
             )
-        _finite(vals)
+        if not np.all(np.isfinite(vals)):
+            raise ValueError("non-finite sample in values (NaN or Inf)")
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
 

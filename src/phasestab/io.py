@@ -11,9 +11,9 @@ A field file is a single JSON object:
       "values_im": [...]
     }
 
-with values in row-major order over zero-centered coordinates.  ``domain``
-selects whether the payload loads as a :class:`SampledFunction` or a
-:class:`Spectrum`.  Writers are atomic (temp file + rename).
+with values (JSON numbers) in row-major order over zero-centered coordinates.
+``domain`` selects whether the payload loads as a :class:`SampledFunction` or
+a :class:`Spectrum`.  Writers are atomic (temp file + rename).
 """
 
 from __future__ import annotations
@@ -98,8 +98,14 @@ def load_field(path: str | Path) -> SampledFunction | Spectrum:
         )
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{path}: invalid grid: {exc}") from exc
-    re = np.asarray(payload["values_re"], dtype=float)
-    im = np.asarray(payload["values_im"], dtype=float)
+    samples = payload["values_re"], payload["values_im"]
+    # numpy would parse "0.5" and take true as 1.0; null loads as NaN, refused below
+    if any(isinstance(s, list) and {str, bool} & set(map(type, s)) for s in samples):
+        raise ValueError(f"{path}: values_re and values_im samples must be JSON numbers")
+    try:
+        re, im = (np.asarray(s, dtype=float) for s in samples)
+    except OverflowError as exc:
+        raise ValueError(f"{path}: a sample is out of the double range ({exc})") from exc
     if re.shape != im.shape or re.ndim != 1:
         raise ValueError(f"{path}: values_re and values_im must be flat lists of equal length")
     if re.size != grid.size:

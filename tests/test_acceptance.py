@@ -14,9 +14,10 @@ import pytest
 from scipy.integrate import quad
 
 from phasestab.bounds import (
-    CERTIFICATION_RTOL,
     evaluate_theorem,
     exceptional_set,
+    is_certified,
+    relative_slacks,
     smoothness_modulus,
     translation_term,
 )
@@ -105,27 +106,26 @@ class TestAcceptance:
         count = 200
         min_rel = math.inf
         min_rel_sq = math.inf
-        evaluated = 0
+        evaluated = failures = 0
         for _, f, g in iter_certification_pairs(count, rng):
             for p in P_VALUES:
                 report = evaluate_theorem(f, g, p)
                 evaluated += 1
-                if report.rhs > 0:
-                    min_rel = min(min_rel, report.slack / report.rhs)
-                sq_rhs = report.squared_form_slack + report.lhs**2
-                if sq_rhs > 0:
-                    min_rel_sq = min(min_rel_sq, report.squared_form_slack / sq_rhs)
+                failures += not is_certified(report)
+                rel, rel_sq = relative_slacks(report)
+                min_rel = min(min_rel, rel)
+                min_rel_sq = min(min_rel_sq, rel_sq)
         elapsed = time.perf_counter() - t0
-        ok = min_rel >= -CERTIFICATION_RTOL and min_rel_sq >= -CERTIFICATION_RTOL and elapsed < 120.0
+        ok = failures == 0 and elapsed < 120.0
         _line(
             "2 (certification)",
             ok,
             f"{count} pairs x {len(P_VALUES)} exponents = {evaluated} reports, "
+            f"{failures} not certified, "
             f"min rel slack={min_rel:+.3e}, min rel squared slack={min_rel_sq:+.3e}, "
             f"runtime={elapsed:.1f}s (< 120s)",
         )
-        assert min_rel >= -CERTIFICATION_RTOL
-        assert min_rel_sq >= -CERTIFICATION_RTOL
+        assert failures == 0
         assert elapsed < 120.0
 
     def test_criterion_3a_optimality_slopes(self):

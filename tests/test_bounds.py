@@ -38,6 +38,7 @@ from phasestab.grid import (
     lp_norm,
     shift,
 )
+from phasestab.io import save_field
 
 TRIANGLE_TAIL_AT_HALF = 1.0 / 12.0  # 2 * integral_{1/2}^{1} (1 - xi)^2 d xi
 
@@ -446,6 +447,26 @@ def test_tolerance_must_be_finite_and_nonnegative(call, tol, grid_1d):
         call(F, tol)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda f, F: lp_norm(f.values, 2), id="lp_norm-array"),
+        pytest.param(lambda f, F: shift(F, 0.1), id="shift-spectrum"),
+        pytest.param(lambda f, F: save_field("unused.json", f.values), id="save_field-array"),
+        pytest.param(lambda f, F: smoothness_modulus(f, 0.1, 1.0), id="smoothness-function"),
+        pytest.param(lambda f, F: translation_term(F, f), id="translation-function"),
+        pytest.param(lambda f, F: evaluate_theorem(F, F, 1.0), id="theorem-spectra"),
+        pytest.param(lambda f, F: evaluate_corollary1(f, F), id="corollary1-spectrum"),
+    ],
+)
+def test_wrong_field_type_rejected(call, grid_1d, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    f = gaussian(grid_1d)
+    with pytest.raises(TypeError, match="expect"):
+        call(f, fourier_transform(f))
+    assert list(tmp_path.iterdir()) == []
+
+
 class TestSupportMeasure:
     def test_triangle(self, triangle):
         dxi = triangle.grid.spacing[0]
@@ -517,6 +538,11 @@ class TestSpectralTail:
         tails = [spectral_tail(triangle, e) for e in eps]
         assert all(b >= a for a, b in zip(tails, tails[1:]))
         assert tails[-1] <= lp_norm(triangle, 2) ** 2 * (1 + 1e-12)
+
+    @pytest.mark.parametrize("eps", [0.0, -0.1])
+    def test_validation(self, eps, triangle):
+        with pytest.raises(ValueError, match="positive"):
+            spectral_tail(triangle, eps)
 
     def test_decay_exponent(self):
         # oracle: the sub-level mass of (1 + |xi|^2)^(-1) scales like eps^(3/2)
@@ -618,10 +644,11 @@ class TestConcurrentPairPass:
     )
     def test_fft_overflow_is_the_same_error(self, grid, huge, evaluate):
         # finite samples whose transform overflows; the error state of the
-        # evaluators must hold on the worker too, or numpy warns from there
+        # evaluators must hold on the worker too, or numpy warns from there.
+        # The report refuses the overflow, by the modulus term built from it
         big, small = gaussian(grid, amplitude=1e307), gaussian(grid)
         f, g = (big, small) if huge == "f" else (small, big)
-        with pytest.raises(ValueError, match=r"non-finite sample in values \(NaN or Inf\)"):
+        with pytest.raises(ArithmeticError, match="non-finite .*term_modulus"):
             evaluate(f, g)
 
     def test_worker_exception_is_raised_in_the_caller(self, grid_2d, monkeypatch):

@@ -9,11 +9,13 @@ import pytest
 import phasestab
 from phasestab.bounds import evaluate_theorem
 from phasestab.experiments import (
+    DEFAULT_GRID,
     DEFAULT_SWEEPS,
     FAMILY_BUILDERS,
     ScalingResult,
     edge_sign_flip,
     fit_scaling,
+    gaussian,
     iter_certification_pairs,
     optimality_experiment,
     optimality_family,
@@ -21,6 +23,7 @@ from phasestab.experiments import (
     tail_experiment,
     translation_experiment,
     triangle_experiment,
+    triangle_spectrum,
 )
 from phasestab.grid import GridSpec, Spectrum, fourier_transform, inverse_transform
 
@@ -217,6 +220,14 @@ class TestTranslationExperiment:
         assert len(res.parameter_values) == 5
         assert res.passed
 
+    @pytest.mark.parametrize("amplitude", [1e-6, 1e6, 1e8])
+    def test_scale_free(self, amplitude):
+        # |f - g|_2 scales with f, so the slope does not move; the modulus
+        # term's rounding floor scales with |F|_2, so the check must too
+        res = translation_experiment(f=gaussian(DEFAULT_GRID, amplitude=amplitude))
+        assert res.passed
+        assert res.fitted_slope == pytest.approx(translation_experiment().fitted_slope, abs=1e-12)
+
     def test_custom_bandlimited_function(self, grid_1d):
         freq = grid_1d.dual()
         xi = freq.axis_coordinate(0)
@@ -253,6 +264,35 @@ class TestTailExperiment:
         # 10 eps >= max|F| = 1 puts the whole grid in the sub-level set (ties in)
         with pytest.raises(ValueError, match=f"eps={eps!r}.*whole grid"):
             tail_experiment(2, 1, epsilons=[1e-3, 2e-3, 3e-3, eps])
+
+
+_GRID_2D = GridSpec.uniform(2, 8.0, 16)
+
+
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        pytest.param(lambda: gaussian(DEFAULT_GRID, width=0.0), "width", id="gaussian-width-0"),
+        pytest.param(lambda: gaussian(DEFAULT_GRID, width=-1.0), "width", id="gaussian-width-neg"),
+        pytest.param(lambda: triangle_spectrum(_GRID_2D), "one-dimensional", id="triangle-2d"),
+        pytest.param(
+            lambda: triangle_spectrum(GridSpec.uniform(1, 0.5, 64)), "cover", id="triangle-narrow"
+        ),
+        pytest.param(lambda: optimality_family(_GRID_2D, 2.0), "one-dimensional", id="optimality-2d"),
+        pytest.param(lambda: optimality_family(DEFAULT_GRID, 0.0), "positive", id="optimality-L-0"),
+        pytest.param(
+            lambda: translation_experiment(f=gaussian(_GRID_2D)), "one-dimensional",
+            id="translation-2d",
+        ),
+        pytest.param(
+            lambda: FAMILY_BUILDERS["bandlimited"](np.random.default_rng(0), _GRID_2D),
+            "one-dimensional", id="bandlimited-2d",
+        ),
+    ],
+)
+def test_invalid_inputs_rejected(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
 
 
 class TestCertificationFamilies:

@@ -82,6 +82,8 @@ class TestGridSpec:
             dict(dimension=1, half_extent=("1.5",), points_per_axis=(8,)),
             dict(dimension=1, half_extent=(True,), points_per_axis=(8,)),
             dict(dimension=2, half_extent=(1.0, np.True_), points_per_axis=(8, 8)),
+            # an integer too large for a double: float() raises OverflowError
+            dict(dimension=1, half_extent=(10**400,), points_per_axis=(8,)),
         ],
     )
     def test_invalid_specs_rejected(self, kwargs):

@@ -154,6 +154,8 @@ class TestFieldFiles:
             pytest.param("dimension", True, id="dimension-bool"),
             pytest.param("half_extent", ["1.0"], id="extent-str"),
             pytest.param("half_extent", [True], id="extent-bool"),
+            # an integer beyond the double range is bad input, not an overflow
+            pytest.param("half_extent", [10**400], id="extent-huge-int"),
         ],
     )
     def test_non_integer_count(self, key, value, tmp_path, capsys):
@@ -174,6 +176,50 @@ class TestFieldFiles:
             load_field(bad)
         assert main(["verify", "--f", str(bad), "--g", str(bad), "--p", "1.0"]) == 1
         assert "invalid grid" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "change, fragment",
+        [
+            pytest.param(lambda p: [p], "expected a JSON object", id="not-an-object"),
+            pytest.param(
+                lambda p: {**p, "values_re": [0.0] * 6, "values_im": [0.0] * 6},
+                "6 values do not fill a grid with 4 points", id="too-many-values",
+            ),
+            # numpy would parse a string and take true as 1.0
+            pytest.param(
+                lambda p: {**p, "values_re": ["0.5", 0.0, 0.0, 0.0]}, "JSON numbers", id="re-str"
+            ),
+            pytest.param(
+                lambda p: {**p, "values_re": [True, 0.0, 0.0, 0.0]}, "JSON numbers", id="re-bool"
+            ),
+            pytest.param(
+                lambda p: {**p, "values_im": [0.0, "1", 0.0, 0.0]}, "JSON numbers", id="im-str"
+            ),
+            pytest.param(
+                lambda p: {**p, "values_im": [0.0, 0.0, False, 0.0]}, "JSON numbers", id="im-bool"
+            ),
+            # bad input, not an overflow of the bound
+            pytest.param(
+                lambda p: {**p, "values_re": [10**400, 0, 0, 0]}, "out of the double range",
+                id="re-huge-int",
+            ),
+        ],
+    )
+    def test_invalid_payload_is_input_error(self, change, fragment, tmp_path, capsys):
+        payload = {
+            "dimension": 1,
+            "half_extent": [1.0],
+            "points_per_axis": [4],
+            "domain": "space",
+            "values_re": [0.0] * 4,
+            "values_im": [0.0] * 4,
+        }
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(change(payload)))
+        with pytest.raises(ValueError, match=fragment):
+            load_field(bad)
+        assert main(["verify", "--f", str(bad), "--g", str(bad), "--p", "1.0"]) == 1
+        assert fragment in capsys.readouterr().err
 
     def test_malformed_json(self, tmp_path):
         bad = tmp_path / "broken.json"
@@ -315,6 +361,42 @@ class TestCmdVerify:
 # ---------------------------------------------------------------------------
 # CLI: corollary1, lemma1, experiment
 # ---------------------------------------------------------------------------
+
+
+def _overflow_pairs():
+    for grid_id, grid in [("1d", GRID), ("256x256", GridSpec.uniform(2, 8.0, 256))]:
+        yield pytest.param(grid, 1e307, 1.0, id=f"{grid_id}-1e307-vs-unit")
+        # f - g = 3.4e308 overflows
+        yield pytest.param(grid, 1.7e308, -1.7e308, id=f"{grid_id}-difference")
+        yield pytest.param(grid, 1e307, None, id=f"{grid_id}-spectra-only")
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("grid, f_amplitude, g_amplitude", _overflow_pairs())
+@pytest.mark.parametrize(
+    "command",
+    [["verify", "--p", "1"], ["verify", "--p", "1.5"], ["corollary1"]],
+    ids=["verify-p1", "verify-p1.5", "corollary1"],
+)
+def test_overflowing_pair_is_numerical_error(
+    grid, f_amplitude, g_amplitude, command, tmp_path, capsys
+):
+    # finite samples whose difference or spectra overflow: the report refuses
+    # the non-finite fields, on one thread (1-D) and on two (256^2).  With
+    # g_amplitude None, g = f + a unit Gaussian: |f - g|_2 is finite and only
+    # the spectra overflow
+    f = gaussian(grid, amplitude=f_amplitude)
+    g = f + gaussian(grid) if g_amplitude is None else gaussian(grid, amplitude=g_amplitude)
+    f_path, g_path, out = tmp_path / "f.json", tmp_path / "g.json", tmp_path / "report.json"
+    save_field(f_path, f)
+    save_field(g_path, g)
+    name, *options = command
+    code = main([name, "--f", str(f_path), "--g", str(g_path), "--out", str(out), *options])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("numerical error: ")
+    assert "has non-finite" in err and "term_modulus" in err
+    assert not out.exists()
 
 
 class TestCmdCorollary1:
@@ -479,6 +561,7 @@ class TestCmdCertify:
             pytest.param(["--count", "1", "--p", "1.0,x"], id="malformed-p"),
             pytest.param(["--count", "0"], id="count-0"),
             pytest.param(["--count", "-3"], id="count-negative"),
+            pytest.param(["--count", "1", "--p", ","], id="empty-p"),
         ],
     )
     def test_malformed_p_is_input_error(self, options):
