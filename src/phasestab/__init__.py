@@ -1,95 +1,13 @@
 """Numerical certification and stress tests of explicit stability bounds for
 Fourier phase retrieval on discretized functions over uniform grids."""
 
-from .bounds import (
-    BoundReport,
-    CERTIFICATION_RTOL,
-    Corollary1Report,
-    TailParams,
-    evaluate_corollary1,
-    evaluate_theorem,
-    exceptional_set,
-    is_certified,
-    smoothness_modulus,
-    spectral_tail,
-    support_measure,
-    translation_term,
-)
-from .geometry import (
-    Decomposition,
-    Lemma1Scan,
-    decompose,
-    lemma1_gap,
-    lemma1_reduced_polynomial,
-    lemma1_scan,
-    pointwise_first_term_check,
-)
-from .grid import (
-    GridSpec,
-    SampledFunction,
-    Spectrum,
-    fourier_transform,
-    inverse_transform,
-    lp_norm,
-    shift,
-)
-from .experiments import (
-    ScalingResult,
-    edge_sign_flip,
-    fit_scaling,
-    gaussian,
-    iter_certification_pairs,
-    optimality_experiment,
-    optimality_family,
-    smooth_bump,
-    tail_experiment,
-    translation_experiment,
-    triangle_experiment,
-    triangle_spectrum,
-)
-from .io import load_field, save_field
+from . import bounds, geometry, grid, experiments, io
+from .bounds import *
+from .geometry import *
+from .grid import *
+from .experiments import *
+from .io import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BoundReport",
-    "CERTIFICATION_RTOL",
-    "Corollary1Report",
-    "Decomposition",
-    "GridSpec",
-    "Lemma1Scan",
-    "SampledFunction",
-    "ScalingResult",
-    "Spectrum",
-    "TailParams",
-    "decompose",
-    "edge_sign_flip",
-    "evaluate_corollary1",
-    "evaluate_theorem",
-    "exceptional_set",
-    "fit_scaling",
-    "fourier_transform",
-    "gaussian",
-    "inverse_transform",
-    "is_certified",
-    "iter_certification_pairs",
-    "lemma1_gap",
-    "lemma1_reduced_polynomial",
-    "lemma1_scan",
-    "load_field",
-    "lp_norm",
-    "optimality_experiment",
-    "optimality_family",
-    "pointwise_first_term_check",
-    "save_field",
-    "shift",
-    "smooth_bump",
-    "smoothness_modulus",
-    "spectral_tail",
-    "support_measure",
-    "tail_experiment",
-    "translation_experiment",
-    "translation_term",
-    "triangle_experiment",
-    "triangle_spectrum",
-]
+__all__ = bounds.__all__ + geometry.__all__ + grid.__all__ + experiments.__all__ + io.__all__

@@ -36,7 +36,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .grid import SampledFunction, Spectrum, _centred, _index, _lp_norm
+from .grid import SampledFunction, Spectrum, _centred, _index, _lp_norm, _real
 
 __all__ = [
     "BoundReport",
@@ -157,20 +157,34 @@ def _require_same_grid(a, b) -> None:
 
 
 def _check_p(p: float) -> float:
-    p = float(p)
-    if not (1.0 <= p < 2.0):
-        raise ValueError(f"p must lie in [1, 2), got {p}")
-    return p
+    value = _real(p)
+    if value is None or not 1.0 <= value < 2.0:
+        raise ValueError(f"p must lie in [1, 2), got {p!r}")
+    return value
 
 
-def _default_tol(mags: np.ndarray, tol: float | None, name: str) -> float:
-    """``tol``, checked finite and nonnegative, or 1e-12 * max|F| when it is None."""
+def _check_epsilon(epsilon: float) -> float:
+    value = _real(epsilon)
+    if value is None or not value > 0.0:
+        raise ValueError(f"epsilon must be positive, got {epsilon!r}")
+    return value
+
+
+def _default_tol(mags: np.ndarray, tol: float | None, name: str, strict: bool = False) -> float:
+    """``tol``, checked finite and nonnegative, or 1e-12 * max|F| when it is None.
+    A non-finite default raises ArithmeticError with ``strict``; the evaluators'
+    reports refuse that overflow themselves."""
     if tol is None:
-        return 1e-12 * float(mags.max(initial=0.0))
-    tol = float(tol)
-    if not (math.isfinite(tol) and tol >= 0.0):
-        raise ValueError(f"{name} must be a nonnegative finite real, got {tol}")
-    return tol
+        default = 1e-12 * float(mags.max(initial=0.0))
+        if strict and not math.isfinite(default):
+            raise ArithmeticError(
+                f"default {name} 1e-12 * max|F| is {default} (the spectrum's modulus overflows)"
+            )
+        return default
+    value = _real(tol)
+    if value is None or not (math.isfinite(value) and value >= 0.0):
+        raise ValueError(f"{name} must be a nonnegative finite real, got {tol!r}")
+    return value
 
 
 # From this many grid points on, the pair pass computes G on a second thread
@@ -265,12 +279,12 @@ def smoothness_modulus(f_spectrum: Spectrum, x: float, p: float) -> float:
     sub-level set, so the value is 0.
     """
     _require_spectrum(f_spectrum)
-    x = float(x)
-    if x < 0.0 or not math.isfinite(x):
-        raise ValueError(f"x must be a nonnegative finite real, got {x}")
+    value = _real(x)
+    if value is None or not (math.isfinite(value) and value >= 0.0):
+        raise ValueError(f"x must be a nonnegative finite real, got {x!r}")
     p = _check_p(p)
-    mass = _sublevel_mass(np.abs(f_spectrum.values), f_spectrum.grid.cell_volume, x)
-    return _smoothness(mass, x, p)
+    mass = _sublevel_mass(np.abs(f_spectrum.values), f_spectrum.grid.cell_volume, value)
+    return _smoothness(mass, value, p)
 
 
 def _translation(
@@ -301,7 +315,7 @@ def translation_term(
     _require_spectrum(g_spectrum)
     _require_same_grid(f_spectrum, g_spectrum)
     magF = np.abs(f_spectrum.values)
-    tol = _default_tol(magF, zero_tol, "zero_tol")
+    tol = _default_tol(magF, zero_tol, "zero_tol", strict=True)
     return _translation(
         f_spectrum.values, g_spectrum.values, magF, tol, f_spectrum.grid.cell_volume
     )
@@ -380,11 +394,6 @@ def relative_slacks(report: BoundReport | Corollary1Report) -> tuple[float, ...]
     return tuple(slack / rhs if rhs > 0 else 0.0 for slack, rhs in _forms(report))
 
 
-def _support_measure(mags: np.ndarray, volume: float, support_tol: float | None) -> float:
-    support_tol = _default_tol(mags, support_tol, "support_tol")
-    return float(volume * np.count_nonzero(mags > support_tol))
-
-
 def support_measure(F: Spectrum, support_tol: float | None = None) -> float:
     """Volume of the numerical support {|F| > support_tol} of a spectrum.
 
@@ -394,7 +403,9 @@ def support_measure(F: Spectrum, support_tol: float | None = None) -> float:
     volume.
     """
     _require_spectrum(F)
-    return _support_measure(np.abs(F.values), F.grid.cell_volume, support_tol)
+    mags = np.abs(F.values)
+    tol = _default_tol(mags, support_tol, "support_tol", strict=True)
+    return float(F.grid.cell_volume * np.count_nonzero(mags > tol))
 
 
 def exceptional_set(
@@ -410,9 +421,7 @@ def exceptional_set(
     _require_spectrum(f_spectrum)
     _require_spectrum(g_spectrum)
     _require_same_grid(f_spectrum, g_spectrum)
-    epsilon = float(epsilon)
-    if not epsilon > 0.0:
-        raise ValueError("epsilon must be positive")
+    epsilon = _check_epsilon(epsilon)
     magF = np.abs(f_spectrum.values)
     magdiff = np.abs(f_spectrum.values - g_spectrum.values)
     mask = (magF >= _REGIME * epsilon) & (magdiff >= epsilon)
@@ -428,9 +437,7 @@ def spectral_tail(f_spectrum: Spectrum, epsilon: float) -> float:
     eps^(2 - n/k).
     """
     _require_spectrum(f_spectrum)
-    epsilon = float(epsilon)
-    if not epsilon > 0.0:
-        raise ValueError("epsilon must be positive")
+    epsilon = _check_epsilon(epsilon)
     return _sublevel_mass(np.abs(f_spectrum.values), f_spectrum.grid.cell_volume, epsilon)
 
 
@@ -451,7 +458,8 @@ def evaluate_corollary1(
             "hypothesis violated: spectrum of f must be real-valued "
             f"(max |Im| = {im_peak:.3e} exceeds 1e-8 * max |F| = {1e-8 * peak:.3e})"
         )
-    L = _support_measure(pair.magF, pair.volume, support_tol)
+    tol = _default_tol(pair.magF, support_tol, "support_tol")
+    L = float(pair.volume * np.count_nonzero(pair.magF > tol))
     epsilon, lhs = pair.epsilon, pair.lhs
     term_modulus = 2.0 * pair.modulus_l2
     term_bandlimit = 30.0 * math.sqrt(L) * epsilon

@@ -286,10 +286,10 @@ def lp_norm(field: SampledFunction | Spectrum, p: float) -> float:
     """
     if not isinstance(field, _GridField):
         raise TypeError("lp_norm expects a SampledFunction or Spectrum")
-    p = float(p)
-    if math.isnan(p) or p < 1.0:
-        raise ValueError(f"p must satisfy p >= 1 (or p = inf), got {p}")
-    return _lp_norm(np.abs(field.values), field.grid.cell_volume, p)
+    value = _real(p)
+    if value is None or not value >= 1.0:
+        raise ValueError(f"p must satisfy p >= 1 (or p = inf), got {p!r}")
+    return _lp_norm(np.abs(field.values), field.grid.cell_volume, value)
 
 
 def shift(f: SampledFunction, offset) -> SampledFunction:

@@ -111,6 +111,25 @@ class TestSmoothnessModulus:
         with pytest.raises(ValueError):
             smoothness_modulus(triangle, 0.1, 0.5)
 
+    # strings and bools are not reals, even where float() would parse them
+    @pytest.mark.parametrize(
+        "x, p, message",
+        [
+            ("0.1", 1.0, "x must .*, got '0.1'"),
+            (True, 1.0, "x must .*, got True"),
+            (0.1, "1.5", "p must .*, got '1.5'"),
+            (0.1, True, "p must .*, got True"),
+        ],
+    )
+    def test_non_real_arguments_rejected(self, x, p, message, triangle):
+        with pytest.raises(ValueError, match=message):
+            smoothness_modulus(triangle, x, p)
+
+    def test_numpy_scalars_accepted(self, triangle):
+        assert smoothness_modulus(triangle, np.float32(0.25), np.int64(1)) == (
+            smoothness_modulus(triangle, 0.25, 1.0)
+        )
+
 
 # ---------------------------------------------------------------------------
 # translation term
@@ -256,10 +275,12 @@ class TestEvaluateTheorem:
         other = gaussian(GridSpec.uniform(1, 16.0, 512))
         with pytest.raises(ValueError, match="grid mismatch"):
             evaluate_theorem(f, other, 1.0)
-        with pytest.raises(ValueError, match="p must"):
-            evaluate_theorem(f, f, 2.0)
-        with pytest.raises(ValueError, match="p must"):
-            evaluate_theorem(f, f, 0.9)
+
+    @pytest.mark.parametrize("p", [2.0, 0.9, math.nan, "1.5", True])
+    def test_invalid_p_rejected(self, p, grid_1d):
+        f = gaussian(grid_1d)
+        with pytest.raises(ValueError, match=f"p must lie in \\[1, 2\\), got {p!r}"):
+            evaluate_theorem(f, f, p)
 
     def test_subnormal_squared_distance_refused(self, grid_1d):
         # lhs = 1.5e-161 > 0 but lhs**2 is subnormal; the corollary has no squared form
@@ -433,18 +454,36 @@ def test_squared_form_slack_matches_reference(pair, p, grid_1d):
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("tol", [-1e-3, math.nan, math.inf])
+@pytest.mark.parametrize("tol", [-1e-3, math.nan, math.inf, "1e-3", True])
 @pytest.mark.parametrize(
     "call",
     [
-        pytest.param(lambda F, tol: translation_term(F, F, zero_tol=tol), id="zero_tol"),
-        pytest.param(lambda F, tol: support_measure(F, support_tol=tol), id="support_tol"),
+        pytest.param(lambda f, F, tol: translation_term(F, F, zero_tol=tol), id="zero_tol"),
+        pytest.param(lambda f, F, tol: support_measure(F, support_tol=tol), id="support_tol"),
+        pytest.param(lambda f, F, tol: evaluate_theorem(f, f, 1.0, tol), id="theorem"),
+        pytest.param(lambda f, F, tol: evaluate_corollary1(f, f, tol), id="corollary1"),
     ],
 )
 def test_tolerance_must_be_finite_and_nonnegative(call, tol, grid_1d):
-    F = fourier_transform(gaussian(grid_1d))
-    with pytest.raises(ValueError, match="nonnegative"):
-        call(F, tol)
+    f = gaussian(grid_1d)
+    with pytest.raises(ValueError, match=f"nonnegative finite real, got {tol!r}"):
+        call(f, fourier_transform(f), tol)
+
+
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda F: translation_term(F, F), "zero_tol"),
+        (support_measure, "support_tol"),
+    ],
+)
+def test_overflowing_default_tolerance_refused(call, name):
+    # finite samples whose modulus overflows: the default 1e-12 max|F| is inf,
+    # which would leave an empty support and a zero translation term
+    grid = GridSpec.uniform(1, 4.0, 64)
+    F = Spectrum(grid.dual(), np.full(grid.shape, 1.5e308 + 1.5e308j))
+    with pytest.raises(ArithmeticError, match=f"default {name} .* is inf"):
+        call(F)
 
 
 @pytest.mark.parametrize(
@@ -514,6 +553,12 @@ class TestExceptionalSet:
         with pytest.raises(ValueError, match="positive"):
             exceptional_set(F, F, 0.0)
 
+    @pytest.mark.parametrize("eps", [math.nan, "0.1", True])
+    def test_non_real_or_nan_epsilon_rejected(self, eps, grid_1d):
+        F = fourier_transform(gaussian(grid_1d))
+        with pytest.raises(ValueError, match=f"epsilon must be positive, got {eps!r}"):
+            exceptional_set(F, F, eps)
+
     @pytest.mark.parametrize("eps, whole", [(0.1, True), (0.15, False)])
     def test_regime_edges(self, eps, whole, grid_1d):
         # F = 1 and G = 1 + i eps: |F - G| = eps exactly, and |F| = 1 equals
@@ -539,9 +584,9 @@ class TestSpectralTail:
         assert all(b >= a for a, b in zip(tails, tails[1:]))
         assert tails[-1] <= lp_norm(triangle, 2) ** 2 * (1 + 1e-12)
 
-    @pytest.mark.parametrize("eps", [0.0, -0.1])
+    @pytest.mark.parametrize("eps", [0.0, -0.1, "0.1", True])
     def test_validation(self, eps, triangle):
-        with pytest.raises(ValueError, match="positive"):
+        with pytest.raises(ValueError, match=f"epsilon must be positive, got {eps!r}"):
             spectral_tail(triangle, eps)
 
     def test_decay_exponent(self):

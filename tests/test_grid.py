@@ -328,9 +328,9 @@ class TestLpNorm:
         assert lp_norm(f, 1.0) == (vol * float(np.sum(m))) ** 1.0
         assert lp_norm(f, 2.0) == math.sqrt(vol * float(np.sum(m * m)))
 
-    @pytest.mark.parametrize("p", [0.5, 0.999, -1.0, math.nan])
+    @pytest.mark.parametrize("p", [0.5, 0.999, -1.0, math.nan, "2", True])
     def test_invalid_p_rejected(self, grid_1d, p):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=f"p must satisfy p >= 1 .*, got {p!r}"):
             lp_norm(gaussian(grid_1d), p)
 
     def test_intermediate_p(self, grid_1d):
