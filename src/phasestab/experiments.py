@@ -40,7 +40,7 @@ from .bounds import (
     spectral_tail,
 )
 from .grid import GridSpec, SampledFunction, Spectrum, fourier_transform, inverse_transform
-from .grid import _lp_norm, shift
+from .grid import _lp_norm, _real, _reals, shift
 
 __all__ = [
     "ScalingResult",
@@ -171,9 +171,9 @@ def gaussian(
     amplitude: complex = 1.0,
 ) -> SampledFunction:
     """amplitude * exp(-pi sum_i ((x_i - c_i)/w_i)^2) sampled on ``grid``."""
-    centers = np.broadcast_to(np.asarray(center, dtype=float), (grid.dimension,))
-    widths = np.broadcast_to(np.asarray(width, dtype=float), (grid.dimension,))
-    if np.any(widths <= 0):
+    centers = _reals(center, "center", grid.dimension)
+    widths = _reals(width, "width", grid.dimension)
+    if min(widths) <= 0:
         raise ValueError("width must be positive")
     expo = np.zeros(grid.shape, dtype=float)
     for c, w, x in zip(centers, widths, grid.coordinate_grids()):
@@ -209,9 +209,9 @@ def optimality_family(grid: GridSpec, L: float) -> tuple[SampledFunction, Sample
     """
     if grid.dimension != 1:
         raise ValueError("optimality_family is one-dimensional")
-    L = float(L)
-    if L <= 0:
-        raise ValueError("L must be positive")
+    L, given = _real(L), L
+    if L is None or not L > 0:
+        raise ValueError(f"L must be a positive real, got {given!r}")
     freq = grid.dual()
     if freq.half_extent[0] < L:
         raise ValueError(
@@ -236,7 +236,7 @@ def optimality_experiment(
     bound and sits near 52 for this bump, see the reports).
     """
     grid = OPTIMALITY_GRID if grid is None else grid
-    L_values = DEFAULT_SWEEPS["optimality"] if L_values is None else tuple(L_values)
+    L_values = _reals(DEFAULT_SWEEPS["optimality"] if L_values is None else L_values, "L_values")
     l2s, l1s, reports = [], [], []
     for L in L_values:
         f, g = optimality_family(grid, L)
@@ -296,14 +296,14 @@ def triangle_experiment(
     """
     grid = TRIANGLE_GRID if grid is None else grid
     family = edge_sign_flip if perturbation_family is None else perturbation_family
-    amplitudes = DEFAULT_SWEEPS["triangle"] if amplitudes is None else tuple(amplitudes)
+    amplitudes = DEFAULT_SWEEPS["triangle"] if amplitudes is None else amplitudes
     freq = grid.dual()
     fhat = triangle_spectrum(freq)
     f = inverse_transform(fhat)
     xi = freq.axis_coordinate(0)
     params, observables = [], []
-    for delta in amplitudes:
-        ghat = Spectrum(freq, family(xi, fhat.values, float(delta)))
+    for delta in _reals(amplitudes, "amplitudes"):
+        ghat = Spectrum(freq, family(xi, fhat.values, delta))
         g = inverse_transform(ghat)
         peak = np.abs(g.values).max(initial=0.0)
         odd = 0.5 * np.abs(g.values - _mirror(g.values)).max(initial=0.0)
@@ -337,15 +337,14 @@ def translation_experiment(
         f = gaussian(grid)
     elif f.grid.dimension != 1:
         raise ValueError("translation_experiment is one-dimensional")
-    epsilons = DEFAULT_SWEEPS["translation"] if epsilons is None else tuple(epsilons)
+    epsilons = _reals(DEFAULT_SWEEPS["translation"] if epsilons is None else epsilons, "epsilons")
     F = fourier_transform(f)
     xi = F.grid.axis_coordinate(0)
     vol = F.grid.cell_volume
     mags = np.abs(F.values)
     modulus_floor = 1e-10 * _lp_norm(mags, vol, 2.0)
-    params, observables = [], []
+    observables = []
     for eps in epsilons:
-        eps = float(eps)
         report = evaluate_theorem(f, shift(f, eps), 1.0)
         term = report.term_translation
         reference = 2.0 * _lp_norm(mags * np.sin(2.0 * np.pi * eps * xi), vol, 2.0)
@@ -358,9 +357,8 @@ def translation_experiment(
                 f"modulus term {report.term_modulus:.3e} nonzero under a pure shift at eps={eps}"
             )
         _require_certified(report, f"translation eps={eps}")
-        params.append(eps)
         observables.append(report.lhs)
-    return fit_scaling("translation", params, observables, expected_slope=1.0, slope_tolerance=0.05)
+    return fit_scaling("translation", epsilons, observables, expected_slope=1.0, slope_tolerance=0.05)
 
 
 def tail_experiment(
@@ -380,26 +378,24 @@ def tail_experiment(
     grid = TAIL_GRIDS[tp.n] if grid is None else grid
     if grid.dimension != tp.n:
         raise ValueError(f"grid dimension {grid.dimension} does not match n={tp.n}")
-    epsilons = DEFAULT_SWEEPS["tail"] if epsilons is None else tuple(epsilons)
+    epsilons = _reals(DEFAULT_SWEEPS["tail"] if epsilons is None else epsilons, "epsilons")
     rsq = np.zeros(grid.shape, dtype=float)
     for xi in grid.coordinate_grids():
         rsq = rsq + xi * xi
     mags = 1.0 / (1.0 + np.sqrt(rsq) ** tp.k)
     F = Spectrum(grid, mags)
     peak = float(mags.max())
-    params, observables = [], []
+    observables = []
     for eps in epsilons:
-        eps = float(eps)
         if _REGIME * eps >= peak:
             raise ValueError(
                 f"tail sweep point eps={eps!r}: 10 eps >= max|F| = {peak!r}, "
                 "so the sub-level set is the whole grid"
             )
-        params.append(eps)
         observables.append(spectral_tail(F, eps))
     return fit_scaling(
         f"tail_k{tp.k}_n{tp.n}",
-        params,
+        epsilons,
         observables,
         expected_slope=tp.expected_exponent,
         slope_tolerance=0.1,

@@ -25,7 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import _REGIME
+from .bounds import _REGIME, _check_epsilon
+from .grid import _index
 
 __all__ = [
     "Decomposition",
@@ -57,7 +58,7 @@ def lemma1_gap(w, z):
     if np.any(w <= 0.0) or not np.all(np.isfinite(w)):
         raise ValueError("w must be positive and finite (w = 0 is a degenerate rejection)")
     dist = np.abs(z - w)
-    if np.any(dist > 0.5 * w * (1.0 + _BOUNDARY_RTOL)):
+    if not np.all(dist <= 0.5 * w * (1.0 + _BOUNDARY_RTOL)):
         raise ValueError("inadmissible input: need |z - w| <= w/2")
     rhs = (w - np.abs(z)) ** 2 + 2.0 * (dist / w) * z.imag**2
     lhs = (w - z.real) ** 2
@@ -99,8 +100,10 @@ def lemma1_scan(radius_steps: int, angle_steps: int) -> Lemma1Scan:
     inequality would show up as a minimum below the rounding floor (about
     -1e-12); the scan is the oracle here, the claim is min >= 0.
     """
-    if radius_steps < 2 or angle_steps < 2:
-        raise ValueError("radius_steps and angle_steps must both be >= 2")
+    steps = _index(radius_steps), _index(angle_steps)
+    if None in steps or min(steps) < 2:
+        raise ValueError("radius_steps and angle_steps must both be integers >= 2")
+    radius_steps, angle_steps = steps
     r = np.linspace(0.0, 0.5, radius_steps)[:, None]
     theta = np.linspace(0.0, 2.0 * np.pi, angle_steps, endpoint=False)[None, :]
     z = 1.0 + r * np.exp(1j * theta)
@@ -109,8 +112,8 @@ def lemma1_scan(radius_steps: int, angle_steps: int) -> Lemma1Scan:
     return Lemma1Scan(
         min_gap=float(gap.reshape(-1)[flat]),
         argmin_z=complex(z.reshape(-1)[flat]),
-        radius_steps=int(radius_steps),
-        angle_steps=int(angle_steps),
+        radius_steps=radius_steps,
+        angle_steps=angle_steps,
     )
 
 
@@ -152,15 +155,13 @@ def pointwise_first_term_check(fhat_val, ghat_val, epsilon: float):
 
         |F - G|^2 <= (|F| - |G|)^2 + (6/5) Im(conj(F) G / |F|)^2.
     """
-    epsilon = float(epsilon)
-    if not epsilon > 0.0:
-        raise ValueError("epsilon must be positive")
+    epsilon = _check_epsilon(epsilon)
     F = np.asarray(fhat_val, dtype=complex)
     G = np.asarray(ghat_val, dtype=complex)
     magF = np.abs(F)
-    if np.any(magF < _REGIME * epsilon * (1.0 - _BOUNDARY_RTOL)):
+    if not np.all(magF >= _REGIME * epsilon * (1.0 - _BOUNDARY_RTOL)):
         raise ValueError("regime violation: need |fhat_val| >= 10 epsilon")
-    if np.any(np.abs(F - G) > epsilon * (1.0 + _BOUNDARY_RTOL)):
+    if not np.all(np.abs(F - G) <= epsilon * (1.0 + _BOUNDARY_RTOL)):
         raise ValueError("regime violation: need |fhat_val - ghat_val| <= epsilon")
     tangential = (np.conj(F) * G).imag / magF
     rhs = (magF - np.abs(G)) ** 2 + (6.0 / 5.0) * tangential**2

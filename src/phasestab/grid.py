@@ -68,6 +68,18 @@ def _real(value) -> float | None:
         return None
 
 
+def _reals(value, name: str, count: int | None = None) -> tuple[float, ...]:
+    """A finite real or a flat sequence of them, as floats; ``count`` per axis, or one for all."""
+    reals = tuple(map(_real, value)) if np.ndim(value) else (_real(value),)
+    if count is not None and len(reals) == 1:
+        reals *= count
+    if None in reals or not all(map(math.isfinite, reals)):
+        raise ValueError(f"{name} entries must be finite reals, got {value!r}")
+    if count not in (None, len(reals)):
+        raise ValueError(f"{name} must be a real or one value per axis, got {value!r}")
+    return reals
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Uniform sampling lattice on [-T, T)^n shared by space and frequency domains.
@@ -302,13 +314,7 @@ def shift(f: SampledFunction, offset) -> SampledFunction:
     """
     if not isinstance(f, SampledFunction):
         raise TypeError("shift expects a SampledFunction")
-    offsets = np.atleast_1d(np.asarray(offset, dtype=float))
-    if offsets.shape == (1,) and f.grid.dimension > 1:
-        offsets = np.repeat(offsets, f.grid.dimension)
-    if offsets.shape != (f.grid.dimension,):
-        raise ValueError(
-            f"offset must be a scalar or one value per axis, got shape {offsets.shape}"
-        )
+    offsets = _reals(offset, "offset", f.grid.dimension)
     spec = fourier_transform(f)
     phase = np.zeros((), dtype=float)
     for eps, xi in zip(offsets, spec.grid.coordinate_grids()):

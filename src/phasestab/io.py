@@ -100,13 +100,14 @@ def load_field(path: str | Path) -> SampledFunction | Spectrum:
         raise ValueError(f"{path}: invalid grid: {exc}") from exc
     samples = payload["values_re"], payload["values_im"]
     # numpy would parse "0.5" and take true as 1.0; null loads as NaN, refused below
-    if any(isinstance(s, list) and {str, bool} & set(map(type, s)) for s in samples):
+    json_numbers = {int, float, type(None)}
+    if not all(isinstance(s, list) and set(map(type, s)) <= json_numbers for s in samples):
         raise ValueError(f"{path}: values_re and values_im samples must be JSON numbers")
     try:
         re, im = (np.asarray(s, dtype=float) for s in samples)
     except OverflowError as exc:
         raise ValueError(f"{path}: a sample is out of the double range ({exc})") from exc
-    if re.shape != im.shape or re.ndim != 1:
+    if re.shape != im.shape:
         raise ValueError(f"{path}: values_re and values_im must be flat lists of equal length")
     if re.size != grid.size:
         raise ValueError(

@@ -1,4 +1,6 @@
+import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -293,6 +295,79 @@ _GRID_2D = GridSpec.uniform(2, 8.0, 16)
 def test_invalid_inputs_rejected(call, match):
     with pytest.raises(ValueError, match=match):
         call()
+
+
+_NOT_REALS = {"str": "1.0", "bool": True, "complex": 1j, "nan": math.nan}
+
+
+@pytest.mark.parametrize("name", ["center", "width"])
+@pytest.mark.parametrize(
+    "value",
+    [*_NOT_REALS.values(), [1.0, True], [1.0, 1.0, 1.0]],
+    ids=[*_NOT_REALS, "list-with-bool", "wrong-length"],
+)
+def test_gaussian_refuses_non_real_center_and_width(name, value):
+    # numpy would parse the string and take True as 1.0, also inside a list
+    with pytest.raises(ValueError, match=f"{name} .*got {re.escape(repr(value))}"):
+        gaussian(_GRID_2D, **{name: value})
+
+
+def test_gaussian_takes_ints_numpy_reals_and_one_value_per_axis(rng):
+    def values(center, width):
+        return gaussian(_GRID_2D, center=center, width=width).values
+
+    c, w = rng.uniform(-2.0, 2.0, 2), rng.uniform(0.5, 2.0, 2)
+    assert np.array_equal(values(c, w), values(tuple(c.tolist()), tuple(w.tolist())))
+    assert np.array_equal(values(1, 2), values((1.0, 1.0), (2.0, 2.0)))
+    assert np.array_equal(values([np.float64(0.5)], [1.5]), values((0.5, 0.5), (1.5, 1.5)))
+
+
+@pytest.mark.parametrize(
+    "L",
+    [*_NOT_REALS.values(), [True], [8.0]],
+    ids=[*_NOT_REALS, "list-with-bool", "list"],
+)
+def test_optimality_family_refuses_non_real_L(L):
+    with pytest.raises(ValueError, match=f"L must be a positive real, got {re.escape(repr(L))}"):
+        optimality_family(DEFAULT_GRID, L)
+
+
+def test_optimality_family_takes_ints_and_numpy_reals():
+    expected = optimality_family(DEFAULT_GRID, 8.0)[0].values
+    for L in (8, np.int64(8), np.float64(8.0)):
+        assert np.array_equal(optimality_family(DEFAULT_GRID, L)[0].values, expected)
+
+
+@pytest.mark.parametrize(
+    "run, name",
+    [
+        pytest.param(optimality_experiment, "L_values", id="optimality"),
+        pytest.param(lambda s: triangle_experiment(amplitudes=s), "amplitudes", id="triangle"),
+        pytest.param(lambda s: translation_experiment(epsilons=s), "epsilons", id="translation"),
+        pytest.param(lambda s: tail_experiment(2, 1, epsilons=s), "epsilons", id="tail"),
+    ],
+)
+@pytest.mark.parametrize(
+    "sweep",
+    [
+        ["1e-3", "2e-3", "3e-3", "4e-3"],
+        [1e-3, 2e-3, 3e-3, True],
+        [1e-3, 2e-3, 3e-3, 4e-3j],
+        [1e-3, 2e-3, 3e-3, math.nan],
+        [[1e-3, 2e-3], [3e-3, 4e-3]],
+    ],
+    ids=["str", "list-with-bool", "complex", "nan", "nested"],
+)
+def test_sweeps_refuse_non_real_points(run, name, sweep):
+    with pytest.raises(ValueError, match=f"{name} entries must be finite reals"):
+        run(sweep)
+
+
+def test_sweeps_take_numpy_arrays_and_ints():
+    eps = np.geomspace(1e-4, 1e-2, 9)
+    expected = tail_experiment(2, 1, epsilons=eps.tolist())
+    assert tail_experiment(2, 1, epsilons=eps) == expected
+    assert translation_experiment(epsilons=[0, 1e-3, 3e-3, 1e-2, 3e-2]).passed
 
 
 class TestCertificationFamilies:

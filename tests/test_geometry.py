@@ -1,4 +1,6 @@
 import cmath
+import math
+import re
 
 import numpy as np
 import pytest
@@ -68,6 +70,14 @@ class TestLemma1Gap:
         with pytest.raises(ValueError, match="inadmissible"):
             lemma1_gap(1.0, 0.4 + 0.2j)
 
+    @pytest.mark.parametrize(
+        "z", [complex("nan"), np.array([1.0, np.nan])], ids=["scalar", "array"]
+    )
+    def test_rejects_nan_z(self, z):
+        # every comparison with NaN is false, so the check must be written to fail on it
+        with pytest.raises(ValueError, match="inadmissible"):
+            lemma1_gap(1.0, z)
+
     def test_rejects_nonpositive_w(self):
         with pytest.raises(ValueError):
             lemma1_gap(0.0, 0.0 + 0j)
@@ -97,10 +107,13 @@ class TestLemma1Scan:
         assert np.isfinite(scan.min_gap)
         assert scan.min_gap >= -1e-12
 
-    @pytest.mark.parametrize("steps", [(1, 100), (100, 1), (0, 0)])
+    @pytest.mark.parametrize("steps", [(1, 100), (100, 1), (0, 0), (2.0, 3), (3, 2.5), (True, 3)])
     def test_invalid_steps_rejected(self, steps):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="integers >= 2"):
             lemma1_scan(*steps)
+
+    def test_numpy_integer_steps_accepted(self):
+        assert lemma1_scan(np.int64(3), np.int32(4)) == lemma1_scan(3, 4)
 
 
 class TestReducedPolynomial:
@@ -203,3 +216,24 @@ class TestPointwiseFirstTerm:
             pointwise_first_term_check(1.0, 0.8, 0.05)
         with pytest.raises(ValueError, match="positive"):
             pointwise_first_term_check(1.0, 1.0, 0.0)
+
+    @pytest.mark.parametrize(
+        "fhat_val, ghat_val, match",
+        [
+            (complex("nan"), 1.0, "10 epsilon"),
+            (1.0, complex("nan"), "<= epsilon"),
+            (np.array([1.0, np.nan]), 1.0, "10 epsilon"),
+        ],
+        ids=["nan-F", "nan-G", "nan-in-array"],
+    )
+    def test_nan_is_outside_the_regime(self, fhat_val, ghat_val, match):
+        with pytest.raises(ValueError, match=match):
+            pointwise_first_term_check(fhat_val, ghat_val, 0.05)
+
+    @pytest.mark.parametrize(
+        "eps", ["0.05", True, 0.05j, math.nan, [True], [0.05]],
+        ids=["str", "bool", "complex", "nan", "list-with-bool", "list"],
+    )
+    def test_non_real_epsilon_refused(self, eps):
+        with pytest.raises(ValueError, match=f"epsilon must be positive, got {re.escape(repr(eps))}"):
+            pointwise_first_term_check(1.0, 1.0, eps)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -14,6 +15,9 @@ from phasestab.grid import (
     lp_norm,
     shift,
 )
+
+
+_SMALL_2D = GridSpec.uniform(2, 8.0, 16)
 
 
 def indicator(grid, lo, hi):
@@ -397,3 +401,24 @@ class TestShift:
     def test_bad_offset_shape(self, grid_1d):
         with pytest.raises(ValueError):
             shift(gaussian(grid_1d), (1.0, 2.0))
+
+    @pytest.mark.parametrize(
+        "offset",
+        ["0.1", True, 0.1j, math.nan, [0.1, True], [0.1, 0.2, 0.3]],
+        ids=["str", "bool", "complex", "nan", "list-with-bool", "wrong-length"],
+    )
+    def test_non_real_offset_refused(self, offset):
+        # numpy would parse the string and take True as 1.0, also inside a list
+        with pytest.raises(ValueError, match=f"offset .*got {re.escape(repr(offset))}"):
+            shift(gaussian(_SMALL_2D), offset)
+
+    def test_real_offsets_accepted(self, rng):
+        f = gaussian(_SMALL_2D)
+        drawn = rng.uniform(-1.0, 1.0, 2)
+        for offset, same in [
+            (1, (1.0, 1.0)),
+            (np.float64(0.25), (0.25, 0.25)),
+            ([0.25], (0.25, 0.25)),
+            (drawn, tuple(drawn.tolist())),
+        ]:
+            assert np.array_equal(shift(f, offset).values, shift(f, same).values)

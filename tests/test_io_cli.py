@@ -198,6 +198,20 @@ class TestFieldFiles:
             pytest.param(
                 lambda p: {**p, "values_im": [0.0, 0.0, False, 0.0]}, "JSON numbers", id="im-bool"
             ),
+            # numpy would raise its own error, naming neither the file nor the field
+            pytest.param(
+                lambda p: {**p, "values_re": [{}, 0.0, 0.0, 0.0]}, "JSON numbers", id="re-object"
+            ),
+            pytest.param(
+                lambda p: {**p, "values_re": [[1.0], 0.0, 0.0, 0.0]}, "JSON numbers",
+                id="re-nested",
+            ),
+            pytest.param(lambda p: {**p, "values_re": "abc"}, "JSON numbers", id="re-not-a-list"),
+            pytest.param(lambda p: {**p, "values_im": None}, "JSON numbers", id="im-null"),
+            pytest.param(
+                lambda p: {**p, "values_im": [0.0] * 3}, "flat lists of equal length",
+                id="unequal-lengths",
+            ),
             # bad input, not an overflow of the bound
             pytest.param(
                 lambda p: {**p, "values_re": [10**400, 0, 0, 0]}, "out of the double range",
