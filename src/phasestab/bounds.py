@@ -215,9 +215,10 @@ def _pair(f, g, p: float, caller: str) -> _Pair:
     |f - g| and |F| are each computed once.  On grids of
     ``_CONCURRENT_SPECTRA_MIN_POINTS`` or more, G is transformed on a second
     thread while F is; each spectrum comes from the same code on the same
-    input either way, so the bits do not depend on the branch.  An lhs of 0
-    for f != g can only be underflow, and every other term then underflows
-    too, so it raises ArithmeticError rather than certify vacuously.
+    input either way, so the bits do not depend on the branch.  A pair with
+    f != g whose |f - g|_2^2 underflows below the smallest normal double
+    raises ArithmeticError: its reports would be checked with no significant
+    digits, and at lhs = 0 they would certify vacuously.
 
     No array is checked for inf or NaN: overflow is the reports' to refuse.
     f and g are finite by construction, so a non-finite sample of f - g is an
@@ -230,8 +231,13 @@ def _pair(f, g, p: float, caller: str) -> _Pair:
     space_volume = f.grid.cell_volume
     absdiff = np.abs(f.values - g.values)
     lhs = _lp_norm(absdiff, space_volume, 2.0)
-    if lhs == 0.0 and np.any(absdiff):
-        raise ArithmeticError(f"{caller}: |f - g|_2 is 0 although f != g (underflow)")
+    # sqrt(min) is 2^-511 exactly, so this is lhs**2 < min without the ** that
+    # raises OverflowError for a large lhs
+    if lhs < math.sqrt(sys.float_info.min) and np.any(absdiff):
+        raise ArithmeticError(
+            f"{caller}: |f - g|_2^2 = {lhs**2!r} is below the smallest normal double "
+            "although f != g (underflow), so the report has no significant digits"
+        )
     epsilon = _lp_norm(absdiff, space_volume, p)
     del absdiff
     if f.grid.size < _CONCURRENT_SPECTRA_MIN_POINTS:
@@ -328,20 +334,10 @@ def evaluate_theorem(
     p: float,
     zero_tol: float | None = None,
 ) -> BoundReport:
-    """Evaluate every term of the stability bound for (f, g) at exponent p.
-
-    A pair whose |f - g|_2^2 underflows below the smallest normal double
-    raises ArithmeticError: its squared form would be checked with no
-    significant digits.
-    """
+    """Evaluate every term of the stability bound for (f, g) at exponent p."""
     p = _check_p(p)
     pair = _pair(f, g, p, "evaluate_theorem")
     epsilon, lhs, magF = pair.epsilon, pair.lhs, pair.magF
-    if 0.0 < lhs and lhs**2 < sys.float_info.min:
-        raise ArithmeticError(
-            f"evaluate_theorem: |f - g|_2^2 = {lhs**2!r} is below the smallest normal "
-            "double (underflow), so the squared form has no significant digits"
-        )
     term_modulus = 2.0 * pair.modulus_l2
     tol = _default_tol(magF, zero_tol, "zero_tol")
     term_translation = _translation(pair.F, pair.G, magF, tol, pair.volume, out=pair.F)

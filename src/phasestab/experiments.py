@@ -25,6 +25,7 @@ masquerade as slope error.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import asdict, dataclass
 from typing import Callable, Sequence
 
@@ -40,7 +41,7 @@ from .bounds import (
     spectral_tail,
 )
 from .grid import GridSpec, SampledFunction, Spectrum, fourier_transform, inverse_transform
-from .grid import _lp_norm, _real, _reals, shift
+from .grid import _index, _lp_norm, _real, _reals, shift
 
 __all__ = [
     "ScalingResult",
@@ -127,11 +128,17 @@ def fit_scaling(
     Points with a non-positive parameter or observable (e.g. the exact-zero
     observable of an unperturbed pair) are excluded before fitting.
     """
+    expected, tolerance = _reals(
+        (expected_slope, slope_tolerance), f"{name}: expected_slope, slope_tolerance"
+    )
+    if tolerance < 0.0:
+        raise ValueError(f"{name}: slope_tolerance must be >= 0, got {slope_tolerance!r}")
     params, obs = [], []
-    for x, y in zip(parameters, observables, strict=True):
+    for point in zip(parameters, observables, strict=True):
+        x, y = _reals(point, f"{name}: sweep point")
         if x > 0 and y > 0:
-            params.append(float(x))
-            obs.append(float(y))
+            params.append(x)
+            obs.append(y)
     if len(params) < 4:
         raise ValueError(f"{name}: fewer than 4 positive sweep points remain for the fit")
     x, y = np.log(params), np.log(obs)
@@ -148,9 +155,9 @@ def fit_scaling(
         observable_values=tuple(obs),
         fitted_slope=fitted,
         slope_stderr=float(np.sqrt((1 - r**2) * ssym / ssxm / (len(x) - 2))),
-        expected_slope=float(expected_slope),
-        slope_tolerance=float(slope_tolerance),
-        passed=bool(abs(fitted - expected_slope) <= slope_tolerance),
+        expected_slope=expected,
+        slope_tolerance=tolerance,
+        passed=bool(abs(fitted - expected) <= tolerance),
     )
 
 
@@ -478,11 +485,11 @@ FAMILY_BUILDERS = {
 def iter_certification_pairs(
     count: int, rng: np.random.Generator | None = None, grid: GridSpec | None = None
 ):
-    """Yield ``count`` random (name, f, g) pairs cycling through all families."""
+    """An iterator over ``count`` random (name, f, g) pairs cycling through all families."""
+    total = _index(count)
+    if total is None or total < 0:
+        raise ValueError(f"count must be a nonnegative integer, got {count!r}")
     rng = np.random.default_rng(0) if rng is None else rng
     grid = DEFAULT_GRID if grid is None else grid
-    names = list(FAMILY_BUILDERS)
-    for i in range(count):
-        name = names[i % len(names)]
-        f, g = FAMILY_BUILDERS[name](rng, grid)
-        yield name, f, g
+    names = itertools.islice(itertools.cycle(FAMILY_BUILDERS), total)
+    return ((name, *FAMILY_BUILDERS[name](rng, grid)) for name in names)

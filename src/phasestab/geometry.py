@@ -21,6 +21,7 @@ All gap functions accept scalars or numpy arrays and broadcast.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -137,6 +138,8 @@ def decompose(fhat_val: complex, ghat_val: complex) -> Decomposition:
     is invariant under a joint rotation of both arguments, and
     ``b == Im(conj(fhat_val) ghat_val / |fhat_val|)`` exactly.
     """
+    if any(isinstance(v, bool) or not isinstance(v, numbers.Complex) for v in (fhat_val, ghat_val)):
+        raise ValueError(f"decompose expects two numbers, got {fhat_val!r} and {ghat_val!r}")
     fhat_val = complex(fhat_val)
     ghat_val = complex(ghat_val)
     mag = abs(fhat_val)

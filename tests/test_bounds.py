@@ -283,12 +283,13 @@ class TestEvaluateTheorem:
             evaluate_theorem(f, f, p)
 
     def test_subnormal_squared_distance_refused(self, grid_1d):
-        # lhs = 1.5e-161 > 0 but lhs**2 is subnormal; the corollary has no squared form
+        # lhs = 1.5e-161 > 0 but lhs**2 is subnormal, so no report has significant digits
         f = gaussian(grid_1d, amplitude=1e-160)
         g = shift(f, 0.1)
         with pytest.raises(ArithmeticError, match="underflow"):
             evaluate_theorem(f, g, 1.0)
-        assert is_certified(evaluate_corollary1(f, g))
+        with pytest.raises(ArithmeticError, match="underflow"):
+            evaluate_corollary1(f, g)
 
     def test_deterministic_reports(self, grid_1d):
         f = gaussian(grid_1d, center=0.3)
@@ -447,6 +448,29 @@ def test_squared_form_slack_matches_reference(pair, p, grid_1d):
     f, g = pair(grid_1d)
     rep = evaluate_theorem(f, g, p)
     assert rep.squared_form_slack == pytest.approx(_squared_form_slack_reference(f, g, p), rel=1e-9)
+
+
+@pytest.mark.parametrize(
+    "evaluate",
+    [
+        pytest.param(lambda f, g: evaluate_theorem(f, g, 1.0), id="theorem"),
+        pytest.param(evaluate_corollary1, id="corollary1"),
+    ],
+)
+@pytest.mark.parametrize(
+    "pair", [_shifted_pair, _signflip_bump_pair], ids=["shifted", "signflip-bump"]
+)
+def test_underflow_boundary_is_shared(pair, evaluate, grid_1d):
+    # |f - g|_2^2 is a normal double at 2^-508 and subnormal at 2^-510 on both
+    # pairs; above the subnormal range the scaling by 2^-k is exact
+    f, g = pair(grid_1d)
+
+    def scaled(k):
+        return (SampledFunction(h.grid, h.values * 2.0**-k) for h in (f, g))
+
+    assert is_certified(evaluate(*scaled(508)))
+    with pytest.raises(ArithmeticError, match="underflow"):
+        evaluate(*scaled(510))
 
 
 # ---------------------------------------------------------------------------

@@ -104,6 +104,26 @@ class TestFitScaling:
         assert res.slope_stderr == 0.0
         assert not res.passed
 
+    @pytest.mark.parametrize(
+        "expected, tolerance",
+        [
+            (True, True), ("1", 0.1), (1.0, "0.1"), (math.nan, 0.1), (math.inf, 0.1),
+            (1.0, -0.1), (1.0, math.inf),
+        ],
+    )
+    def test_slope_and_tolerance_must_be_finite_reals(self, expected, tolerance):
+        with pytest.raises(ValueError, match="demo: (expected_slope, )?slope_tolerance"):
+            fit_scaling("demo", [1, 2, 3, 4], [1, 2, 3, 4], expected, tolerance)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("column", ["parameter", "observable"])
+    def test_non_finite_point_rejected(self, column, bad):
+        # such a point is a numerical fault, not a point to drop or a slope failure
+        xs, ys = [1.0, 2.0, 3.0, 4.0, 5.0], [1.0, 2.0, 3.0, 4.0, 5.0]
+        (xs if column == "parameter" else ys)[2] = bad
+        with pytest.raises(ValueError, match="demo: sweep point"):
+            fit_scaling("demo", xs, ys, 1.0, 0.1)
+
 
 _IMPORT_CLI = "import sys, phasestab, phasestab.cli\n"
 
@@ -386,6 +406,16 @@ class TestCertificationFamilies:
             assert na == nb
             assert np.array_equal(fa.values, fb.values)
             assert np.array_equal(ga.values, gb.values)
+
+    @pytest.mark.parametrize("count", [True, 2.0, -1, "2"])
+    def test_count_must_be_a_nonnegative_integer(self, count):
+        with pytest.raises(ValueError, match="count must be a nonnegative integer"):
+            iter_certification_pairs(count)
+
+    def test_count_takes_numpy_integers_and_huge_counts(self):
+        assert [n for n, _, _ in iter_certification_pairs(np.int64(2))] == list(FAMILY_BUILDERS)[:2]
+        name, _, _ = next(iter_certification_pairs(2**62, np.random.default_rng(0), DEFAULT_GRID))
+        assert name == next(iter(FAMILY_BUILDERS))
 
     def test_experiment_pairs_certify_as_side_condition(self, rng):
         # spot check beyond the experiments' internal raising checks

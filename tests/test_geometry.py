@@ -152,6 +152,16 @@ class TestDecompose:
         with pytest.raises(ValueError, match="fhat_val != 0"):
             decompose(0.0, 1.0)
 
+    @pytest.mark.parametrize(
+        "fh, gh", [("1", "1+1j"), (1.0, "1"), (True, 1.0), (1.0, False), (1.0, None)]
+    )
+    def test_non_numbers_rejected(self, fh, gh):
+        with pytest.raises(ValueError, match="two numbers"):
+            decompose(fh, gh)
+
+    def test_numpy_scalars_accepted(self):
+        assert decompose(np.complex128(1j), np.float64(0.0)) == decompose(1j, 0.0)
+
     @given(
         fh=st.complex_numbers(min_magnitude=1e-3, max_magnitude=1e3, allow_nan=False, allow_infinity=False),
         gh=st.complex_numbers(max_magnitude=1e3, allow_nan=False, allow_infinity=False),

@@ -352,8 +352,9 @@ class TestCmdVerify:
             pytest.param(1e-170, ["verify", "--p", "1"], "underflow", id="verify-p1-1e-170"),
             pytest.param(1e-170, ["corollary1"], "underflow", id="corollary1-1e-170"),
             pytest.param(1e-300, ["verify", "--p", "1.5"], "underflow", id="verify-p1.5-1e-300"),
-            # an lhs > 0 whose square is subnormal, so the squared form has no significant digits
+            # an lhs > 0 whose square is subnormal, so no report has significant digits
             pytest.param(1e-160, ["verify", "--p", "1"], "underflow", id="verify-p1-1e-160"),
+            pytest.param(1e-160, ["corollary1"], "underflow", id="corollary1-1e-160"),
         ],
     )
     def test_overflow_is_numerical_error(self, amplitude, command, fragment, tmp_path, capsys):

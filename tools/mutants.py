@@ -71,6 +71,11 @@ MUTANTS = [
      "CERTIFICATION_RTOL = 1e-6", "CERTIFICATION_RTOL = 1e-2"),
     # the pair pass leaves overflow to the reports, so this is its only guard
     ("report refuses non-finite fields", None, "if bad:", "if False:"),
+    # the pair pass is the one owner of underflow, for both evaluators
+    ("pair pass refuses no underflow", "_pair",
+     "if lhs < math.sqrt(sys.float_info.min)", "if lhs < 0.0"),
+    ("pair pass refuses only lhs = 0", "_pair",
+     "if lhs < math.sqrt(sys.float_info.min)", "if lhs == 0.0"),
 ]
 
 
