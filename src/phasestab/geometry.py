@@ -21,6 +21,7 @@ All gap functions accept scalars or numpy arrays and broadcast.
 
 from __future__ import annotations
 
+import cmath
 import numbers
 from dataclasses import dataclass
 
@@ -134,12 +135,18 @@ class Decomposition:
 def decompose(fhat_val: complex, ghat_val: complex) -> Decomposition:
     """Resolve ``ghat_val - fhat_val`` along and across the direction of ``fhat_val``.
 
-    Rejects fhat_val = 0, where the frame direction is undefined.  The result
-    is invariant under a joint rotation of both arguments, and
+    Rejects NaN and infinite arguments, and fhat_val = 0, where the frame
+    direction is undefined.  The result is invariant under a joint rotation of
+    both arguments, and
     ``b == Im(conj(fhat_val) ghat_val / |fhat_val|)`` exactly.
     """
-    if any(isinstance(v, bool) or not isinstance(v, numbers.Complex) for v in (fhat_val, ghat_val)):
-        raise ValueError(f"decompose expects two numbers, got {fhat_val!r} and {ghat_val!r}")
+    if any(
+        isinstance(v, bool) or not isinstance(v, numbers.Complex) or not cmath.isfinite(v)
+        for v in (fhat_val, ghat_val)
+    ):
+        raise ValueError(
+            f"decompose expects two numbers, both finite, got {fhat_val!r} and {ghat_val!r}"
+        )
     fhat_val = complex(fhat_val)
     ghat_val = complex(ghat_val)
     mag = abs(fhat_val)

@@ -7,17 +7,24 @@ A field file is a single JSON object:
       "half_extent": [T, ...],
       "points_per_axis": [N, ...],
       "domain": "space" | "frequency",
-      "values_re": [...],
-      "values_im": [...]
+      "encoding": "f64le-base64",
+      "values_re": "<base64>",
+      "values_im": "<base64>"
     }
 
-with values (JSON numbers) in row-major order over zero-centered coordinates.
+with values in row-major order over zero-centered coordinates: each string is
+the standard base64 encoding of the little-endian float64 bytes of the real or
+imaginary parts, 8 bytes per sample.  This is exact for every double, signed
+zeros and subnormals included.  Files without an ``encoding`` key, whose
+``values_re`` and ``values_im`` are lists of JSON numbers, are the earlier form;
+``load_field`` reads both, ``save_field`` writes only the base64 form.
 ``domain`` selects whether the payload loads as a :class:`SampledFunction` or
 a :class:`Spectrum`.  Writers are atomic (temp file + rename).
 """
 
 from __future__ import annotations
 
+import base64
 import json
 import os
 from pathlib import Path
@@ -36,6 +43,7 @@ _REQUIRED_KEYS = (
     "values_re",
     "values_im",
 )
+_ENCODING = "f64le-base64"
 
 
 def write_text_atomic(path: str | Path, text: str) -> None:
@@ -58,6 +66,10 @@ def write_text_atomic(path: str | Path, text: str) -> None:
         raise
 
 
+def _encode(part: np.ndarray) -> str:
+    return base64.b64encode(np.ascontiguousarray(part, dtype="<f8").tobytes()).decode("ascii")
+
+
 def save_field(path: str | Path, field: SampledFunction | Spectrum) -> None:
     if isinstance(field, SampledFunction):
         domain = "space"
@@ -71,14 +83,47 @@ def save_field(path: str | Path, field: SampledFunction | Spectrum) -> None:
         "half_extent": list(field.grid.half_extent),
         "points_per_axis": list(field.grid.points_per_axis),
         "domain": domain,
-        "values_re": flat.real.tolist(),
-        "values_im": flat.imag.tolist(),
+        "encoding": _ENCODING,
+        "values_re": _encode(flat.real),
+        "values_im": _encode(flat.imag),
     }
     write_text_atomic(path, json.dumps(payload))
 
 
+def _decode_base64(path, samples) -> list[np.ndarray]:
+    if not all(isinstance(s, str) for s in samples):
+        raise ValueError(
+            f"{path}: with encoding {_ENCODING}, values_re and values_im must be strings"
+        )
+    parts = []
+    for s in samples:
+        try:
+            raw = base64.b64decode(s, validate=True)
+        except ValueError as exc:  # binascii.Error, or a non-ASCII character
+            raise ValueError(f"{path}: values_re or values_im is not valid base64 ({exc})") from exc
+        if len(raw) % 8:
+            raise ValueError(f"{path}: {len(raw)} bytes are not a whole number of float64 samples")
+        parts.append(np.frombuffer(raw, dtype="<f8"))
+    return parts
+
+
+def _decode_lists(path, samples) -> list[np.ndarray]:
+    # numpy would parse "0.5" and take true as 1.0; null loads as NaN, refused below
+    json_numbers = {int, float, type(None)}
+    if not all(isinstance(s, list) and set(map(type, s)) <= json_numbers for s in samples):
+        raise ValueError(f"{path}: values_re and values_im samples must be JSON numbers")
+    try:
+        return [np.asarray(s, dtype=float) for s in samples]
+    except OverflowError as exc:
+        raise ValueError(f"{path}: a sample is out of the double range ({exc})") from exc
+
+
 def load_field(path: str | Path) -> SampledFunction | Spectrum:
-    """Load a field file, validating shape, finiteness, and the domain tag."""
+    """Load a field file, validating shape, finiteness, and the domain tag.
+
+    Reads the base64 form and the earlier list form (no ``encoding`` key); both
+    load exactly, signed zeros included.
+    """
     try:
         with open(path) as handle:
             payload = json.load(handle)
@@ -99,22 +144,29 @@ def load_field(path: str | Path) -> SampledFunction | Spectrum:
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{path}: invalid grid: {exc}") from exc
     samples = payload["values_re"], payload["values_im"]
-    # numpy would parse "0.5" and take true as 1.0; null loads as NaN, refused below
-    json_numbers = {int, float, type(None)}
-    if not all(isinstance(s, list) and set(map(type, s)) <= json_numbers for s in samples):
-        raise ValueError(f"{path}: values_re and values_im samples must be JSON numbers")
-    try:
-        re, im = (np.asarray(s, dtype=float) for s in samples)
-    except OverflowError as exc:
-        raise ValueError(f"{path}: a sample is out of the double range ({exc})") from exc
+    if "encoding" not in payload:
+        re, im = _decode_lists(path, samples)
+    elif payload["encoding"] == _ENCODING:
+        re, im = _decode_base64(path, samples)
+    else:
+        raise ValueError(
+            f"{path}: unknown encoding {payload['encoding']!r}, expected {_ENCODING!r}"
+        )
     if re.shape != im.shape:
-        raise ValueError(f"{path}: values_re and values_im must be flat lists of equal length")
+        raise ValueError(
+            f"{path}: values_re and values_im must be flat lists of equal length, "
+            f"got {re.size} and {im.size} samples"
+        )
     if re.size != grid.size:
         raise ValueError(
             f"{path}: {re.size} values do not fill a grid with {grid.size} points"
         )
+    # re + 1j * im would turn a -0.0 imaginary part (and a -0.0 real part
+    # beside an imaginary part >= 0) into +0.0
+    values = np.empty(re.size, dtype=complex)
+    values.real, values.imag = re, im
     cls = SampledFunction if domain == "space" else Spectrum
     try:
-        return cls(grid, (re + 1j * im).reshape(grid.shape))
+        return cls(grid, values.reshape(grid.shape))
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc

@@ -153,7 +153,12 @@ class TestDecompose:
             decompose(0.0, 1.0)
 
     @pytest.mark.parametrize(
-        "fh, gh", [("1", "1+1j"), (1.0, "1"), (True, 1.0), (1.0, False), (1.0, None)]
+        "fh, gh",
+        [
+            ("1", "1+1j"), (1.0, "1"), (True, 1.0), (1.0, False), (1.0, None),
+            (math.nan, 1.0), (complex(math.inf, 0.0), 1.0), (1.0, math.inf),
+            (1.0, complex(0.0, math.nan)), (np.complex128(complex(1.0, -math.inf)), 1.0),
+        ],
     )
     def test_non_numbers_rejected(self, fh, gh):
         with pytest.raises(ValueError, match="two numbers"):

@@ -1,7 +1,10 @@
+import base64
 import dataclasses
 import json
+import math
 import os
 import stat
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +17,23 @@ from phasestab.grid import GridSpec, SampledFunction, Spectrum, inverse_transfor
 from phasestab.io import load_field, save_field, write_text_atomic
 
 GRID = GridSpec.uniform(1, 16.0, 1024)
+ENCODING = "f64le-base64"
+# written by the list-form save_field; load_field still reads that form
+LIST_FORM_FIXTURE = Path(__file__).parent / "data" / "field_list_form.json"
+
+
+def _b64(samples) -> str:
+    return base64.b64encode(np.asarray(samples, dtype="<f8").tobytes()).decode("ascii")
+
+
+def _samples(text: str) -> np.ndarray:
+    return np.frombuffer(base64.b64decode(text, validate=True), dtype="<f8").copy()
+
+
+def _as_list_form(payload: dict) -> dict:
+    """The same field in the list form: no encoding key, lists of JSON numbers."""
+    lists = {k: _samples(payload[k]).tolist() for k in ("values_re", "values_im")}
+    return {k: v for k, v in payload.items() if k != "encoding"} | lists
 
 
 @pytest.fixture
@@ -89,6 +109,7 @@ class TestFieldFiles:
             "half_extent",
             "points_per_axis",
             "domain",
+            "encoding",
             "values_re",
             "values_im",
         }
@@ -96,7 +117,43 @@ class TestFieldFiles:
         assert payload["dimension"] == 1
         assert payload["half_extent"] == [16.0]
         assert payload["points_per_axis"] == [1024]
-        assert len(payload["values_re"]) == 1024
+        assert payload["encoding"] == ENCODING
+        for key in ("values_re", "values_im"):
+            assert isinstance(payload[key], str)
+            assert len(base64.b64decode(payload[key], validate=True)) == 8 * 1024
+
+    @pytest.mark.parametrize("form", ["base64", "list"])
+    def test_signed_zeros_roundtrip(self, form, tmp_path):
+        # all four signed-zero combinations; np.array_equal takes -0.0 == 0.0
+        values = np.array(
+            [complex(0.0, 0.0), complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0)]
+        )
+        f = SampledFunction(GridSpec.uniform(1, 1.0, 4), values)
+        path = tmp_path / "zeros.json"
+        save_field(path, f)
+        if form == "list":
+            path.write_text(json.dumps(_as_list_form(json.loads(path.read_text()))))
+        assert load_field(path).values.tobytes() == f.values.tobytes()
+
+    def test_list_form_fixture(self):
+        expected = np.empty(8, dtype=complex)
+        expected.real = [0.0, -0.0, 1.5, -2.25, 5e-324, 2.2250738585072014e-308, 1e300, -0.1]
+        expected.imag = [-0.0, 0.0, -0.0, 4.9e-322, -5e-324, 1 / 3, -1e-300, 0.0]
+        assert "encoding" not in json.loads(LIST_FORM_FIXTURE.read_text())
+        loaded = load_field(LIST_FORM_FIXTURE)
+        assert isinstance(loaded, SampledFunction)
+        assert loaded.grid == GridSpec.uniform(1, 2.0, 8)
+        assert loaded.values.tobytes() == expected.tobytes()
+
+    def test_list_form_copy_loads_identically(self, tmp_path, grid_2d, rng):
+        values = rng.normal(size=grid_2d.shape) + 1j * rng.normal(size=grid_2d.shape)
+        values[0, :4] = [complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0), 5e-324j]
+        f = SampledFunction(grid_2d, values)
+        path, copy = tmp_path / "f.json", tmp_path / "f_list.json"
+        save_field(path, f)
+        copy.write_text(json.dumps(_as_list_form(json.loads(path.read_text()))))
+        for p in (path, copy):
+            assert load_field(p).values.tobytes() == f.values.tobytes()
 
     def test_missing_field(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -106,9 +163,15 @@ class TestFieldFiles:
 
     def test_nan_sample(self, tmp_path, gaussian_file):
         payload = json.loads(gaussian_file.read_text())
-        payload["values_re"][5] = None  # json null -> nan
+        re = _samples(payload["values_re"])
+        re[5] = math.nan
         bad = tmp_path / "nan.json"
-        bad.write_text(json.dumps(payload))
+        bad.write_text(json.dumps({**payload, "values_re": _b64(re)}))
+        with pytest.raises(ValueError, match="non-finite sample"):
+            load_field(bad)
+        lists = _as_list_form(payload)
+        lists["values_re"][5] = None  # json null -> nan
+        bad.write_text(json.dumps(lists))
         with pytest.raises(ValueError, match="non-finite sample"):
             load_field(bad)
 
@@ -217,6 +280,65 @@ class TestFieldFiles:
                 lambda p: {**p, "values_re": [10**400, 0, 0, 0]}, "out of the double range",
                 id="re-huge-int",
             ),
+            # the base64 form
+            # a decoder that skipped characters outside the alphabet would load these
+            pytest.param(
+                lambda p: {**p, "encoding": ENCODING, "values_re": _b64([0.0] * 4)[:8] + "@"
+                           + _b64([0.0] * 4)[8:], "values_im": _b64([0.0] * 4)},
+                "not valid base64", id="b64-outside-alphabet",
+            ),
+            pytest.param(
+                lambda p: {**p, "encoding": ENCODING, "values_re": _b64([0.0] * 4),
+                           "values_im": _b64([0.0] * 4)[:20] + "\n" + _b64([0.0] * 4)[20:]},
+                "not valid base64", id="b64-line-break",
+            ),
+            pytest.param(
+                lambda p: {**p, "encoding": ENCODING, "values_re": _b64([0.0] * 4),
+                           "values_im": "é" + _b64([0.0] * 4)[1:]},
+                "not valid base64", id="b64-non-ascii",
+            ),
+            pytest.param(
+                lambda p: {**p, "encoding": ENCODING, "values_re": _b64([0.0] * 4).rstrip("="),
+                           "values_im": _b64([0.0] * 4)},
+                "not valid base64", id="b64-bad-padding",
+            ),
+            pytest.param(
+                lambda p: {**p, "encoding": ENCODING, "values_re": _b64([0.0] * 4),
+                           "values_im": base64.b64encode(bytes(31)).decode()},
+                "31 bytes are not a whole number of float64 samples", id="b64-partial-sample",
+            ),
+            pytest.param(
+                lambda p: {**p, "encoding": ENCODING, "values_re": _b64([0.0] * 3),
+                           "values_im": _b64([0.0] * 3)},
+                "3 values do not fill a grid with 4 points", id="b64-too-few-values",
+            ),
+            pytest.param(
+                lambda p: {**p, "encoding": ENCODING, "values_re": _b64([0.0] * 4),
+                           "values_im": _b64([0.0] * 5)},
+                "flat lists of equal length", id="b64-unequal-lengths",
+            ),
+            pytest.param(
+                lambda p: {**p, "encoding": ENCODING, "values_re": _b64([0.0, math.nan, 0.0, 0.0]),
+                           "values_im": _b64([0.0] * 4)},
+                "non-finite sample", id="b64-nan",
+            ),
+            pytest.param(
+                lambda p: {**p, "encoding": ENCODING, "values_re": _b64([0.0] * 4),
+                           "values_im": _b64([0.0, 0.0, -math.inf, 0.0])},
+                "non-finite sample", id="b64-inf",
+            ),
+            pytest.param(
+                lambda p: {**p, "encoding": "f32le-base64", "values_re": _b64([0.0] * 4),
+                           "values_im": _b64([0.0] * 4)},
+                "unknown encoding 'f32le-base64'", id="unknown-encoding",
+            ),
+            pytest.param(
+                lambda p: {**p, "encoding": ENCODING}, "must be strings", id="encoding-with-lists"
+            ),
+            pytest.param(
+                lambda p: {**p, "values_re": _b64([0.0] * 4), "values_im": _b64([0.0] * 4)},
+                "JSON numbers", id="strings-without-encoding",
+            ),
         ],
     )
     def test_invalid_payload_is_input_error(self, change, fragment, tmp_path, capsys):
@@ -279,12 +401,16 @@ class TestCmdVerify:
 
     def test_nan_file_is_input_error(self, tmp_path, gaussian_file, capsys):
         payload = json.loads(gaussian_file.read_text())
-        payload["values_im"][0] = None
+        im = _samples(payload["values_im"])
+        im[0] = math.nan
+        lists = _as_list_form(payload)
+        lists["values_im"][0] = None
         bad = tmp_path / "nan.json"
-        bad.write_text(json.dumps(payload))
-        code = main(["verify", "--f", str(bad), "--g", str(gaussian_file), "--p", "1.0"])
-        assert code == 1
-        assert "non-finite sample" in capsys.readouterr().err
+        for bad_payload in ({**payload, "values_im": _b64(im)}, lists):
+            bad.write_text(json.dumps(bad_payload))
+            code = main(["verify", "--f", str(bad), "--g", str(gaussian_file), "--p", "1.0"])
+            assert code == 1
+            assert "non-finite sample" in capsys.readouterr().err
 
     def test_grid_mismatch_is_input_error(self, tmp_path, gaussian_file, capsys):
         other = tmp_path / "other.json"
