@@ -35,10 +35,11 @@ from .bounds import (
     _REGIME,
     CertificationError,
     TailParams,
+    _check_epsilon,
+    _sublevel_masses,
     evaluate_corollary1,
     evaluate_theorem,
     is_certified,
-    spectral_tail,
 )
 from .grid import GridSpec, SampledFunction, Spectrum, fourier_transform, inverse_transform
 from .grid import _index, _lp_norm, _real, _reals, shift
@@ -390,16 +391,16 @@ def tail_experiment(
     for xi in grid.coordinate_grids():
         rsq = rsq + xi * xi
     mags = 1.0 / (1.0 + np.sqrt(rsq) ** tp.k)
-    F = Spectrum(grid, mags)
     peak = float(mags.max())
-    observables = []
     for eps in epsilons:
         if _REGIME * eps >= peak:
             raise ValueError(
                 f"tail sweep point eps={eps!r}: 10 eps >= max|F| = {peak!r}, "
                 "so the sub-level set is the whole grid"
             )
-        observables.append(spectral_tail(F, eps))
+        _check_epsilon(eps)
+    # spectral_tail at each point, with |F|^2 formed once for the sweep
+    observables = _sublevel_masses(mags, grid.cell_volume, epsilons)
     return fit_scaling(
         f"tail_k{tp.k}_n{tp.n}",
         epsilons,

@@ -44,6 +44,10 @@ __all__ = [
 # boundary after rounding (e.g. polar points constructed at radius exactly w/2).
 _BOUNDARY_RTOL = 1e-13
 
+# Points per block of lemma1_gap: a block's operands (about 0.5 MB) stay in
+# cache between its passes.  On a 2.5M-point chunk 2^12 and 2^16 were slower.
+_BLOCK = 2**14
+
 
 def lemma1_gap(w, z):
     """Gap of the half-disk inequality: RHS - LHS, nonnegative when admissible.
@@ -54,17 +58,44 @@ def lemma1_gap(w, z):
 
     Both sides scale quadratically under (w, z) -> (lam w, lam z), so gaps for
     different w are comparable after dividing by w^2.
+
+    The gap is formed in blocks of ``_BLOCK`` points, with the formula's
+    elementwise operations in the order of one full-size pass, so every point
+    rounds as it would there.  Every point is checked before any gap is
+    formed, so an inadmissible point anywhere raises before any arithmetic
+    that could overflow.
     """
     w = np.asarray(w, dtype=float)
     z = np.asarray(z, dtype=complex)
     if np.any(w <= 0.0) or not np.all(np.isfinite(w)):
         raise ValueError("w must be positive and finite (w = 0 is a degenerate rejection)")
-    dist = np.abs(z - w)
-    if not np.all(dist <= 0.5 * w * (1.0 + _BOUNDARY_RTOL)):
-        raise ValueError("inadmissible input: need |z - w| <= w/2")
-    rhs = (w - np.abs(z)) ** 2 + 2.0 * (dist / w) * z.imag**2
-    lhs = (w - z.real) ** 2
-    gap = rhs - lhs
+    shape = np.broadcast_shapes(w.shape, z.shape)
+    w = np.broadcast_to(w, shape).reshape(-1)
+    z = np.broadcast_to(z, shape).reshape(-1)
+    gap = np.empty(shape)
+    out = gap.reshape(-1)
+    starts = range(0, out.size, _BLOCK)
+    diff = np.empty(min(out.size, _BLOCK), dtype=complex)
+    for start in starts:
+        s = slice(start, start + _BLOCK)
+        wb, dist = w[s], out[s]
+        np.abs(np.subtract(z[s], wb, out=diff[: dist.size]), out=dist)
+        if not np.all(dist <= 0.5 * wb * (1.0 + _BOUNDARY_RTOL)):
+            raise ValueError("inadmissible input: need |z - w| <= w/2")
+    buf = np.empty_like(diff, dtype=float)
+    for start in starts:
+        s = slice(start, start + _BLOCK)
+        wb, zb, rhs = w[s], z[s], out[s]
+        tmp = buf[: rhs.size]
+        # rhs = (w - |z|)^2 + 2 (dist / w) (Im z)^2, built over dist
+        np.divide(rhs, wb, out=rhs)
+        np.multiply(2.0, rhs, out=rhs)
+        np.multiply(rhs, np.square(zb.imag, out=tmp), out=rhs)
+        np.subtract(wb, np.abs(zb, out=tmp), out=tmp)
+        np.add(np.square(tmp, out=tmp), rhs, out=rhs)
+        # gap = rhs - (w - Re z)^2
+        np.subtract(wb, zb.real, out=tmp)
+        np.subtract(rhs, np.square(tmp, out=tmp), out=rhs)
     return gap if gap.ndim else float(gap)
 
 

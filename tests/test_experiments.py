@@ -9,11 +9,12 @@ import numpy as np
 import pytest
 
 import phasestab
-from phasestab.bounds import evaluate_theorem
+from phasestab.bounds import evaluate_theorem, spectral_tail
 from phasestab.experiments import (
     DEFAULT_GRID,
     DEFAULT_SWEEPS,
     FAMILY_BUILDERS,
+    TAIL_GRIDS,
     ScalingResult,
     edge_sign_flip,
     fit_scaling,
@@ -286,6 +287,41 @@ class TestTailExperiment:
         # 10 eps >= max|F| = 1 puts the whole grid in the sub-level set (ties in)
         with pytest.raises(ValueError, match=f"eps={eps!r}.*whole grid"):
             tail_experiment(2, 1, epsilons=[1e-3, 2e-3, 3e-3, eps])
+
+    @pytest.mark.parametrize("order", ["default", "descending", "shuffled"])
+    @pytest.mark.parametrize("k,n", [(2, 1), (4, 1), (3, 2)])
+    def test_sweep_masses_are_spectral_tail(self, k, n, order):
+        # one |F|^2 for the whole sweep gives spectral_tail's bits at every point
+        eps = list(DEFAULT_SWEEPS["tail"])
+        if order == "descending":
+            eps.reverse()
+        elif order == "shuffled":
+            eps = [eps[i] for i in (4, 0, 8, 2, 6, 1, 7, 3, 5)]
+        grid = TAIL_GRIDS[n]
+        rsq = np.zeros(grid.shape)
+        for xi in grid.coordinate_grids():
+            rsq = rsq + xi * xi
+        F = Spectrum(grid, 1.0 / (1.0 + np.sqrt(rsq) ** k))
+        res = tail_experiment(k, n, epsilons=eps)
+        assert res.parameter_values == tuple(eps)
+        assert res.observable_values == tuple(spectral_tail(F, e) for e in eps)
+
+    @pytest.mark.parametrize("eps", [0.0, -1e-3])
+    def test_nonpositive_sweep_point_gets_spectral_tail_message(self, eps):
+        with pytest.raises(ValueError) as expected:
+            spectral_tail(triangle_spectrum(GridSpec.uniform(1, 1.0, 64)), eps)
+        with pytest.raises(ValueError) as got:
+            tail_experiment(2, 1, epsilons=[1e-3, 2e-3, 3e-3, eps])
+        assert str(got.value) == str(expected.value)
+
+    @pytest.mark.parametrize(
+        "sweep, match",
+        [([1e-3, 0.5, -1e-3, 2e-3], "whole grid"), ([1e-3, -1e-3, 0.5, 2e-3], "positive")],
+    )
+    def test_first_bad_sweep_point_names_the_refusal(self, sweep, match):
+        # every point is checked in sweep order, as when each went to spectral_tail
+        with pytest.raises(ValueError, match=match):
+            tail_experiment(2, 1, epsilons=sweep)
 
 
 _GRID_2D = GridSpec.uniform(2, 8.0, 16)

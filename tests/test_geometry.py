@@ -1,12 +1,14 @@
 import cmath
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from phasestab.geometry import (
+    _BLOCK,
     decompose,
     lemma1_gap,
     lemma1_reduced_polynomial,
@@ -89,6 +91,77 @@ class TestLemma1Gap:
         gaps = lemma1_gap(1.0, z)
         assert gaps.shape == (3,)
         assert np.all(gaps >= -1e-12)
+
+
+def gap_unblocked(w, z):
+    """lemma1_gap's formula in one full-size pass per operation, unchecked."""
+    w = np.asarray(w, dtype=float)
+    z = np.asarray(z, dtype=complex)
+    dist = np.abs(z - w)
+    rhs = (w - np.abs(z)) ** 2 + 2.0 * (dist / w) * z.imag**2
+    return rhs - (w - z.real) ** 2
+
+
+def admissible_points(rng, size):
+    """``size`` random (w, z) with |z - w| <= w/2, as the criterion-1 check draws them."""
+    w = rng.uniform(0.05, 5.0, size)
+    rho = 0.5 * np.sqrt(rng.uniform(0.0, 1.0, size))
+    return w, w * (1.0 + rho * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size)))
+
+
+class TestLemma1GapBlocks:
+    """lemma1_gap works in blocks of _BLOCK points; its bytes are the unblocked pass's."""
+
+    @pytest.mark.parametrize("size", [0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 7])
+    def test_bytes_match_unblocked_pass(self, rng, size):
+        w, z = admissible_points(rng, size)
+        got = lemma1_gap(w, z)
+        assert got.shape == (size,)
+        assert got.tobytes() == gap_unblocked(w, z).tobytes()
+
+    @pytest.mark.parametrize(
+        "w_shape, z_shape", [((), (131, 127)), ((131, 127), ()), ((131, 1), (1, 127))]
+    )
+    def test_broadcast_bytes_match_unblocked_pass(self, rng, w_shape, z_shape):
+        # 131 * 127 points span two blocks; w in [1, 1.5] keeps every z within w/2
+        w = rng.uniform(1.0, 1.5, w_shape)
+        z = 1.2 + 0.3j + 0.05 * (rng.uniform(-1, 1, z_shape) + 1j * rng.uniform(-1, 1, z_shape))
+        got = lemma1_gap(w, z)
+        assert got.shape == (131, 127)
+        assert got.tobytes() == gap_unblocked(w, z).tobytes()
+
+    def test_zero_dimensional_input_returns_python_float(self):
+        got = lemma1_gap(np.float64(1.0), np.complex128(1.2 + 0.3j))
+        assert type(got) is float
+        assert got == float(gap_unblocked(1.0, 1.2 + 0.3j))
+
+    def test_inadmissible_point_in_last_block_rejected(self, rng):
+        w, z = admissible_points(rng, 2 * _BLOCK + 5)
+        z[-1] = 1.6 * w[-1]
+        with pytest.raises(ValueError, match="inadmissible"):
+            lemma1_gap(w, z)
+
+    def test_w_message_precedes_distance_violation(self, rng):
+        w, z = admissible_points(rng, 2 * _BLOCK + 5)
+        z[0] = 1.6 * w[0]
+        w[-1] = 0.0
+        with pytest.raises(ValueError, match="w must be positive"):
+            lemma1_gap(w, z)
+
+    def test_no_gap_formed_before_every_block_is_checked(self, rng):
+        # the gap at w = 1e300 overflows; forming it before the NaN in a later
+        # block is checked would warn (an error in this suite) instead of refusing
+        w, z = admissible_points(rng, 2 * _BLOCK + 5)
+        w[0], z[0] = 1e300, 1e300 * (1.2 + 0.3j)
+        z[-1] = complex("nan")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="inadmissible"):
+                lemma1_gap(w, z)
+
+    def test_shapes_that_do_not_broadcast_rejected(self):
+        with pytest.raises(ValueError):
+            lemma1_gap(np.ones(3), np.ones(4, dtype=complex))
 
 
 class TestLemma1Scan:

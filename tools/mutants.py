@@ -1,10 +1,11 @@
-"""Run the tier-1 suite against one-token mutants of ``src/phasestab/bounds.py``.
+"""Run the tier-1 suite against one-token mutants of the library.
 
-Each mutant edits one constant or operator of the bound.  It is applied to a
-fresh copy of ``src/``, ``tests/`` and ``pyproject.toml`` in a temporary
-directory, never to the working tree, and tier-1 runs in that copy with
-``-x``.  A mutant that passes tier-1 survives.  The unmutated copy runs
-first and must pass.
+Each mutant edits one constant, operator or loop bound in one file: the
+bound in ``src/phasestab/bounds.py`` or the blocked half-disk gap in
+``src/phasestab/geometry.py``.  It is applied to a fresh copy of ``src/``,
+``tests/`` and ``pyproject.toml`` in a temporary directory, never to the
+working tree, and tier-1 runs in that copy with ``-x``.  A mutant that
+passes tier-1 survives.  The unmutated copy runs first and must pass.
 
     python tools/mutants.py
 
@@ -23,12 +24,13 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-TARGET = Path("src/phasestab/bounds.py")
+BOUNDS = Path("src/phasestab/bounds.py")
+GEOMETRY = Path("src/phasestab/geometry.py")
 COPIED = ("src", "tests", "pyproject.toml")
 
 # (name, the function whose body holds the edit or None for the module, old, new);
-# ``old`` must occur exactly once in that scope.
-MUTANTS = [
+# ``old`` must occur exactly once in that scope of the mutant's file.
+BOUNDS_MUTANTS = [
     ("theorem modulus 2 -> 1.5", "evaluate_theorem",
      "term_modulus = 2.0 *", "term_modulus = 1.5 *"),
     ("theorem modulus 2 -> 3", "evaluate_theorem",
@@ -41,8 +43,11 @@ MUTANTS = [
      "(x if p > 1.0 else 0.0)", "(0.5 * x if p > 1.0 else 0.0)"),
     ("regime factor 10 -> 5, at every site", None,
      "_REGIME = 10.0", "_REGIME = 5.0"),
-    ("sub-level ties: <= -> <", "_sublevel_mass",
-     "mags > _REGIME * x", "mags >= _REGIME * x"),
+    ("sub-level ties: <= -> <", "_sublevel_masses",
+     "mags > _REGIME * xs[i]", "mags >= _REGIME * xs[i]"),
+    # each threshold's zeroed set must hold the one before it
+    ("sub-level thresholds taken in ascending order", "_sublevel_masses",
+     "reverse=True", "reverse=False"),
     ("translation 2 -> 1.5", "_translation",
      "return 2.0 *", "return 1.5 *"),
     ("corollary translation 2 -> 1", "evaluate_corollary1",
@@ -77,6 +82,16 @@ MUTANTS = [
     ("pair pass refuses only lhs = 0", "_pair",
      "if lhs < math.sqrt(sys.float_info.min)", "if lhs == 0.0"),
 ]
+GEOMETRY_MUTANTS = [
+    ("lemma1_gap skips the last partial block", "lemma1_gap",
+     "starts = range(0, out.size, _BLOCK)", "starts = range(0, out.size - _BLOCK + 1, _BLOCK)"),
+    ("lemma1_gap checks only the first block", "lemma1_gap",
+     "if not np.all(dist <=", "if start == 0 and not np.all(dist <="),
+]
+# (name, the file, scope, old, new)
+MUTANTS = [(name, BOUNDS, *edit) for name, *edit in BOUNDS_MUTANTS] + [
+    (name, GEOMETRY, *edit) for name, *edit in GEOMETRY_MUTANTS
+]
 
 
 def mutate(source: str, scope: str | None, old: str, new: str) -> str:
@@ -98,8 +113,9 @@ def mutate(source: str, scope: str | None, old: str, new: str) -> str:
     return "".join(lines[:start]) + body.replace(old, new) + "".join(lines[end:])
 
 
-def run_tier1(source: str) -> tuple[int, str]:
-    """Tier-1's exit code and output on a copy of the tree with ``source`` as bounds.py."""
+def run_tier1(target: Path | None = None, source: str = "") -> tuple[int, str]:
+    """Tier-1's exit code and output on a copy of the tree, with ``source`` as
+    ``target`` when one is given."""
     with tempfile.TemporaryDirectory(prefix="phasestab-mutant-") as tmp:
         tree = Path(tmp)
         for name in COPIED:
@@ -108,7 +124,8 @@ def run_tier1(source: str) -> tuple[int, str]:
                 shutil.copytree(src, tree / name, ignore=shutil.ignore_patterns("__pycache__"))
             else:
                 shutil.copy2(src, tree / name)
-        (tree / TARGET).write_text(source)
+        if target is not None:
+            (tree / target).write_text(source)
         pythonpath = os.pathsep.join(filter(None, [str(tree / "src"), os.environ.get("PYTHONPATH")]))
         env = dict(os.environ, PYTHONPATH=pythonpath, PYTHONDONTWRITEBYTECODE="1")
         where = subprocess.run(
@@ -130,19 +147,20 @@ def first_failure(output: str) -> str:
 
 
 def main() -> int:
-    source = (ROOT / TARGET).read_text()
-    try:
-        mutants = [(name, mutate(source, scope, old, new)) for name, scope, old, new in MUTANTS]
-    except LookupError as exc:
-        print(f"a mutant no longer matches {TARGET}: {exc}", file=sys.stderr)
-        return 2
-    code, output = run_tier1(source)
+    mutants = []
+    for name, target, scope, old, new in MUTANTS:
+        try:
+            mutants.append((name, target, mutate((ROOT / target).read_text(), scope, old, new)))
+        except LookupError as exc:
+            print(f"a mutant no longer matches {target}: {exc}", file=sys.stderr)
+            return 2
+    code, output = run_tier1()
     if code != 0:
         print(f"the unmutated copy fails tier-1 (exit {code}):\n{output}", file=sys.stderr)
         return 1
     survivors = []
-    for name, mutant in mutants:
-        code, output = run_tier1(mutant)
+    for name, target, mutant in mutants:
+        code, output = run_tier1(target, mutant)
         if code == 0:
             survivors.append(name)
             print(f"SURVIVED  {name}", flush=True)
