@@ -21,22 +21,17 @@ All gap functions accept scalars or numpy arrays and broadcast.
 
 from __future__ import annotations
 
-import cmath
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .bounds import _REGIME, _check_epsilon
-from .grid import _index
+from .grid import MAX_TOTAL_POINTS, _index
 
 __all__ = [
-    "Decomposition",
     "Lemma1Scan",
     "lemma1_gap",
     "lemma1_scan",
-    "lemma1_reduced_polynomial",
-    "decompose",
     "pointwise_first_term_check",
 ]
 
@@ -99,23 +94,6 @@ def lemma1_gap(w, z):
     return gap if gap.ndim else float(gap)
 
 
-def lemma1_reduced_polynomial(x, y):
-    """Factored form (divided by y^2) of the squared half-disk inequality at w = 1.
-
-    With z = (1 + x) + i y, the inequality reduces to the nonnegativity of
-
-        y^2 + 8 sqrt(x^2+y^2) + 4x + 4 x^2 y^2 + 8x sqrt(x^2+y^2) + 4 y^2 sqrt(x^2+y^2)
-
-    on the disk x^2 + y^2 <= 1/4.  Exposed so the reduction itself can be
-    scanned independently of :func:`lemma1_gap`.
-    """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    r = np.sqrt(x * x + y * y)
-    val = y * y + 8.0 * r + 4.0 * x + 4.0 * x * x * y * y + 8.0 * x * r + 4.0 * y * y * r
-    return val if val.ndim else float(val)
-
-
 @dataclass(frozen=True)
 class Lemma1Scan:
     """Brute-force minimum of the half-disk gap over a polar grid at w = 1."""
@@ -137,6 +115,8 @@ def lemma1_scan(radius_steps: int, angle_steps: int) -> Lemma1Scan:
     if None in steps or min(steps) < 2:
         raise ValueError("radius_steps and angle_steps must both be integers >= 2")
     radius_steps, angle_steps = steps
+    if radius_steps * angle_steps > MAX_TOTAL_POINTS:
+        raise ValueError(f"radius_steps * angle_steps exceeds the supported limit {MAX_TOTAL_POINTS}")
     r = np.linspace(0.0, 0.5, radius_steps)[:, None]
     theta = np.linspace(0.0, 2.0 * np.pi, angle_steps, endpoint=False)[None, :]
     z = 1.0 + r * np.exp(1j * theta)
@@ -148,43 +128,6 @@ def lemma1_scan(radius_steps: int, angle_steps: int) -> Lemma1Scan:
         radius_steps=radius_steps,
         angle_steps=angle_steps,
     )
-
-
-@dataclass(frozen=True)
-class Decomposition:
-    """Components of G - F in the orthonormal frame (F/|F|, iF/|F|).
-
-    ``a`` is the radial part (visible in the modulus |G| - |F| to first
-    order), ``b`` the tangential part (the direction a translation pushes the
-    spectrum value).  Always sqrt(a^2 + b^2) = |F - G|.
-    """
-
-    a: float
-    b: float
-
-
-def decompose(fhat_val: complex, ghat_val: complex) -> Decomposition:
-    """Resolve ``ghat_val - fhat_val`` along and across the direction of ``fhat_val``.
-
-    Rejects NaN and infinite arguments, and fhat_val = 0, where the frame
-    direction is undefined.  The result is invariant under a joint rotation of
-    both arguments, and
-    ``b == Im(conj(fhat_val) ghat_val / |fhat_val|)`` exactly.
-    """
-    if any(
-        isinstance(v, bool) or not isinstance(v, numbers.Complex) or not cmath.isfinite(v)
-        for v in (fhat_val, ghat_val)
-    ):
-        raise ValueError(
-            f"decompose expects two numbers, both finite, got {fhat_val!r} and {ghat_val!r}"
-        )
-    fhat_val = complex(fhat_val)
-    ghat_val = complex(ghat_val)
-    mag = abs(fhat_val)
-    if mag == 0.0:
-        raise ValueError("decompose requires fhat_val != 0 (direction undefined)")
-    c = (fhat_val.conjugate() / mag) * (ghat_val - fhat_val)
-    return Decomposition(a=c.real, b=c.imag)
 
 
 def pointwise_first_term_check(fhat_val, ghat_val, epsilon: float):

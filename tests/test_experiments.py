@@ -15,6 +15,7 @@ from phasestab.experiments import (
     DEFAULT_SWEEPS,
     FAMILY_BUILDERS,
     TAIL_GRIDS,
+    TRIANGLE_GRID,
     ScalingResult,
     edge_sign_flip,
     fit_scaling,
@@ -199,24 +200,21 @@ class TestTriangleExperiment:
         assert res.passed
 
     def test_unperturbed_amplitude_is_excluded(self):
-        # delta = 0 leaves g = f; its zero observable must drop out of the fit
-        deltas = [0.0] + list(DEFAULT_SWEEPS["triangle"])
-
-        def family(xi, fhat, delta):
-            if delta == 0.0:
-                return fhat.copy()
-            return edge_sign_flip(xi, fhat, delta)
-
-        res = triangle_experiment(perturbation_family=family, amplitudes=deltas)
+        # delta = 0 leaves g = f, silently; its zero observable must drop out of the fit
+        res = triangle_experiment(amplitudes=[0.0, *DEFAULT_SWEEPS["triangle"]])
         assert len(res.parameter_values) == len(DEFAULT_SWEEPS["triangle"])
         assert res.passed
 
-    def test_odd_perturbation_rejected(self):
-        def odd_family(xi, fhat, delta):
-            return fhat + delta * np.sin(np.pi * xi) * np.exp(-(xi**2))
-
-        with pytest.raises(ValueError, match="even"):
-            triangle_experiment(perturbation_family=odd_family, amplitudes=[0.02, 0.03, 0.04, 0.05])
+    @pytest.mark.parametrize("delta", DEFAULT_SWEEPS["triangle"])
+    def test_perturbation_is_real_and_even(self, delta):
+        # odd and imaginary parts of g stay within 1e-8 of its peak
+        freq = TRIANGLE_GRID.dual()
+        fhat = triangle_spectrum(freq)
+        g = inverse_transform(Spectrum(freq, edge_sign_flip(freq.axis_coordinate(0), fhat.values, delta)))
+        peak = np.abs(g.values).max()
+        mirrored = np.roll(g.values[::-1], 1)  # x_j -> -x_j is index j -> (N - j) mod N
+        assert 0.5 * np.abs(g.values - mirrored).max() <= 1e-8 * peak
+        assert np.abs(g.values.imag).max() <= 1e-8 * peak
 
     def test_h_regime_filter(self):
         # amplitudes far beyond the power regime leave < 4 fit points

@@ -7,11 +7,10 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from phasestab import geometry
 from phasestab.geometry import (
     _BLOCK,
-    decompose,
     lemma1_gap,
-    lemma1_reduced_polynomial,
     lemma1_scan,
     pointwise_first_term_check,
 )
@@ -188,91 +187,17 @@ class TestLemma1Scan:
     def test_numpy_integer_steps_accepted(self):
         assert lemma1_scan(np.int64(3), np.int32(4)) == lemma1_scan(3, 4)
 
+    @pytest.mark.parametrize("steps", [(2**13, 2**13 + 1), (100_000, 100_000), (2, 2**25 + 1)])
+    def test_oversized_scan_rejected(self, steps):
+        with pytest.raises(ValueError, match=f"exceeds the supported limit {2**26}"):
+            lemma1_scan(*steps)
 
-class TestReducedPolynomial:
-    def test_nonnegative_on_quarter_disk(self):
-        x = np.linspace(-0.5, 0.5, 801)[:, None]
-        y = np.linspace(-0.5, 0.5, 801)[None, :]
-        inside = x**2 + y**2 <= 0.25
-        vals = lemma1_reduced_polynomial(np.broadcast_to(x, inside.shape), np.broadcast_to(y, inside.shape))
-        assert vals[inside].min() >= -1e-15
-
-    def test_matches_gap_reconstruction(self):
-        # multiplying the reduced polynomial back by y^2 gives the gap of the
-        # squared-and-factored inequality; spot check sign consistency
-        for x, y in [(0.1, 0.2), (-0.2, 0.3), (0.0, 0.5), (0.3, -0.1)]:
-            if x**2 + y**2 <= 0.25:
-                assert lemma1_reduced_polynomial(x, y) >= 0.0
-
-
-class TestDecompose:
-    def test_equal_inputs(self):
-        d = decompose(1.0, 1.0)
-        assert (d.a, d.b) == (0.0, 0.0)
-
-    def test_reference_value(self):
-        d = decompose(1.0, 0.9 + 0.05j)
-        assert d.a == pytest.approx(-0.1, abs=1e-15)
-        assert d.b == pytest.approx(0.05, abs=1e-15)
-
-    def test_joint_rotation_invariance_example(self):
-        d0 = decompose(1.0, 0.9 + 0.05j)
-        d1 = decompose(1j, 1j * (0.9 + 0.05j))
-        assert d1.a == pytest.approx(d0.a, abs=1e-15)
-        assert d1.b == pytest.approx(d0.b, abs=1e-15)
-
-    def test_zero_direction_rejected(self):
-        with pytest.raises(ValueError, match="fhat_val != 0"):
-            decompose(0.0, 1.0)
-
-    @pytest.mark.parametrize(
-        "fh, gh",
-        [
-            ("1", "1+1j"), (1.0, "1"), (True, 1.0), (1.0, False), (1.0, None),
-            (math.nan, 1.0), (complex(math.inf, 0.0), 1.0), (1.0, math.inf),
-            (1.0, complex(0.0, math.nan)), (np.complex128(complex(1.0, -math.inf)), 1.0),
-        ],
-    )
-    def test_non_numbers_rejected(self, fh, gh):
-        with pytest.raises(ValueError, match="two numbers"):
-            decompose(fh, gh)
-
-    def test_numpy_scalars_accepted(self):
-        assert decompose(np.complex128(1j), np.float64(0.0)) == decompose(1j, 0.0)
-
-    @given(
-        fh=st.complex_numbers(min_magnitude=1e-3, max_magnitude=1e3, allow_nan=False, allow_infinity=False),
-        gh=st.complex_numbers(max_magnitude=1e3, allow_nan=False, allow_infinity=False),
-    )
-    def test_reconstruction_identity(self, fh, gh):
-        d = decompose(fh, gh)
-        assert np.hypot(d.a, d.b) == pytest.approx(abs(fh - gh), rel=1e-12, abs=1e-300)
-
-    @given(
-        fh=st.complex_numbers(min_magnitude=1e-3, max_magnitude=1e3, allow_nan=False, allow_infinity=False),
-        gh=st.complex_numbers(max_magnitude=1e3, allow_nan=False, allow_infinity=False),
-        theta=st.floats(min_value=0.0, max_value=2 * np.pi),
-    )
-    def test_rotation_equivariance(self, fh, gh, theta):
-        # rotating the inputs quantizes them at magnitude |fh|, |gh|; that is
-        # the rounding floor of the comparison
-        rot = cmath.exp(1j * theta)
-        d0 = decompose(fh, gh)
-        d1 = decompose(rot * fh, rot * gh)
-        tol = 1e-13 * (abs(fh) + abs(gh))
-        assert d1.a == pytest.approx(d0.a, abs=tol)
-        assert d1.b == pytest.approx(d0.b, abs=tol)
-
-    @given(
-        fh=st.complex_numbers(min_magnitude=1e-3, max_magnitude=1e3, allow_nan=False, allow_infinity=False),
-        gh=st.complex_numbers(max_magnitude=1e3, allow_nan=False, allow_infinity=False),
-    )
-    def test_b_is_the_translation_integrand(self, fh, gh):
-        # Im(conj(fh) fh) = 0, so b equals Im(conj(fh) gh)/|fh|; the two
-        # evaluation orders agree to rounding
-        d = decompose(fh, gh)
-        scale = max(abs(fh), abs(gh))
-        assert d.b == pytest.approx((fh.conjugate() * gh).imag / abs(fh), abs=1e-12 * scale)
+    def test_size_limit_admits_the_limit_itself(self, monkeypatch):
+        # the limit is shrunk so that the scan at it stays small
+        monkeypatch.setattr(geometry, "MAX_TOTAL_POINTS", 12)
+        assert lemma1_scan(3, 4).angle_steps == lemma1_scan(4, 3).radius_steps == 4
+        with pytest.raises(ValueError, match="supported limit 12"):
+            lemma1_scan(3, 5)
 
 
 class TestPointwiseFirstTerm:

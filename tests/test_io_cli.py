@@ -598,6 +598,13 @@ class TestCmdLemma1:
         assert code == 1
         assert ">= 2" in capsys.readouterr().err
 
+    def test_oversized_scan_is_input_error(self, capsys):
+        code = main(["lemma1", "--radius-steps", "100000", "--angle-steps", "100000"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "supported limit" in err
+        assert "Traceback" not in err
+
 
 class TestCmdExperiment:
     def test_tail_experiment(self, tmp_path):
