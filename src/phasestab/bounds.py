@@ -28,6 +28,7 @@ side, since the test families span several orders of magnitude in norm.
 
 from __future__ import annotations
 
+import contextlib
 import contextvars
 import math
 import sys
@@ -36,7 +37,17 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .grid import SampledFunction, Spectrum, _centred, _index, _lp_norm, _real
+from .grid import (
+    _BLOCK,
+    SampledFunction,
+    Spectrum,
+    _centred,
+    _index,
+    _lp_integrand,
+    _lp_norm,
+    _lp_root,
+    _real,
+)
 
 __all__ = [
     "BoundReport",
@@ -187,16 +198,51 @@ def _default_tol(mags: np.ndarray, tol: float | None, name: str, strict: bool = 
     return value
 
 
-# From this many grid points on, the pair pass computes G on a second thread
-# while this one computes F and |F|; numpy's FFT releases the GIL.  Time of the
-# two spectra, concurrent over sequential, on 2 CPUs: 1.38 at 1024 points
-# (thread start-up dominates), 0.9-1.0 at 16384-32768, 0.72-0.80 at 65536 and
-# 0.55-0.8 at 128^3.
+# From this many grid points on, the pair pass runs on two threads: G is
+# transformed on a second thread while this one transforms F, and then each of
+# the pass's elementwise stages is split between the two by blocks; numpy's FFT
+# and ufunc loops release the GIL.  Time of one evaluate_theorem, two threads
+# over one, on a 2-CPU host where two threads of numpy arithmetic ran no faster
+# than one: 1.05-1.24 at 16384 points, 1.08-1.34 at 32768, 0.97-1.17 at 256^2,
+# 0.92-1.12 from 2^17 to 2^20 points, and 0.57-0.61 on 3-D grids of 96^3 and
+# more, where the second thread overlaps memory traffic.
 _CONCURRENT_SPECTRA_MIN_POINTS = 2**16
 
 
+def _steps(step, starts) -> list:
+    return [step(slice(start, start + _BLOCK)) for start in starts]
+
+
+def _run_blocks(step, size: int, pool=None) -> list:
+    """``step(s)`` for each slice ``s`` of ``_BLOCK`` points covering range(size),
+    the last one partial; their results, in block order.
+
+    With ``pool`` (a one-worker executor), its worker takes the second half of
+    the blocks while this thread takes the first.  The worker runs in a copy of
+    this thread's context, so the evaluators' np.errstate holds there, and its
+    exception is raised here.
+    """
+    starts = range(0, size, _BLOCK)
+    if pool is None:
+        return _steps(step, starts)
+    half = len(starts) // 2
+    future = pool.submit(contextvars.copy_context().run, _steps, step, starts[half:])
+    return _steps(step, starts[:half]) + future.result()
+
+
+def _worker_pool():
+    # imported here: concurrent.futures adds about 5 ms to the package's
+    # import, which runs that stay below the gate should not pay
+    from concurrent.futures import ThreadPoolExecutor
+
+    return ThreadPoolExecutor(1, thread_name_prefix="phasestab-pair")
+
+
 class _Pair(NamedTuple):
-    """What both evaluators read of a pair; the arrays are the pass's own."""
+    """What both evaluators read of a pair.  F, G and |F| are flat and the
+    pass's own; ``scratch`` is a flat full-size float array free for the
+    evaluators' stages, and ``pool`` the worker they run on (None below the
+    gate)."""
 
     epsilon: float
     lhs: float
@@ -205,20 +251,26 @@ class _Pair(NamedTuple):
     magF: np.ndarray
     modulus_l2: float
     volume: float
+    scratch: np.ndarray
+    pool: object
 
 
-def _pair(f, g, p: float, caller: str) -> _Pair:
+@contextlib.contextmanager
+def _pair(f, g, p: float, caller: str):
     """The one pass over a pair: eps = |f - g|_p at a checked p, lhs = |f - g|_2,
     the spectra F and G, |F|, and | |F|-|G| |_2, with ``volume`` the dual grid's
-    cell volume.
+    cell volume.  A context manager: the worker of a pair at the gate lives
+    until the evaluator's stages are done, and no longer.
 
     |f - g| and |F| are each computed once.  On grids of
     ``_CONCURRENT_SPECTRA_MIN_POINTS`` or more, G is transformed on a second
-    thread while F is; each spectrum comes from the same code on the same
-    input either way, so the bits do not depend on the branch.  A pair with
-    f != g whose |f - g|_2^2 underflows below the smallest normal double
-    raises ArithmeticError: its reports would be checked with no significant
-    digits, and at lhs = 0 they would certify vacuously.
+    thread while F is, and the elementwise stages run block by block on both
+    threads (``_run_blocks``).  Every block runs the same numpy operations in
+    the same order as one full-size pass, and every sum is one sum over a
+    full-size array, so the bits do not depend on the branch or the blocks.
+    A pair with f != g whose |f - g|_2^2 underflows below the smallest normal
+    double raises ArithmeticError: its reports would be checked with no
+    significant digits, and at lhs = 0 they would certify vacuously.
 
     No array is checked for inf or NaN: overflow is the reports' to refuse.
     f and g are finite by construction, so a non-finite sample of f - g is an
@@ -228,67 +280,84 @@ def _pair(f, g, p: float, caller: str) -> _Pair:
     if not isinstance(f, SampledFunction) or not isinstance(g, SampledFunction):
         raise TypeError(f"{caller} expects two SampledFunction inputs")
     _require_same_grid(f, g)
-    space_volume = f.grid.cell_volume
-    absdiff = np.abs(f.values - g.values)
-    lhs = _lp_norm(absdiff, space_volume, 2.0)
-    # sqrt(min) is 2^-511 exactly, so this is lhs**2 < min without the ** that
-    # raises OverflowError for a large lhs
-    if lhs < math.sqrt(sys.float_info.min) and np.any(absdiff):
-        raise ArithmeticError(
-            f"{caller}: |f - g|_2^2 = {lhs**2!r} is below the smallest normal double "
-            "although f != g (underflow), so the report has no significant digits"
+    space_volume, size = f.grid.cell_volume, f.grid.size
+    concurrent = size >= _CONCURRENT_SPECTRA_MIN_POINTS
+    with _worker_pool() if concurrent else contextlib.nullcontext() as pool:
+        # G in a copy of this context, so the evaluators' np.errstate holds there
+        future = pool and pool.submit(
+            contextvars.copy_context().run, _centred, np.fft.fftn, g.values, space_volume
         )
-    epsilon = _lp_norm(absdiff, space_volume, p)
-    del absdiff
-    if f.grid.size < _CONCURRENT_SPECTRA_MIN_POINTS:
         F = _centred(np.fft.fftn, f.values, space_volume)
-        magF = np.abs(F)
-        G = _centred(np.fft.fftn, g.values, space_volume)
-    else:
-        # imported here: concurrent.futures adds about 5 ms to the package's
-        # import, which runs that stay below the gate should not pay
-        from concurrent.futures import ThreadPoolExecutor
+        G = future.result() if future else _centred(np.fft.fftn, g.values, space_volume)
+        F, G, fv, gv = (a.reshape(-1) for a in (F, G, f.values, g.values))
+        # the two full-size float arrays of the pass: |F| is written over the
+        # p-th powers of |f - g| once they are summed, and the evaluators'
+        # stages reuse ``scratch`` in turn
+        scratch, magF = np.empty(size), np.empty(size)
 
-        with ThreadPoolExecutor(1, thread_name_prefix="phasestab-spectrum") as pool:
-            # in a copy of this context, so the evaluators' np.errstate holds there
-            future = pool.submit(
-                contextvars.copy_context().run, _centred, np.fft.fftn, g.values, space_volume
+        def difference(s):
+            absdiff = np.abs(np.subtract(fv[s], gv[s]), out=magF[s])
+            _lp_integrand(absdiff, 2.0, out=scratch[s])
+            _lp_integrand(absdiff, p, out=absdiff)
+
+        _run_blocks(difference, size, pool)
+        lhs = _lp_root(float(scratch.sum()), space_volume, 2.0)
+        # sqrt(min) is 2^-511 exactly, so this is lhs**2 < min without the ** that
+        # raises OverflowError for a large lhs
+        if lhs < math.sqrt(sys.float_info.min) and np.any(fv != gv):
+            raise ArithmeticError(
+                f"{caller}: |f - g|_2^2 = {lhs**2!r} is below the smallest normal double "
+                "although f != g (underflow), so the report has no significant digits"
             )
-            F = _centred(np.fft.fftn, f.values, space_volume)
-            magF = np.abs(F)
-        G = future.result()
-    # |G| is allocated here: on the worker, in that thread's own malloc arena,
-    # it raised peak RSS
-    modulus = np.abs(G)
-    np.subtract(magF, modulus, out=modulus)
-    volume = f.grid.dual().cell_volume
-    return _Pair(epsilon, lhs, F, G, magF, _lp_norm(modulus, volume, 2.0), volume)
+        epsilon = _lp_root(float(magF.sum()), space_volume, p)
+
+        def modulus(s):
+            mags, diff = np.abs(F[s], out=magF[s]), np.abs(G[s], out=scratch[s])
+            np.subtract(mags, diff, out=diff)
+            _lp_integrand(diff, 2.0, out=diff)
+
+        _run_blocks(modulus, size, pool)
+        volume = f.grid.dual().cell_volume
+        modulus_l2 = _lp_root(float(scratch.sum()), volume, 2.0)
+        yield _Pair(epsilon, lhs, F, G, magF, modulus_l2, volume, scratch, pool)
 
 
-def _sublevel_masses(mags: np.ndarray, volume: float, xs) -> list[float]:
+def _sublevel_masses(mags: np.ndarray, volume: float, xs, out=None, pool=None) -> list[float]:
     """integral of |F|^2 over the sub-level set {|F| <= 10 x} (ties in), for
     each x in ``xs``, in their order.
 
-    |F|^2 is formed once and zeroed in place from the largest x down.  Each
-    zeroed set holds the one before it, so the array summed at x is |F|^2
-    zeroed where |F| > 10 x, as if it were formed for x alone.
+    |F|^2 is formed once, in ``out`` (flat and full size; a new array when
+    None), and zeroed in place from the largest x down, block by block on
+    ``pool`` when one is given.  Each zeroed set holds the one before it, so
+    the array summed at x is |F|^2 zeroed where |F| > 10 x, as if it were
+    formed for x alone.
     """
-    sq = mags * mags
+    mags = mags.reshape(-1)
+    sq = np.empty(mags.size) if out is None else out
     masses = [0.0] * len(xs)
-    for i in sorted(range(len(xs)), key=xs.__getitem__, reverse=True):
-        np.copyto(sq, 0.0, where=mags > _REGIME * xs[i])
-        masses[i] = float(volume * np.sum(sq))
+    order = sorted(range(len(xs)), key=xs.__getitem__, reverse=True)
+    for i in order:
+        # |F|^2 is formed in the pass of the largest x
+
+        def zero(s, square=i == order[0], threshold=_REGIME * xs[i]):
+            if square:
+                np.multiply(mags[s], mags[s], out=sq[s])
+            np.copyto(sq[s], 0.0, where=mags[s] > threshold)
+
+        _run_blocks(zero, mags.size, pool)
+        masses[i] = float(volume * sq.sum())
     return masses
 
 
-def _sublevel_mass(mags: np.ndarray, volume: float, x: float) -> float:
+def _sublevel_mass(mags: np.ndarray, volume: float, x: float, out=None, pool=None) -> float:
     """integral of |F|^2 over the sub-level set {|F| <= 10 x} (ties in)."""
-    return _sublevel_masses(mags, volume, (x,))[0]
+    return _sublevel_masses(mags, volume, (x,), out, pool)[0]
 
 
-def _support_measure(mags: np.ndarray, volume: float, tol: float) -> float:
-    """Measure of the numerical support {|F| > tol}."""
-    return float(volume * np.count_nonzero(mags > tol))
+def _support_measure(mags: np.ndarray, volume: float, tol: float, pool=None) -> float:
+    """Measure of the numerical support {|F| > tol}; ``mags`` flat."""
+    counts = _run_blocks(lambda s: np.count_nonzero(mags[s] > tol), mags.size, pool)
+    return float(volume * sum(counts))
 
 
 def _smoothness(mass: float, x: float, p: float) -> float:
@@ -313,18 +382,25 @@ def smoothness_modulus(f_spectrum: Spectrum, x: float, p: float) -> float:
 
 
 def _translation(
-    F: np.ndarray, G: np.ndarray, magF: np.ndarray, tol: float, volume: float, out=None
+    F: np.ndarray, G: np.ndarray, magF: np.ndarray, tol: float, volume: float, out, pool=None
 ) -> float:
     """2 * L^2 norm of Im(conj(F) G / |F|), set to 0 where |F| <= tol.
 
-    conj(F) G is formed in ``out`` (a new array when None; the pair pass passes
-    F itself, which it no longer needs).
+    F, G, |F| and ``out`` are flat.  The squared integrand is formed in
+    ``out`` block by block, on ``pool`` when one is given, and conj(F) G in a
+    block temporary, so F and G are left as they were.
     """
-    cross = np.conjugate(F, out=out)
-    np.multiply(cross, G, out=cross)
-    field = np.zeros_like(magF)
-    np.divide(cross.imag, magF, out=field, where=magF > tol)
-    return 2.0 * _lp_norm(field, volume, 2.0)
+
+    def square(s):
+        cross = np.conjugate(F[s])
+        np.multiply(cross, G[s], out=cross)
+        field, mags = out[s], magF[s]
+        field.fill(0.0)
+        np.divide(cross.imag, mags, out=field, where=mags > tol)
+        _lp_integrand(field, 2.0, out=field)
+
+    _run_blocks(square, out.size, pool)
+    return 2.0 * _lp_root(float(out.sum()), volume, 2.0)
 
 
 def translation_term(
@@ -339,11 +415,10 @@ def translation_term(
     _require_spectrum(f_spectrum)
     _require_spectrum(g_spectrum)
     _require_same_grid(f_spectrum, g_spectrum)
-    magF = np.abs(f_spectrum.values)
+    F, G = f_spectrum.values.reshape(-1), g_spectrum.values.reshape(-1)
+    magF = np.abs(F)
     tol = _default_tol(magF, zero_tol, "zero_tol", strict=True)
-    return _translation(
-        f_spectrum.values, g_spectrum.values, magF, tol, f_spectrum.grid.cell_volume
-    )
+    return _translation(F, G, magF, tol, f_spectrum.grid.cell_volume, np.empty(magF.size))
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -355,12 +430,12 @@ def evaluate_theorem(
 ) -> BoundReport:
     """Evaluate every term of the stability bound for (f, g) at exponent p."""
     p = _check_p(p)
-    pair = _pair(f, g, p, "evaluate_theorem")
-    epsilon, lhs, magF = pair.epsilon, pair.lhs, pair.magF
+    with _pair(f, g, p, "evaluate_theorem") as pair:
+        epsilon, lhs, magF, volume = pair.epsilon, pair.lhs, pair.magF, pair.volume
+        tol = _default_tol(magF, zero_tol, "zero_tol")
+        term_translation = _translation(pair.F, pair.G, magF, tol, volume, pair.scratch, pair.pool)
+        mass = _sublevel_mass(magF, volume, epsilon, pair.scratch, pair.pool)
     term_modulus = 2.0 * pair.modulus_l2
-    tol = _default_tol(magF, zero_tol, "zero_tol")
-    term_translation = _translation(pair.F, pair.G, magF, tol, pair.volume, out=pair.F)
-    mass = _sublevel_mass(magF, pair.volume, epsilon)
     term_smoothness = _smoothness(mass, epsilon, p)
     rhs = term_modulus + term_smoothness + term_translation
     try:
@@ -418,7 +493,7 @@ def support_measure(F: Spectrum, support_tol: float | None = None) -> float:
     volume.
     """
     _require_spectrum(F)
-    mags = np.abs(F.values)
+    mags = np.abs(F.values).reshape(-1)
     tol = _default_tol(mags, support_tol, "support_tol", strict=True)
     return _support_measure(mags, F.grid.cell_volume, tol)
 
@@ -465,16 +540,16 @@ def evaluate_corollary1(
     Requires the spectrum of f to be real valued (relative imaginary part at
     most 1e-8); rejects otherwise, naming the violated hypothesis.
     """
-    pair = _pair(f, g, 1.0, "evaluate_corollary1")
-    peak = float(pair.magF.max(initial=0.0))
-    im_peak = float(np.abs(pair.F.imag).max(initial=0.0))
-    if im_peak > 1e-8 * peak:
-        raise ValueError(
-            "hypothesis violated: spectrum of f must be real-valued "
-            f"(max |Im| = {im_peak:.3e} exceeds 1e-8 * max |F| = {1e-8 * peak:.3e})"
-        )
-    tol = _default_tol(pair.magF, support_tol, "support_tol")
-    L = _support_measure(pair.magF, pair.volume, tol)
+    with _pair(f, g, 1.0, "evaluate_corollary1") as pair:
+        peak = float(pair.magF.max(initial=0.0))
+        im_peak = float(np.abs(pair.F.imag).max(initial=0.0))
+        if im_peak > 1e-8 * peak:
+            raise ValueError(
+                "hypothesis violated: spectrum of f must be real-valued "
+                f"(max |Im| = {im_peak:.3e} exceeds 1e-8 * max |F| = {1e-8 * peak:.3e})"
+            )
+        tol = _default_tol(pair.magF, support_tol, "support_tol")
+        L = _support_measure(pair.magF, pair.volume, tol, pair.pool)
     epsilon, lhs = pair.epsilon, pair.lhs
     term_modulus = 2.0 * pair.modulus_l2
     term_bandlimit = 30.0 * math.sqrt(L) * epsilon

@@ -264,6 +264,13 @@ def _quintic_smoothstep(t):
     return t * t * t * (t * (6.0 * t - 15.0) + 10.0)
 
 
+def _check_amplitude(delta: float) -> None:
+    if delta < 0.0:
+        raise ValueError(
+            f"triangle amplitude delta={delta!r} is negative: it flips no sample, so g = f"
+        )
+
+
 def edge_sign_flip(xi: np.ndarray, fhat: np.ndarray, delta: float) -> np.ndarray:
     """Even modulus-invisible perturbation of the triangle spectrum at amplitude delta.
 
@@ -271,8 +278,10 @@ def edge_sign_flip(xi: np.ndarray, fhat: np.ndarray, delta: float) -> np.ndarray
     below delta, with a smooth transition over the inner half of the band.
     The smooth transition keeps f - g integrable-looking on the truncated grid
     (a hard flip edge would add a slowly decaying 1/x tail whose L^1 mass grows
-    logarithmically and pollutes the fitted exponent).
+    logarithmically and pollutes the fitted exponent).  delta = 0 flips
+    nothing; a negative delta raises ValueError.
     """
+    _check_amplitude(delta)
     u = 1.0 - np.abs(xi)  # height of the triangle at xi, negative outside
     inner = 0.5 * delta
     with np.errstate(divide="ignore", invalid="ignore"):  # delta = 0 never selects the ramp
@@ -292,16 +301,20 @@ def triangle_experiment(
     modulus (10 |f-g|_1 <= 1, sub-level band inside the triangle) enter the
     fit; expected slope 3/2.  Larger amplitudes leave the power regime and are
     covered by the linear branch of the band-limited bound, which is certified
-    on every pair.
+    on every pair.  Every amplitude is checked before any is evaluated: a
+    negative one raises ValueError, as it would perturb nothing.
     """
     grid = TRIANGLE_GRID if grid is None else grid
     amplitudes = DEFAULT_SWEEPS["triangle"] if amplitudes is None else amplitudes
+    amplitudes = _reals(amplitudes, "amplitudes")
+    for delta in amplitudes:
+        _check_amplitude(delta)
     freq = grid.dual()
     fhat = triangle_spectrum(freq)
     f = inverse_transform(fhat)
     xi = freq.axis_coordinate(0)
     params, observables = [], []
-    for delta in _reals(amplitudes, "amplitudes"):
+    for delta in amplitudes:
         g = inverse_transform(Spectrum(freq, edge_sign_flip(xi, fhat.values, delta)))
         report = _require_certified(evaluate_theorem(f, g, 1.0), f"triangle delta={delta}")
         _require_certified(evaluate_corollary1(f, g), f"triangle delta={delta}")

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import _REGIME, _check_epsilon
-from .grid import MAX_TOTAL_POINTS, _index
+from .grid import _BLOCK, MAX_TOTAL_POINTS, _index
 
 __all__ = [
     "Lemma1Scan",
@@ -38,10 +38,6 @@ __all__ = [
 # Relative slack admitting points that land a few ulps outside an admissibility
 # boundary after rounding (e.g. polar points constructed at radius exactly w/2).
 _BOUNDARY_RTOL = 1e-13
-
-# Points per block of lemma1_gap: a block's operands (about 0.5 MB) stay in
-# cache between its passes.  On a 2.5M-point chunk 2^12 and 2^16 were slower.
-_BLOCK = 2**14
 
 
 def lemma1_gap(w, z):

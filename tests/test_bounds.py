@@ -9,6 +9,8 @@ from hypothesis import given, settings, strategies as st
 from phasestab import bounds
 from phasestab.bounds import (
     CERTIFICATION_RTOL,
+    BoundReport,
+    Corollary1Report,
     TailParams,
     evaluate_corollary1,
     evaluate_theorem,
@@ -681,7 +683,8 @@ class TestConcurrentPairPass:
             return _centred(transform, values, scale)
 
         monkeypatch.setattr(bounds, "_centred", centred)
-        pair = bounds._pair(f, g, 1.5, "test")
+        with bounds._pair(f, g, 1.5, "test") as pair:
+            pass
         assert len(threads) == 2
         off_main = [t for t in threads if t is not threading.main_thread()]
         assert len(off_main) == int(concurrent)
@@ -730,6 +733,137 @@ class TestConcurrentPairPass:
         f = gaussian(grid_2d)
         with pytest.raises(MemoryError, match="worker"):
             evaluate_theorem(f, shift(f, 0.1), 1.0)
+
+
+# ---------------------------------------------------------------------------
+# the blocked pair pass: the elementwise stages in blocks of grid._BLOCK points,
+# split between two threads from the gate on
+# ---------------------------------------------------------------------------
+
+BLOCKED_GRIDS = [
+    pytest.param(GridSpec.uniform(1, 16.0, 1024), id="1d-one-block"),
+    pytest.param(GridSpec.uniform(3, 4.0, 32), id="32^3-two-blocks-below-the-gate"),
+    pytest.param(GridSpec.uniform(2, 8.0, 256), id="256x256-at-the-gate"),
+    pytest.param(GridSpec(2, (8.0, 8.0), (258, 256)), id="258x256-partial-last-block"),
+    pytest.param(GridSpec(3, (4.0, 4.0, 4.0), (64, 64, 32)), id="64x64x32-above-the-gate"),
+]
+
+
+def _complex_pair(grid):
+    centre = (0.3, -0.2, 0.1)[: grid.dimension]
+    f = gaussian(grid, center=centre, width=1.0, amplitude=0.8 + 0.6j)
+    return f, gaussian(grid, center=0.0, width=1.2, amplitude=0.9 - 0.1j)
+
+
+def _sequential_pass(f, g, p):
+    """F, G, |F|, eps, lhs, | |F|-|G| |_2 and the dual cell volume, each stage
+    one full-size pass in the order of its formula."""
+    volume = f.grid.cell_volume
+    absdiff = np.abs(f.values - g.values)
+    lhs = math.sqrt(volume * float(np.sum(absdiff * absdiff)))
+    eps = (volume * float(np.sum(absdiff**p))) ** (1.0 / p)
+    F = _centred(np.fft.fftn, f.values, volume)
+    G = _centred(np.fft.fftn, g.values, volume)
+    magF = np.abs(F)
+    dual = f.grid.dual().cell_volume
+    modulus = magF - np.abs(G)
+    modulus_l2 = math.sqrt(dual * float(np.sum(modulus * modulus)))
+    return F, G, magF, eps, lhs, modulus_l2, dual
+
+
+def _sequential_theorem(f, g, p):
+    F, G, magF, eps, lhs, modulus_l2, dual = _sequential_pass(f, g, p)
+    field = np.zeros_like(magF)
+    np.divide((np.conjugate(F) * G).imag, magF, out=field, where=magF > 1e-12 * magF.max())
+    translation = 2.0 * math.sqrt(dual * float(np.sum(field * field)))
+    sq = magF * magF
+    sq[magF > 10.0 * eps] = 0.0
+    mass = float(dual * np.sum(sq))
+    modulus = 2.0 * modulus_l2
+    smoothness = math.sqrt(8.0 * mass) + (eps if p > 1.0 else 0.0)
+    rhs = modulus + smoothness + translation
+    squared_form_rhs = (
+        2.0 * modulus_l2**2
+        + (6.0 / 5.0) * (translation / 2.0) ** 2
+        + (eps**2 if p > 1.0 else 0.0)
+        + 8.0 * mass
+    )
+    return BoundReport(
+        p, eps, lhs, modulus, smoothness, translation, rhs, rhs - lhs, squared_form_rhs - lhs**2
+    )
+
+
+def _sequential_corollary1(f, g):
+    F, G, magF, eps, lhs, modulus_l2, dual = _sequential_pass(f, g, 1.0)
+    L = float(dual * np.count_nonzero(magF > 1e-12 * magF.max()))
+    modulus = 2.0 * modulus_l2
+    bandlimit = 30.0 * math.sqrt(L) * eps
+    translation = 2.0 * math.sqrt(dual * float(np.sum(G.imag * G.imag)))
+    rhs = modulus + bandlimit + translation
+    return Corollary1Report(eps, lhs, modulus, bandlimit, translation, L, rhs, rhs - lhs)
+
+
+def _hex_fields(report):
+    return {k: float(v).hex() for k, v in dataclasses.asdict(report).items()}
+
+
+@pytest.mark.usefixtures("no_thread_outlives_the_call")
+class TestBlockedPairPass:
+    @pytest.mark.parametrize("grid", BLOCKED_GRIDS)
+    def test_pair_matches_the_sequential_pass(self, grid):
+        f, g = _complex_pair(grid)
+        F, G, magF, eps, lhs, modulus_l2, dual = _sequential_pass(f, g, 1.5)
+        with bounds._pair(f, g, 1.5, "test") as pair:
+            assert (pair.pool is None) == (grid.size < bounds._CONCURRENT_SPECTRA_MIN_POINTS)
+            # the translation stage forms conj(F) G in block temporaries: F stays F
+            bounds._translation(pair.F, pair.G, pair.magF, 0.0, pair.volume, pair.scratch, pair.pool)
+            assert _bits(pair.F) == _bits(F)
+            assert _bits(pair.G) == _bits(G)
+            assert _bits(pair.magF) == _bits(magF)
+        assert (pair.epsilon, pair.lhs, pair.modulus_l2, pair.volume) == (eps, lhs, modulus_l2, dual)
+
+    @pytest.mark.parametrize("p", [1.0, 1.25, 1.5, 1.75])
+    @pytest.mark.parametrize("grid", BLOCKED_GRIDS)
+    def test_theorem_report_matches_the_sequential_formulas(self, grid, p):
+        f, g = _complex_pair(grid)
+        expected = _hex_fields(_sequential_theorem(f, g, p))
+        assert _hex_fields(evaluate_theorem(f, g, p)) == expected
+
+    @pytest.mark.parametrize("grid", BLOCKED_GRIDS)
+    def test_corollary1_report_matches_the_sequential_formulas(self, grid):
+        # centred real Gaussians: real spectra
+        f = gaussian(grid)
+        for g in (-f, gaussian(grid, width=1.1, amplitude=0.9)):
+            expected = _hex_fields(_sequential_corollary1(f, g))
+            assert _hex_fields(evaluate_corollary1(f, g)) == expected
+
+    def test_stage_exception_on_the_worker_is_raised_in_the_caller(self, grid_2d, monkeypatch):
+        integrand = bounds._lp_integrand
+
+        def failing(*args, **kwargs):
+            if threading.current_thread() is not threading.main_thread():
+                raise MemoryError("worker stage")
+            return integrand(*args, **kwargs)
+
+        monkeypatch.setattr(bounds, "_lp_integrand", failing)
+        f, g = _complex_pair(grid_2d)
+        with pytest.raises(MemoryError, match="worker stage"):
+            evaluate_theorem(f, g, 1.5)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "evaluate",
+        [
+            pytest.param(lambda f, g: evaluate_theorem(f, g, 1.5), id="theorem"),
+            pytest.param(evaluate_corollary1, id="corollary1"),
+        ],
+    )
+    def test_stage_overflow_on_the_worker_prints_no_warning(self, grid_2d, evaluate):
+        # |f - g|^2 overflows in every block near the centre, half of which the
+        # worker takes; only the report may refuse it
+        f = gaussian(grid_2d, amplitude=1e300)
+        with pytest.raises(ArithmeticError, match="non-finite .*lhs"):
+            evaluate(f, -f)
 
 
 # ---------------------------------------------------------------------------

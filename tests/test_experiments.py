@@ -205,6 +205,11 @@ class TestTriangleExperiment:
         assert len(res.parameter_values) == len(DEFAULT_SWEEPS["triangle"])
         assert res.passed
 
+    def test_negative_amplitude_is_refused(self):
+        # a negative delta flips no sample, so g = f; it is refused before any evaluation
+        with pytest.raises(ValueError, match=r"delta=-0\.05 is negative"):
+            triangle_experiment(amplitudes=[*DEFAULT_SWEEPS["triangle"], -0.05])
+
     @pytest.mark.parametrize("delta", DEFAULT_SWEEPS["triangle"])
     def test_perturbation_is_real_and_even(self, delta):
         # odd and imaginary parts of g stay within 1e-8 of its peak

@@ -627,6 +627,11 @@ class TestCmdExperiment:
         assert code == 1
         assert "eps=100.0" in capsys.readouterr().err
 
+    def test_negative_triangle_amplitude_is_input_error(self, capsys):
+        code = main(["experiment", "--name", "triangle", "--sweep=-0.5,-0.4,-0.3,-0.2"])
+        assert code == 1
+        assert "delta=-0.5 is negative" in capsys.readouterr().err
+
     def test_translation_with_custom_sweep(self, tmp_path):
         code = main(
             ["experiment", "--name", "translation", "--sweep", "0.001,0.003,0.01,0.03,0.1"]

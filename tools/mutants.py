@@ -1,11 +1,12 @@
 """Run the tier-1 suite against one-token mutants of the library.
 
 Each mutant edits one constant, operator or loop bound in one file: the
-bound in ``src/phasestab/bounds.py`` or the blocked half-disk gap in
-``src/phasestab/geometry.py``.  It is applied to a fresh copy of ``src/``,
-``tests/`` and ``pyproject.toml`` in a temporary directory, never to the
-working tree, and tier-1 runs in that copy with ``-x``.  A mutant that
-passes tier-1 survives.  The unmutated copy runs first and must pass.
+bound and the pair pass's block runner in ``src/phasestab/bounds.py``, or
+the blocked half-disk gap in ``src/phasestab/geometry.py``.  It is applied
+to a fresh copy of ``src/``, ``tests/`` and ``pyproject.toml`` in a
+temporary directory, never to the working tree, and tier-1 runs in that
+copy with ``-x``.  A mutant that passes tier-1 survives.  The unmutated
+copy runs first and must pass.
 
     python tools/mutants.py
 
@@ -44,7 +45,7 @@ BOUNDS_MUTANTS = [
     ("regime factor 10 -> 5, at every site", None,
      "_REGIME = 10.0", "_REGIME = 5.0"),
     ("sub-level ties: <= -> <", "_sublevel_masses",
-     "mags > _REGIME * xs[i]", "mags >= _REGIME * xs[i]"),
+     "mags[s] > threshold", "mags[s] >= threshold"),
     # each threshold's zeroed set must hold the one before it
     ("sub-level thresholds taken in ascending order", "_sublevel_masses",
      "reverse=True", "reverse=False"),
@@ -81,6 +82,11 @@ BOUNDS_MUTANTS = [
      "if lhs < math.sqrt(sys.float_info.min)", "if lhs < 0.0"),
     ("pair pass refuses only lhs = 0", "_pair",
      "if lhs < math.sqrt(sys.float_info.min)", "if lhs == 0.0"),
+    # every elementwise stage of both evaluators runs through the block runner
+    ("block runner drops the last partial block", "_run_blocks",
+     "starts = range(0, size, _BLOCK)", "starts = range(0, size - _BLOCK + 1, _BLOCK)"),
+    ("block runner's worker repeats the caller's half", "_run_blocks",
+     "_steps, step, starts[half:])", "_steps, step, starts[:half])"),
 ]
 GEOMETRY_MUTANTS = [
     ("lemma1_gap skips the last partial block", "lemma1_gap",
