@@ -202,11 +202,12 @@ def _default_tol(mags: np.ndarray, tol: float | None, name: str, strict: bool = 
 # transformed on a second thread while this one transforms F, and then each of
 # the pass's elementwise stages is split between the two by blocks; numpy's FFT
 # and ufunc loops release the GIL.  Time of one evaluate_theorem, two threads
-# over one, on a 2-CPU host where two threads of numpy arithmetic ran no faster
-# than one: 1.05-1.24 at 16384 points, 1.08-1.34 at 32768, 0.97-1.17 at 256^2,
-# 0.92-1.12 from 2^17 to 2^20 points, and 0.57-0.61 on 3-D grids of 96^3 and
-# more, where the second thread overlaps memory traffic.
-_CONCURRENT_SPECTRA_MIN_POINTS = 2**16
+# over one (medians of 8-30 calls, 5-10 rounds), on a 2-CPU host where two
+# threads of numpy arithmetic ran no faster than one: 0.72-1.42 at 2^14
+# points, 0.96-2.12 at 2^15, 1.00-1.48 at 256^2, 0.77-1.02 at 512 x 256,
+# 0.63-1.20 at 512^2, 0.57-0.75 at 2^19 and 2^20, and 0.42-0.74 on 3-D grids
+# of 96^3 and 128^3, where the second thread overlaps memory traffic.
+_CONCURRENT_SPECTRA_MIN_POINTS = 2**17
 
 
 def _steps(step, starts) -> list:

@@ -651,6 +651,9 @@ class TestTailParams:
 # the pair pass on two threads (grids of _CONCURRENT_SPECTRA_MIN_POINTS or more)
 # ---------------------------------------------------------------------------
 
+# the smallest 2-D grid at the gate; 256^2 is below it
+CONCURRENT_GRID = GridSpec(2, (8.0, 8.0), (512, 256))
+
 
 @pytest.fixture
 def no_thread_outlives_the_call():
@@ -669,7 +672,8 @@ class TestConcurrentPairPass:
         "shape, concurrent",
         [
             pytest.param((128, 256), False, id="128x256-below-the-gate"),
-            pytest.param((256, 256), True, id="256x256-at-the-gate"),
+            pytest.param((256, 256), False, id="256x256-below-the-gate"),
+            pytest.param((512, 256), True, id="512x256-at-the-gate"),
         ],
     )
     def test_spectra_match_the_sequential_transform(self, shape, concurrent, monkeypatch):
@@ -704,6 +708,7 @@ class TestConcurrentPairPass:
         [
             pytest.param(GridSpec.uniform(1, 16.0, 1024), id="1d"),
             pytest.param(GridSpec.uniform(2, 8.0, 256), id="256x256"),
+            pytest.param(CONCURRENT_GRID, id="512x256"),
         ],
     )
     @pytest.mark.parametrize("huge", ["f", "g"])
@@ -723,14 +728,14 @@ class TestConcurrentPairPass:
         with pytest.raises(ArithmeticError, match="non-finite .*term_modulus"):
             evaluate(f, g)
 
-    def test_worker_exception_is_raised_in_the_caller(self, grid_2d, monkeypatch):
+    def test_worker_exception_is_raised_in_the_caller(self, monkeypatch):
         def centred(transform, values, scale):
             if threading.current_thread() is not threading.main_thread():
                 raise MemoryError("worker")
             return _centred(transform, values, scale)
 
         monkeypatch.setattr(bounds, "_centred", centred)
-        f = gaussian(grid_2d)
+        f = gaussian(CONCURRENT_GRID)
         with pytest.raises(MemoryError, match="worker"):
             evaluate_theorem(f, shift(f, 0.1), 1.0)
 
@@ -743,8 +748,10 @@ class TestConcurrentPairPass:
 BLOCKED_GRIDS = [
     pytest.param(GridSpec.uniform(1, 16.0, 1024), id="1d-one-block"),
     pytest.param(GridSpec.uniform(3, 4.0, 32), id="32^3-two-blocks-below-the-gate"),
-    pytest.param(GridSpec.uniform(2, 8.0, 256), id="256x256-at-the-gate"),
+    pytest.param(GridSpec.uniform(2, 8.0, 256), id="256x256-below-the-gate"),
     pytest.param(GridSpec(2, (8.0, 8.0), (258, 256)), id="258x256-partial-last-block"),
+    pytest.param(CONCURRENT_GRID, id="512x256-at-the-gate"),
+    pytest.param(GridSpec(2, (8.0, 8.0), (514, 256)), id="514x256-partial-last-block-above-the-gate"),
     pytest.param(GridSpec(3, (4.0, 4.0, 4.0), (64, 64, 32)), id="64x64x32-above-the-gate"),
 ]
 
@@ -837,7 +844,7 @@ class TestBlockedPairPass:
             expected = _hex_fields(_sequential_corollary1(f, g))
             assert _hex_fields(evaluate_corollary1(f, g)) == expected
 
-    def test_stage_exception_on_the_worker_is_raised_in_the_caller(self, grid_2d, monkeypatch):
+    def test_stage_exception_on_the_worker_is_raised_in_the_caller(self, monkeypatch):
         integrand = bounds._lp_integrand
 
         def failing(*args, **kwargs):
@@ -846,7 +853,7 @@ class TestBlockedPairPass:
             return integrand(*args, **kwargs)
 
         monkeypatch.setattr(bounds, "_lp_integrand", failing)
-        f, g = _complex_pair(grid_2d)
+        f, g = _complex_pair(CONCURRENT_GRID)
         with pytest.raises(MemoryError, match="worker stage"):
             evaluate_theorem(f, g, 1.5)
 
@@ -858,10 +865,10 @@ class TestBlockedPairPass:
             pytest.param(evaluate_corollary1, id="corollary1"),
         ],
     )
-    def test_stage_overflow_on_the_worker_prints_no_warning(self, grid_2d, evaluate):
+    def test_stage_overflow_on_the_worker_prints_no_warning(self, evaluate):
         # |f - g|^2 overflows in every block near the centre, half of which the
         # worker takes; only the report may refuse it
-        f = gaussian(grid_2d, amplitude=1e300)
+        f = gaussian(CONCURRENT_GRID, amplitude=1e300)
         with pytest.raises(ArithmeticError, match="non-finite .*lhs"):
             evaluate(f, -f)
 
@@ -996,15 +1003,16 @@ class TestSymmetries:
         ],
     )
     @pytest.mark.parametrize("p", [1.0, 1.5])
-    def test_on_the_concurrent_grid(self, transform, lam, p, grid_2d):
-        f = gaussian(grid_2d, center=(0.3, -0.2), width=(1.0, 1.4), amplitude=0.8 + 0.6j)
-        g = shift(gaussian(grid_2d, center=(0.3, -0.2), width=1.1), (0.1, 0.05))
-        assert grid_2d.size >= bounds._CONCURRENT_SPECTRA_MIN_POINTS
+    def test_on_the_concurrent_grid(self, transform, lam, p):
+        grid = CONCURRENT_GRID
+        f = gaussian(grid, center=(0.3, -0.2), width=(1.0, 1.4), amplitude=0.8 + 0.6j)
+        g = shift(gaussian(grid, center=(0.3, -0.2), width=1.1), (0.1, 0.05))
+        assert grid.size >= bounds._CONCURRENT_SPECTRA_MIN_POINTS
         _assert_equivariant(*_reports(f, g, p, transform, lam), lam)
 
     @pytest.mark.usefixtures("no_thread_outlives_the_call")
-    def test_power_of_two_scaling_on_the_concurrent_grid(self, grid_2d):
-        f = gaussian(grid_2d, center=(0.3, -0.2))
+    def test_power_of_two_scaling_on_the_concurrent_grid(self):
+        f = gaussian(CONCURRENT_GRID, center=(0.3, -0.2))
         g = shift(f, (0.1, 0.05))
         before, after = _reports(f, g, 1.0, lambda v: 2.0**-37 * v, 2.0**-37, relative_tol=None)
         exact = [name for name in _REPORT_FIELDS if name != "squared_form_slack"]

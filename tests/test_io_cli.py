@@ -20,6 +20,10 @@ GRID = GridSpec.uniform(1, 16.0, 1024)
 ENCODING = "f64le-base64"
 # written by the list-form save_field; load_field still reads that form
 LIST_FORM_FIXTURE = Path(__file__).parent / "data" / "field_list_form.json"
+# the same eight samples as written by the base64 save_field: its bytes are pinned
+BASE64_FIXTURE = Path(__file__).parent / "data" / "field_base64.json"
+FIXTURE_RE = [0.0, -0.0, 1.5, -2.25, 5e-324, 2.2250738585072014e-308, 1e300, -0.1]
+FIXTURE_IM = [-0.0, 0.0, -0.0, 4.9e-322, -5e-324, 1 / 3, -1e-300, 0.0]
 
 
 def _b64(samples) -> str:
@@ -34,6 +38,14 @@ def _as_list_form(payload: dict) -> dict:
     """The same field in the list form: no encoding key, lists of JSON numbers."""
     lists = {k: _samples(payload[k]).tolist() for k in ("values_re", "values_im")}
     return {k: v for k, v in payload.items() if k != "encoding"} | lists
+
+
+def _assert_fixture_values(loaded):
+    expected = np.empty(8, dtype=complex)
+    expected.real, expected.imag = FIXTURE_RE, FIXTURE_IM
+    assert isinstance(loaded, SampledFunction)
+    assert loaded.grid == GridSpec.uniform(1, 2.0, 8)
+    assert loaded.values.tobytes() == expected.tobytes()
 
 
 @pytest.fixture
@@ -136,14 +148,62 @@ class TestFieldFiles:
         assert load_field(path).values.tobytes() == f.values.tobytes()
 
     def test_list_form_fixture(self):
-        expected = np.empty(8, dtype=complex)
-        expected.real = [0.0, -0.0, 1.5, -2.25, 5e-324, 2.2250738585072014e-308, 1e300, -0.1]
-        expected.imag = [-0.0, 0.0, -0.0, 4.9e-322, -5e-324, 1 / 3, -1e-300, 0.0]
         assert "encoding" not in json.loads(LIST_FORM_FIXTURE.read_text())
-        loaded = load_field(LIST_FORM_FIXTURE)
-        assert isinstance(loaded, SampledFunction)
-        assert loaded.grid == GridSpec.uniform(1, 2.0, 8)
-        assert loaded.values.tobytes() == expected.tobytes()
+        _assert_fixture_values(load_field(LIST_FORM_FIXTURE))
+
+    def test_base64_fixture(self):
+        assert json.loads(BASE64_FIXTURE.read_text())["encoding"] == ENCODING
+        _assert_fixture_values(load_field(BASE64_FIXTURE))
+
+    def test_saved_bytes_are_pinned(self, tmp_path):
+        path = tmp_path / "f.json"
+        save_field(path, load_field(LIST_FORM_FIXTURE))
+        assert path.read_bytes() == BASE64_FIXTURE.read_bytes()
+
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            pytest.param(GridSpec.uniform(1, 16.0, 1024), id="1d"),
+            pytest.param(GridSpec(2, (8.0, 4.0), (64, 32)), id="2d"),
+            pytest.param(GridSpec(3, (4.0, 3.0, 2.0), (16, 8, 4)), id="3d"),
+        ],
+    )
+    @pytest.mark.parametrize("cls", [SampledFunction, Spectrum])
+    def test_saved_text_is_json_dumps_of_its_payload(self, grid, cls, tmp_path, rng):
+        values = rng.normal(size=grid.shape) + 1j * rng.normal(size=grid.shape)
+        values.flat[:3] = [complex(-0.0, -0.0), complex(5e-324, -1e-310), complex(1e300, -1e300)]
+        path = tmp_path / "f.json"
+        save_field(path, cls(grid, values))
+        text = path.read_text()
+        assert text == json.dumps(json.loads(text))
+        assert list(json.loads(text)) == [
+            "dimension",
+            "half_extent",
+            "points_per_axis",
+            "domain",
+            "encoding",
+            "values_re",
+            "values_im",
+        ]
+        assert load_field(path).values.tobytes() == values.tobytes()
+
+    @pytest.mark.parametrize(
+        "layout",
+        [
+            pytest.param(lambda payload: json.dumps(payload, indent=2), id="indent-2"),
+            pytest.param(lambda payload: json.dumps(dict(reversed(payload.items()))), id="reordered"),
+            pytest.param(
+                lambda payload: "\n " + json.dumps(payload, separators=(" ,\t", " :\r\n ")) + " \n\n",
+                id="extra-whitespace",
+            ),
+        ],
+    )
+    def test_reader_does_not_depend_on_the_layout(self, layout, tmp_path):
+        payload = json.loads(BASE64_FIXTURE.read_text())
+        path = tmp_path / "f.json"
+        path.write_text(layout(payload))
+        assert path.read_bytes() != BASE64_FIXTURE.read_bytes()
+        _assert_fixture_values(load_field(path))
 
     def test_list_form_copy_loads_identically(self, tmp_path, grid_2d, rng):
         values = rng.normal(size=grid_2d.shape) + 1j * rng.normal(size=grid_2d.shape)

@@ -1,8 +1,9 @@
 """Run the tier-1 suite against one-token mutants of the library.
 
-Each mutant edits one constant, operator or loop bound in one file: the
-bound and the pair pass's block runner in ``src/phasestab/bounds.py``, or
-the blocked half-disk gap in ``src/phasestab/geometry.py``.  It is applied
+Each mutant edits one constant, operator, loop bound or literal in one file:
+the bound and the pair pass's block runner in ``src/phasestab/bounds.py``,
+the blocked half-disk gap in ``src/phasestab/geometry.py``, or the text that
+``save_field`` joins in ``src/phasestab/io.py``.  It is applied
 to a fresh copy of ``src/``, ``tests/`` and ``pyproject.toml`` in a
 temporary directory, never to the working tree, and tier-1 runs in that
 copy with ``-x``.  A mutant that passes tier-1 survives.  The unmutated
@@ -27,6 +28,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 BOUNDS = Path("src/phasestab/bounds.py")
 GEOMETRY = Path("src/phasestab/geometry.py")
+IO = Path("src/phasestab/io.py")
 COPIED = ("src", "tests", "pyproject.toml")
 
 # (name, the function whose body holds the edit or None for the module, old, new);
@@ -94,10 +96,20 @@ GEOMETRY_MUTANTS = [
     ("lemma1_gap checks only the first block", "lemma1_gap",
      "if not np.all(dist <=", "if start == 0 and not np.all(dist <="),
 ]
-# (name, the file, scope, old, new)
-MUTANTS = [(name, BOUNDS, *edit) for name, *edit in BOUNDS_MUTANTS] + [
-    (name, GEOMETRY, *edit) for name, *edit in GEOMETRY_MUTANTS
+# the files still load the same; only the pinned bytes can tell
+IO_MUTANTS = [
+    ("save_field drops the space after the separator", "save_field",
+     """', "values_re": "'""", """',"values_re": "'"""),
+    ("save_field writes values_im before values_re", "save_field",
+     """', "values_re": "', re, '", "values_im": "', im,""",
+     """', "values_im": "', im, '", "values_re": "', re,"""),
 ]
+# (name, the file, scope, old, new)
+MUTANTS = (
+    [(name, BOUNDS, *edit) for name, *edit in BOUNDS_MUTANTS]
+    + [(name, GEOMETRY, *edit) for name, *edit in GEOMETRY_MUTANTS]
+    + [(name, IO, *edit) for name, *edit in IO_MUTANTS]
+)
 
 
 def mutate(source: str, scope: str | None, old: str, new: str) -> str:
