@@ -21,6 +21,11 @@ un-squared sum is reported as the headline bound (its translation term enters
 linearly with constant 2); the squared form is certified alongside so both
 readings are pinned down numerically.
 
+Both evaluators read one pass over the pair (``_pair``), whose elementwise
+stages, like those of the public spectrum helpers, run through
+``grid._run_blocks``; every integral is one sum over a full-size array, so a
+report has the same bits whether or not a second thread took half the blocks.
+
 All sub-level sets use non-strict comparison (|F| <= threshold, ties
 included).  Certification tolerances are multiplicative in the right-hand
 side, since the test families span several orders of magnitude in norm.
@@ -28,8 +33,6 @@ side, since the test families span several orders of magnitude in norm.
 
 from __future__ import annotations
 
-import contextlib
-import contextvars
 import math
 import sys
 from dataclasses import dataclass, asdict
@@ -38,7 +41,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .grid import (
-    _BLOCK,
     SampledFunction,
     Spectrum,
     _centred,
@@ -47,6 +49,8 @@ from .grid import (
     _lp_norm,
     _lp_root,
     _real,
+    _run_blocks,
+    _two_threads,
 )
 
 __all__ = [
@@ -198,52 +202,10 @@ def _default_tol(mags: np.ndarray, tol: float | None, name: str, strict: bool = 
     return value
 
 
-# From this many grid points on, the pair pass runs on two threads: G is
-# transformed on a second thread while this one transforms F, and then each of
-# the pass's elementwise stages is split between the two by blocks; numpy's FFT
-# and ufunc loops release the GIL.  Time of one evaluate_theorem, two threads
-# over one (medians of 8-30 calls, 5-10 rounds), on a 2-CPU host where two
-# threads of numpy arithmetic ran no faster than one: 0.72-1.42 at 2^14
-# points, 0.96-2.12 at 2^15, 1.00-1.48 at 256^2, 0.77-1.02 at 512 x 256,
-# 0.63-1.20 at 512^2, 0.57-0.75 at 2^19 and 2^20, and 0.42-0.74 on 3-D grids
-# of 96^3 and 128^3, where the second thread overlaps memory traffic.
-_CONCURRENT_SPECTRA_MIN_POINTS = 2**17
-
-
-def _steps(step, starts) -> list:
-    return [step(slice(start, start + _BLOCK)) for start in starts]
-
-
-def _run_blocks(step, size: int, pool=None) -> list:
-    """``step(s)`` for each slice ``s`` of ``_BLOCK`` points covering range(size),
-    the last one partial; their results, in block order.
-
-    With ``pool`` (a one-worker executor), its worker takes the second half of
-    the blocks while this thread takes the first.  The worker runs in a copy of
-    this thread's context, so the evaluators' np.errstate holds there, and its
-    exception is raised here.
-    """
-    starts = range(0, size, _BLOCK)
-    if pool is None:
-        return _steps(step, starts)
-    half = len(starts) // 2
-    future = pool.submit(contextvars.copy_context().run, _steps, step, starts[half:])
-    return _steps(step, starts[:half]) + future.result()
-
-
-def _worker_pool():
-    # imported here: concurrent.futures adds about 5 ms to the package's
-    # import, which runs that stay below the gate should not pay
-    from concurrent.futures import ThreadPoolExecutor
-
-    return ThreadPoolExecutor(1, thread_name_prefix="phasestab-pair")
-
-
 class _Pair(NamedTuple):
     """What both evaluators read of a pair.  F, G and |F| are flat and the
     pass's own; ``scratch`` is a flat full-size float array free for the
-    evaluators' stages, and ``pool`` the worker they run on (None below the
-    gate)."""
+    evaluators' stages."""
 
     epsilon: float
     lhs: float
@@ -253,25 +215,23 @@ class _Pair(NamedTuple):
     modulus_l2: float
     volume: float
     scratch: np.ndarray
-    pool: object
 
 
-@contextlib.contextmanager
-def _pair(f, g, p: float, caller: str):
+def _pair(f, g, p: float, caller: str) -> _Pair:
     """The one pass over a pair: eps = |f - g|_p at a checked p, lhs = |f - g|_2,
     the spectra F and G, |F|, and | |F|-|G| |_2, with ``volume`` the dual grid's
-    cell volume.  A context manager: the worker of a pair at the gate lives
-    until the evaluator's stages are done, and no longer.
+    cell volume.
 
-    |f - g| and |F| are each computed once.  On grids of
-    ``_CONCURRENT_SPECTRA_MIN_POINTS`` or more, G is transformed on a second
-    thread while F is, and the elementwise stages run block by block on both
-    threads (``_run_blocks``).  Every block runs the same numpy operations in
-    the same order as one full-size pass, and every sum is one sum over a
-    full-size array, so the bits do not depend on the branch or the blocks.
-    A pair with f != g whose |f - g|_2^2 underflows below the smallest normal
-    double raises ArithmeticError: its reports would be checked with no
-    significant digits, and at lhs = 0 they would certify vacuously.
+    |f - g| and |F| are each computed once.  F and G are transformed through
+    ``grid._two_threads`` and the elementwise stages run block by block
+    through ``grid._run_blocks``, so from the two-thread gate on G and the
+    second half of every stage's blocks are a worker's.  Every block runs the
+    same numpy operations in the same order as one full-size pass, and every
+    sum is one sum over a full-size array, so the bits do not depend on the
+    thread or the blocks.  A pair with f != g whose |f - g|_2^2 underflows
+    below the smallest normal double raises ArithmeticError: its reports
+    would be checked with no significant digits, and at lhs = 0 they would
+    certify vacuously.
 
     No array is checked for inf or NaN: overflow is the reports' to refuse.
     f and g are finite by construction, so a non-finite sample of f - g is an
@@ -282,56 +242,52 @@ def _pair(f, g, p: float, caller: str):
         raise TypeError(f"{caller} expects two SampledFunction inputs")
     _require_same_grid(f, g)
     space_volume, size = f.grid.cell_volume, f.grid.size
-    concurrent = size >= _CONCURRENT_SPECTRA_MIN_POINTS
-    with _worker_pool() if concurrent else contextlib.nullcontext() as pool:
-        # G in a copy of this context, so the evaluators' np.errstate holds there
-        future = pool and pool.submit(
-            contextvars.copy_context().run, _centred, np.fft.fftn, g.values, space_volume
+    F, G = _two_threads(
+        lambda: _centred(np.fft.fftn, f.values, space_volume),
+        lambda: _centred(np.fft.fftn, g.values, space_volume),
+        size,
+    )
+    F, G, fv, gv = (a.reshape(-1) for a in (F, G, f.values, g.values))
+    # the two full-size float arrays of the pass: |F| is written over the
+    # p-th powers of |f - g| once they are summed, and the evaluators'
+    # stages reuse ``scratch`` in turn
+    scratch, magF = np.empty(size), np.empty(size)
+
+    def difference(s):
+        absdiff = np.abs(np.subtract(fv[s], gv[s]), out=magF[s])
+        _lp_integrand(absdiff, 2.0, out=scratch[s])
+        _lp_integrand(absdiff, p, out=absdiff)
+
+    _run_blocks(difference, size)
+    lhs = _lp_root(float(scratch.sum()), space_volume, 2.0)
+    # sqrt(min) is 2^-511 exactly, so this is lhs**2 < min without the ** that
+    # raises OverflowError for a large lhs
+    if lhs < math.sqrt(sys.float_info.min) and np.any(fv != gv):
+        raise ArithmeticError(
+            f"{caller}: |f - g|_2^2 = {lhs**2!r} is below the smallest normal double "
+            "although f != g (underflow), so the report has no significant digits"
         )
-        F = _centred(np.fft.fftn, f.values, space_volume)
-        G = future.result() if future else _centred(np.fft.fftn, g.values, space_volume)
-        F, G, fv, gv = (a.reshape(-1) for a in (F, G, f.values, g.values))
-        # the two full-size float arrays of the pass: |F| is written over the
-        # p-th powers of |f - g| once they are summed, and the evaluators'
-        # stages reuse ``scratch`` in turn
-        scratch, magF = np.empty(size), np.empty(size)
+    epsilon = _lp_root(float(magF.sum()), space_volume, p)
 
-        def difference(s):
-            absdiff = np.abs(np.subtract(fv[s], gv[s]), out=magF[s])
-            _lp_integrand(absdiff, 2.0, out=scratch[s])
-            _lp_integrand(absdiff, p, out=absdiff)
+    def modulus(s):
+        mags, diff = np.abs(F[s], out=magF[s]), np.abs(G[s], out=scratch[s])
+        np.subtract(mags, diff, out=diff)
+        _lp_integrand(diff, 2.0, out=diff)
 
-        _run_blocks(difference, size, pool)
-        lhs = _lp_root(float(scratch.sum()), space_volume, 2.0)
-        # sqrt(min) is 2^-511 exactly, so this is lhs**2 < min without the ** that
-        # raises OverflowError for a large lhs
-        if lhs < math.sqrt(sys.float_info.min) and np.any(fv != gv):
-            raise ArithmeticError(
-                f"{caller}: |f - g|_2^2 = {lhs**2!r} is below the smallest normal double "
-                "although f != g (underflow), so the report has no significant digits"
-            )
-        epsilon = _lp_root(float(magF.sum()), space_volume, p)
-
-        def modulus(s):
-            mags, diff = np.abs(F[s], out=magF[s]), np.abs(G[s], out=scratch[s])
-            np.subtract(mags, diff, out=diff)
-            _lp_integrand(diff, 2.0, out=diff)
-
-        _run_blocks(modulus, size, pool)
-        volume = f.grid.dual().cell_volume
-        modulus_l2 = _lp_root(float(scratch.sum()), volume, 2.0)
-        yield _Pair(epsilon, lhs, F, G, magF, modulus_l2, volume, scratch, pool)
+    _run_blocks(modulus, size)
+    volume = f.grid.dual().cell_volume
+    modulus_l2 = _lp_root(float(scratch.sum()), volume, 2.0)
+    return _Pair(epsilon, lhs, F, G, magF, modulus_l2, volume, scratch)
 
 
-def _sublevel_masses(mags: np.ndarray, volume: float, xs, out=None, pool=None) -> list[float]:
+def _sublevel_masses(mags: np.ndarray, volume: float, xs, out=None) -> list[float]:
     """integral of |F|^2 over the sub-level set {|F| <= 10 x} (ties in), for
     each x in ``xs``, in their order.
 
     |F|^2 is formed once, in ``out`` (flat and full size; a new array when
-    None), and zeroed in place from the largest x down, block by block on
-    ``pool`` when one is given.  Each zeroed set holds the one before it, so
-    the array summed at x is |F|^2 zeroed where |F| > 10 x, as if it were
-    formed for x alone.
+    None), and zeroed in place from the largest x down, block by block.  Each
+    zeroed set holds the one before it, so the array summed at x is |F|^2
+    zeroed where |F| > 10 x, as if it were formed for x alone.
     """
     mags = mags.reshape(-1)
     sq = np.empty(mags.size) if out is None else out
@@ -345,19 +301,14 @@ def _sublevel_masses(mags: np.ndarray, volume: float, xs, out=None, pool=None) -
                 np.multiply(mags[s], mags[s], out=sq[s])
             np.copyto(sq[s], 0.0, where=mags[s] > threshold)
 
-        _run_blocks(zero, mags.size, pool)
+        _run_blocks(zero, mags.size)
         masses[i] = float(volume * sq.sum())
     return masses
 
 
-def _sublevel_mass(mags: np.ndarray, volume: float, x: float, out=None, pool=None) -> float:
-    """integral of |F|^2 over the sub-level set {|F| <= 10 x} (ties in)."""
-    return _sublevel_masses(mags, volume, (x,), out, pool)[0]
-
-
-def _support_measure(mags: np.ndarray, volume: float, tol: float, pool=None) -> float:
+def _support_measure(mags: np.ndarray, volume: float, tol: float) -> float:
     """Measure of the numerical support {|F| > tol}; ``mags`` flat."""
-    counts = _run_blocks(lambda s: np.count_nonzero(mags[s] > tol), mags.size, pool)
+    counts = _run_blocks(lambda s: np.count_nonzero(mags[s] > tol), mags.size)
     return float(volume * sum(counts))
 
 
@@ -378,18 +329,18 @@ def smoothness_modulus(f_spectrum: Spectrum, x: float, p: float) -> float:
     if value is None or not (math.isfinite(value) and value >= 0.0):
         raise ValueError(f"x must be a nonnegative finite real, got {x!r}")
     p = _check_p(p)
-    mass = _sublevel_mass(np.abs(f_spectrum.values), f_spectrum.grid.cell_volume, value)
+    mass = _sublevel_masses(np.abs(f_spectrum.values), f_spectrum.grid.cell_volume, (value,))[0]
     return _smoothness(mass, value, p)
 
 
 def _translation(
-    F: np.ndarray, G: np.ndarray, magF: np.ndarray, tol: float, volume: float, out, pool=None
+    F: np.ndarray, G: np.ndarray, magF: np.ndarray, tol: float, volume: float, out
 ) -> float:
     """2 * L^2 norm of Im(conj(F) G / |F|), set to 0 where |F| <= tol.
 
     F, G, |F| and ``out`` are flat.  The squared integrand is formed in
-    ``out`` block by block, on ``pool`` when one is given, and conj(F) G in a
-    block temporary, so F and G are left as they were.
+    ``out`` block by block and conj(F) G in a block temporary, so F and G
+    are left as they were.
     """
 
     def square(s):
@@ -400,7 +351,7 @@ def _translation(
         np.divide(cross.imag, mags, out=field, where=mags > tol)
         _lp_integrand(field, 2.0, out=field)
 
-    _run_blocks(square, out.size, pool)
+    _run_blocks(square, out.size)
     return 2.0 * _lp_root(float(out.sum()), volume, 2.0)
 
 
@@ -431,11 +382,11 @@ def evaluate_theorem(
 ) -> BoundReport:
     """Evaluate every term of the stability bound for (f, g) at exponent p."""
     p = _check_p(p)
-    with _pair(f, g, p, "evaluate_theorem") as pair:
-        epsilon, lhs, magF, volume = pair.epsilon, pair.lhs, pair.magF, pair.volume
-        tol = _default_tol(magF, zero_tol, "zero_tol")
-        term_translation = _translation(pair.F, pair.G, magF, tol, volume, pair.scratch, pair.pool)
-        mass = _sublevel_mass(magF, volume, epsilon, pair.scratch, pair.pool)
+    pair = _pair(f, g, p, "evaluate_theorem")
+    epsilon, lhs, magF, volume = pair.epsilon, pair.lhs, pair.magF, pair.volume
+    tol = _default_tol(magF, zero_tol, "zero_tol")
+    term_translation = _translation(pair.F, pair.G, magF, tol, volume, pair.scratch)
+    mass = _sublevel_masses(magF, volume, (epsilon,), pair.scratch)[0]
     term_modulus = 2.0 * pair.modulus_l2
     term_smoothness = _smoothness(mass, epsilon, p)
     rhs = term_modulus + term_smoothness + term_translation
@@ -529,7 +480,7 @@ def spectral_tail(f_spectrum: Spectrum, epsilon: float) -> float:
     """
     _require_spectrum(f_spectrum)
     epsilon = _check_epsilon(epsilon)
-    return _sublevel_mass(np.abs(f_spectrum.values), f_spectrum.grid.cell_volume, epsilon)
+    return _sublevel_masses(np.abs(f_spectrum.values), f_spectrum.grid.cell_volume, (epsilon,))[0]
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -541,16 +492,16 @@ def evaluate_corollary1(
     Requires the spectrum of f to be real valued (relative imaginary part at
     most 1e-8); rejects otherwise, naming the violated hypothesis.
     """
-    with _pair(f, g, 1.0, "evaluate_corollary1") as pair:
-        peak = float(pair.magF.max(initial=0.0))
-        im_peak = float(np.abs(pair.F.imag).max(initial=0.0))
-        if im_peak > 1e-8 * peak:
-            raise ValueError(
-                "hypothesis violated: spectrum of f must be real-valued "
-                f"(max |Im| = {im_peak:.3e} exceeds 1e-8 * max |F| = {1e-8 * peak:.3e})"
-            )
-        tol = _default_tol(pair.magF, support_tol, "support_tol")
-        L = _support_measure(pair.magF, pair.volume, tol, pair.pool)
+    pair = _pair(f, g, 1.0, "evaluate_corollary1")
+    peak = float(pair.magF.max(initial=0.0))
+    im_peak = float(np.abs(pair.F.imag).max(initial=0.0))
+    if im_peak > 1e-8 * peak:
+        raise ValueError(
+            "hypothesis violated: spectrum of f must be real-valued "
+            f"(max |Im| = {im_peak:.3e} exceeds 1e-8 * max |F| = {1e-8 * peak:.3e})"
+        )
+    tol = _default_tol(pair.magF, support_tol, "support_tol")
+    L = _support_measure(pair.magF, pair.volume, tol)
     epsilon, lhs = pair.epsilon, pair.lhs
     term_modulus = 2.0 * pair.modulus_l2
     term_bandlimit = 30.0 * math.sqrt(L) * epsilon

@@ -17,6 +17,8 @@ enforced by rejection: neither inequality is claimed outside its region, and
 silently evaluating there would poison the property tests built on top.
 
 All gap functions accept scalars or numpy arrays and broadcast.
+``lemma1_gap`` runs its two passes (the admissibility check, then the gap)
+through the pair pass's block runner, ``grid._run_blocks``.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import _REGIME, _check_epsilon
-from .grid import _BLOCK, MAX_TOTAL_POINTS, _index
+from .grid import MAX_TOTAL_POINTS, _index, _run_blocks
 
 __all__ = [
     "Lemma1Scan",
@@ -50,11 +52,12 @@ def lemma1_gap(w, z):
     Both sides scale quadratically under (w, z) -> (lam w, lam z), so gaps for
     different w are comparable after dividing by w^2.
 
-    The gap is formed in blocks of ``_BLOCK`` points, with the formula's
-    elementwise operations in the order of one full-size pass, so every point
-    rounds as it would there.  Every point is checked before any gap is
-    formed, so an inadmissible point anywhere raises before any arithmetic
-    that could overflow.
+    The gap is formed through ``grid._run_blocks``, in blocks of ``_BLOCK``
+    points (on two threads from the gate on), with the formula's elementwise
+    operations in the order of one full-size pass, so every point rounds as
+    it would there.  Every point is checked before any gap is formed, so an
+    inadmissible point anywhere raises before any arithmetic that could
+    overflow.
     """
     w = np.asarray(w, dtype=float)
     z = np.asarray(z, dtype=complex)
@@ -65,19 +68,20 @@ def lemma1_gap(w, z):
     z = np.broadcast_to(z, shape).reshape(-1)
     gap = np.empty(shape)
     out = gap.reshape(-1)
-    starts = range(0, out.size, _BLOCK)
-    diff = np.empty(min(out.size, _BLOCK), dtype=complex)
-    for start in starts:
-        s = slice(start, start + _BLOCK)
+
+    def admissible(s):
+        # |z - w|, kept in the output for the gap pass
         wb, dist = w[s], out[s]
-        np.abs(np.subtract(z[s], wb, out=diff[: dist.size]), out=dist)
-        if not np.all(dist <= 0.5 * wb * (1.0 + _BOUNDARY_RTOL)):
-            raise ValueError("inadmissible input: need |z - w| <= w/2")
-    buf = np.empty_like(diff, dtype=float)
-    for start in starts:
-        s = slice(start, start + _BLOCK)
+        np.abs(np.subtract(z[s], wb), out=dist)
+        return bool(np.all(dist <= 0.5 * wb * (1.0 + _BOUNDARY_RTOL)))
+
+    checked = _run_blocks(admissible, out.size)
+    if not all(checked):
+        raise ValueError("inadmissible input: need |z - w| <= w/2")
+
+    def form(s):
         wb, zb, rhs = w[s], z[s], out[s]
-        tmp = buf[: rhs.size]
+        tmp = np.empty(rhs.size)
         # rhs = (w - |z|)^2 + 2 (dist / w) (Im z)^2, built over dist
         np.divide(rhs, wb, out=rhs)
         np.multiply(2.0, rhs, out=rhs)
@@ -87,6 +91,8 @@ def lemma1_gap(w, z):
         # gap = rhs - (w - Re z)^2
         np.subtract(wb, zb.real, out=tmp)
         np.subtract(rhs, np.square(tmp, out=tmp), out=rhs)
+
+    _run_blocks(form, out.size)
     return gap if gap.ndim else float(gap)
 
 

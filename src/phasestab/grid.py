@@ -20,10 +20,17 @@ point count N per axis, the centred transform of x is
 
 which equals fftshift(fftn(ifftshift(x))) bit for bit when every axis is a
 power of two, and to within rounding (a few 1e-16 relative) otherwise.
+
+The library's elementwise passes over large arrays (the pair pass, the
+spectrum helpers and lemma1_gap) run through one block runner,
+``_run_blocks``: blocks of ``_BLOCK`` points, each with the operations of one
+full-size pass.  The runner alone decides, from the size it is given, whether
+a worker thread takes the second half of the blocks (``_two_threads``).
 """
 
 from __future__ import annotations
 
+import contextvars
 import functools
 import itertools
 import math
@@ -47,11 +54,55 @@ __all__ = [
 # array comfortably in memory on ordinary hardware.
 MAX_TOTAL_POINTS = 2**26
 
-# Points per block of the passes that work block by block (the pair pass and
-# lemma1_gap): a block's operands (about 0.5 MB) stay in cache between the
+# Points per block of the passes that run through _run_blocks (the pair pass,
+# the spectrum helpers and lemma1_gap): a block's operands (about 0.5 MB) stay in cache between the
 # operations on it.  On a 2.5M-point chunk of lemma1_gap 2^12 and 2^16 were
 # slower.
 _BLOCK = 2**14
+
+# From this many points on, a pass splits its work between two threads (see
+# _two_threads); numpy's FFT and ufunc loops release the GIL.  Each split opens
+# and closes its own one-worker executor, about 0.14 ms.  Time of one
+# evaluate_theorem, two threads over one (medians of 5-30 calls, 6-14 rounds),
+# on a 2-CPU host where two threads of numpy arithmetic ran no faster than
+# one: 1.90-2.40 at 2^14 points, 1.71-1.92 at 2^15, 1.27-1.36 at 256^2,
+# 1.10-1.46 at 512 x 256, 0.88-1.38 at 512^2 and 0.54-1.25 at 64^3 (two
+# rounds of 28 won), 0.53-1.17 at 1024 x 512, 0.58-1.00 at 2^19 in 1-D and
+# 0.54-1.10 at 64 x 64 x 128, and 0.51-0.98 from 2^20 to 128^3, where the
+# second thread overlaps the transforms and memory traffic.
+_TWO_THREADS_MIN_POINTS = 2**19
+
+
+def _two_threads(first, second, size: int) -> tuple:
+    """``(first(), second())``.  From ``_TWO_THREADS_MIN_POINTS`` points on,
+    ``second`` runs on a one-worker executor, opened and closed here, while
+    this thread runs ``first``; below that, both run here, in that order.
+
+    The worker runs in a copy of this thread's context, so a caller's
+    np.errstate holds there, and its exception is raised here.  No thread
+    outlives the call.
+    """
+    if size < _TWO_THREADS_MIN_POINTS:
+        return first(), second()
+    # imported here: concurrent.futures adds about 5 ms to the package's
+    # import, which runs that stay below the gate should not pay
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(1, thread_name_prefix="phasestab") as worker:
+        future = worker.submit(contextvars.copy_context().run, second)
+        return first(), future.result()
+
+
+def _run_blocks(step, size: int) -> list:
+    """``step(s)`` for each slice ``s`` of ``_BLOCK`` points covering range(size),
+    the last one partial; their results, in block order.  The second half of
+    the blocks is ``_two_threads``' second: on a worker from the gate on."""
+    blocks = [slice(start, start + _BLOCK) for start in range(0, size, _BLOCK)]
+    half = len(blocks) // 2
+    first, second = _two_threads(
+        lambda: list(map(step, blocks[:half])), lambda: list(map(step, blocks[half:])), size
+    )
+    return first + second
 
 
 def _index(value) -> int | None:

@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 
@@ -19,3 +21,10 @@ def grid_2d():
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture
+def no_thread_outlives_the_call():
+    before = threading.active_count()
+    yield
+    assert threading.active_count() == before

@@ -31,10 +31,13 @@ from phasestab.experiments import (
     triangle_spectrum,
 )
 from phasestab.grid import (
+    _BLOCK,
+    _TWO_THREADS_MIN_POINTS,
     GridSpec,
     SampledFunction,
     Spectrum,
     _centred,
+    _run_blocks,
     fourier_transform,
     inverse_transform,
     lp_norm,
@@ -648,18 +651,11 @@ class TestTailParams:
 
 
 # ---------------------------------------------------------------------------
-# the pair pass on two threads (grids of _CONCURRENT_SPECTRA_MIN_POINTS or more)
+# the pair pass on two threads (grids of _TWO_THREADS_MIN_POINTS or more)
 # ---------------------------------------------------------------------------
 
-# the smallest 2-D grid at the gate; 256^2 is below it
-CONCURRENT_GRID = GridSpec(2, (8.0, 8.0), (512, 256))
-
-
-@pytest.fixture
-def no_thread_outlives_the_call():
-    before = threading.active_count()
-    yield
-    assert threading.active_count() == before
+# the smallest 2-D grid at the gate; 512^2 is below it
+CONCURRENT_GRID = GridSpec(2, (8.0, 8.0), (1024, 512))
 
 
 def _bits(a):
@@ -671,9 +667,9 @@ class TestConcurrentPairPass:
     @pytest.mark.parametrize(
         "shape, concurrent",
         [
-            pytest.param((128, 256), False, id="128x256-below-the-gate"),
             pytest.param((256, 256), False, id="256x256-below-the-gate"),
-            pytest.param((512, 256), True, id="512x256-at-the-gate"),
+            pytest.param((512, 512), False, id="512x512-below-the-gate"),
+            pytest.param((1024, 512), True, id="1024x512-at-the-gate"),
         ],
     )
     def test_spectra_match_the_sequential_transform(self, shape, concurrent, monkeypatch):
@@ -687,8 +683,7 @@ class TestConcurrentPairPass:
             return _centred(transform, values, scale)
 
         monkeypatch.setattr(bounds, "_centred", centred)
-        with bounds._pair(f, g, 1.5, "test") as pair:
-            pass
+        pair = bounds._pair(f, g, 1.5, "test")
         assert len(threads) == 2
         off_main = [t for t in threads if t is not threading.main_thread()]
         assert len(off_main) == int(concurrent)
@@ -708,7 +703,7 @@ class TestConcurrentPairPass:
         [
             pytest.param(GridSpec.uniform(1, 16.0, 1024), id="1d"),
             pytest.param(GridSpec.uniform(2, 8.0, 256), id="256x256"),
-            pytest.param(CONCURRENT_GRID, id="512x256"),
+            pytest.param(CONCURRENT_GRID, id="1024x512"),
         ],
     )
     @pytest.mark.parametrize("huge", ["f", "g"])
@@ -750,9 +745,9 @@ BLOCKED_GRIDS = [
     pytest.param(GridSpec.uniform(3, 4.0, 32), id="32^3-two-blocks-below-the-gate"),
     pytest.param(GridSpec.uniform(2, 8.0, 256), id="256x256-below-the-gate"),
     pytest.param(GridSpec(2, (8.0, 8.0), (258, 256)), id="258x256-partial-last-block"),
-    pytest.param(CONCURRENT_GRID, id="512x256-at-the-gate"),
-    pytest.param(GridSpec(2, (8.0, 8.0), (514, 256)), id="514x256-partial-last-block-above-the-gate"),
-    pytest.param(GridSpec(3, (4.0, 4.0, 4.0), (64, 64, 32)), id="64x64x32-above-the-gate"),
+    pytest.param(CONCURRENT_GRID, id="1024x512-at-the-gate"),
+    pytest.param(GridSpec(2, (8.0, 8.0), (1026, 512)), id="1026x512-partial-last-block-above-the-gate"),
+    pytest.param(GridSpec(3, (4.0, 4.0, 4.0), (128, 64, 64)), id="128x64x64-at-the-gate"),
 ]
 
 
@@ -820,13 +815,12 @@ class TestBlockedPairPass:
     def test_pair_matches_the_sequential_pass(self, grid):
         f, g = _complex_pair(grid)
         F, G, magF, eps, lhs, modulus_l2, dual = _sequential_pass(f, g, 1.5)
-        with bounds._pair(f, g, 1.5, "test") as pair:
-            assert (pair.pool is None) == (grid.size < bounds._CONCURRENT_SPECTRA_MIN_POINTS)
-            # the translation stage forms conj(F) G in block temporaries: F stays F
-            bounds._translation(pair.F, pair.G, pair.magF, 0.0, pair.volume, pair.scratch, pair.pool)
-            assert _bits(pair.F) == _bits(F)
-            assert _bits(pair.G) == _bits(G)
-            assert _bits(pair.magF) == _bits(magF)
+        pair = bounds._pair(f, g, 1.5, "test")
+        # the translation stage forms conj(F) G in block temporaries: F stays F
+        bounds._translation(pair.F, pair.G, pair.magF, 0.0, pair.volume, pair.scratch)
+        assert _bits(pair.F) == _bits(F)
+        assert _bits(pair.G) == _bits(G)
+        assert _bits(pair.magF) == _bits(magF)
         assert (pair.epsilon, pair.lhs, pair.modulus_l2, pair.volume) == (eps, lhs, modulus_l2, dual)
 
     @pytest.mark.parametrize("p", [1.0, 1.25, 1.5, 1.75])
@@ -843,6 +837,22 @@ class TestBlockedPairPass:
         for g in (-f, gaussian(grid, width=1.1, amplitude=0.9)):
             expected = _hex_fields(_sequential_corollary1(f, g))
             assert _hex_fields(evaluate_corollary1(f, g)) == expected
+
+    def test_public_helpers_match_full_size_formulas(self):
+        # translation_term and spectral_tail run their stages through the same
+        # runner; on the gate's grid its second half is a worker's
+        f, g = _complex_pair(CONCURRENT_GRID)
+        Fs, Gs = fourier_transform(f), fourier_transform(g)
+        F, G, magF = Fs.values, Gs.values, np.abs(Fs.values)
+        dual = Fs.grid.cell_volume
+        field = np.zeros_like(magF)
+        np.divide((np.conjugate(F) * G).imag, magF, out=field, where=magF > 1e-12 * magF.max())
+        translation = 2.0 * math.sqrt(dual * float(np.sum(field * field)))
+        assert translation_term(Fs, Gs).hex() == translation.hex()
+        for eps in (1e-6, 1e-3, 0.05):
+            sq = magF * magF
+            sq[magF > 10.0 * eps] = 0.0
+            assert spectral_tail(Fs, eps).hex() == float(dual * np.sum(sq)).hex()
 
     def test_stage_exception_on_the_worker_is_raised_in_the_caller(self, monkeypatch):
         integrand = bounds._lp_integrand
@@ -871,6 +881,53 @@ class TestBlockedPairPass:
         f = gaussian(CONCURRENT_GRID, amplitude=1e300)
         with pytest.raises(ArithmeticError, match="non-finite .*lhs"):
             evaluate(f, -f)
+
+
+def _record_blocks(size):
+    """_run_blocks over ``size`` points with a step that returns its block's
+    start, its length within range(size) and the thread it ran on."""
+    return _run_blocks(
+        lambda s: (s.start, len(range(size)[s]), threading.current_thread()), size
+    )
+
+
+@pytest.mark.usefixtures("no_thread_outlives_the_call")
+class TestRunBlocks:
+    @pytest.mark.parametrize(
+        "size",
+        [
+            pytest.param(0, id="empty"),
+            pytest.param(_BLOCK - 1, id="one-partial-block"),
+            pytest.param(3 * _BLOCK + 7, id="partial-last-block"),
+            pytest.param(_TWO_THREADS_MIN_POINTS - 1, id="one-below-the-gate"),
+            pytest.param(_TWO_THREADS_MIN_POINTS, id="at-the-gate"),
+            pytest.param(_TWO_THREADS_MIN_POINTS + 7, id="partial-last-block-above-the-gate"),
+        ],
+    )
+    def test_blocks_in_order_and_their_threads(self, size):
+        results = _record_blocks(size)
+        starts = list(range(0, size, _BLOCK))
+        assert [start for start, _, _ in results] == starts
+        assert [length for _, length, _ in results] == [min(_BLOCK, size - a) for a in starts]
+        caller = threading.current_thread()
+        threads = [thread for _, _, thread in results]
+        half = len(starts) // 2
+        assert all(thread is caller for thread in threads[:half])
+        if size < _TWO_THREADS_MIN_POINTS:
+            assert all(thread is caller for thread in threads)
+        else:
+            # the second half of the blocks, partial last one included, on one worker
+            assert len({id(thread) for thread in threads[half:]}) == 1
+            assert threads[-1] is not caller
+
+    def test_worker_exception_is_raised_in_the_caller(self):
+        def step(s):
+            if threading.current_thread() is not threading.main_thread():
+                raise MemoryError(f"block at {s.start}")
+            return s.start
+
+        with pytest.raises(MemoryError, match="block at"):
+            _run_blocks(step, _TWO_THREADS_MIN_POINTS)
 
 
 # ---------------------------------------------------------------------------
@@ -1007,7 +1064,7 @@ class TestSymmetries:
         grid = CONCURRENT_GRID
         f = gaussian(grid, center=(0.3, -0.2), width=(1.0, 1.4), amplitude=0.8 + 0.6j)
         g = shift(gaussian(grid, center=(0.3, -0.2), width=1.1), (0.1, 0.05))
-        assert grid.size >= bounds._CONCURRENT_SPECTRA_MIN_POINTS
+        assert grid.size >= _TWO_THREADS_MIN_POINTS
         _assert_equivariant(*_reports(f, g, p, transform, lam), lam)
 
     @pytest.mark.usefixtures("no_thread_outlives_the_call")

@@ -9,11 +9,11 @@ from hypothesis import given, strategies as st
 
 from phasestab import geometry
 from phasestab.geometry import (
-    _BLOCK,
     lemma1_gap,
     lemma1_scan,
     pointwise_first_term_check,
 )
+from phasestab.grid import _BLOCK, _TWO_THREADS_MIN_POINTS
 
 
 def gap_oracle(w, z):
@@ -111,7 +111,20 @@ def admissible_points(rng, size):
 class TestLemma1GapBlocks:
     """lemma1_gap works in blocks of _BLOCK points; its bytes are the unblocked pass's."""
 
-    @pytest.mark.parametrize("size", [0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 7])
+    @pytest.mark.usefixtures("no_thread_outlives_the_call")
+    @pytest.mark.parametrize(
+        "size",
+        [
+            0,
+            1,
+            _BLOCK - 1,
+            _BLOCK,
+            _BLOCK + 1,
+            3 * _BLOCK + 7,
+            _TWO_THREADS_MIN_POINTS,
+            _TWO_THREADS_MIN_POINTS + 7,
+        ],
+    )
     def test_bytes_match_unblocked_pass(self, rng, size):
         w, z = admissible_points(rng, size)
         got = lemma1_gap(w, z)
@@ -138,6 +151,17 @@ class TestLemma1GapBlocks:
         w, z = admissible_points(rng, 2 * _BLOCK + 5)
         z[-1] = 1.6 * w[-1]
         with pytest.raises(ValueError, match="inadmissible"):
+            lemma1_gap(w, z)
+
+    @pytest.mark.usefixtures("no_thread_outlives_the_call")
+    def test_inadmissible_point_in_the_workers_half_rejected(self, rng):
+        # at the gate the second half of the blocks is checked on a worker
+        size = _TWO_THREADS_MIN_POINTS
+        w, z = admissible_points(rng, size)
+        blocks = -(-size // _BLOCK)
+        i = (blocks // 2) * _BLOCK + 5
+        z[i] = 1.6 * w[i]
+        with pytest.raises(ValueError, match=re.escape("inadmissible input: need |z - w| <= w/2")):
             lemma1_gap(w, z)
 
     def test_w_message_precedes_distance_violation(self, rng):

@@ -1,9 +1,10 @@
 """Run the tier-1 suite against one-token mutants of the library.
 
 Each mutant edits one constant, operator, loop bound or literal in one file:
-the bound and the pair pass's block runner in ``src/phasestab/bounds.py``,
-the blocked half-disk gap in ``src/phasestab/geometry.py``, or the text that
-``save_field`` joins in ``src/phasestab/io.py``.  It is applied
+the bound in ``src/phasestab/bounds.py``, the block runner in
+``src/phasestab/grid.py``, the blocked half-disk gap in
+``src/phasestab/geometry.py``, or the text that ``save_field`` joins in
+``src/phasestab/io.py``.  It is applied
 to a fresh copy of ``src/``, ``tests/`` and ``pyproject.toml`` in a
 temporary directory, never to the working tree, and tier-1 runs in that
 copy with ``-x``.  A mutant that passes tier-1 survives.  The unmutated
@@ -28,6 +29,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 BOUNDS = Path("src/phasestab/bounds.py")
 GEOMETRY = Path("src/phasestab/geometry.py")
+GRID = Path("src/phasestab/grid.py")
 IO = Path("src/phasestab/io.py")
 COPIED = ("src", "tests", "pyproject.toml")
 
@@ -84,17 +86,22 @@ BOUNDS_MUTANTS = [
      "if lhs < math.sqrt(sys.float_info.min)", "if lhs < 0.0"),
     ("pair pass refuses only lhs = 0", "_pair",
      "if lhs < math.sqrt(sys.float_info.min)", "if lhs == 0.0"),
-    # every elementwise stage of both evaluators runs through the block runner
+]
+# every elementwise stage of the evaluators, the spectrum helpers and
+# lemma1_gap runs through the block runner
+GRID_MUTANTS = [
     ("block runner drops the last partial block", "_run_blocks",
-     "starts = range(0, size, _BLOCK)", "starts = range(0, size - _BLOCK + 1, _BLOCK)"),
+     "range(0, size, _BLOCK)", "range(0, size - _BLOCK + 1, _BLOCK)"),
     ("block runner's worker repeats the caller's half", "_run_blocks",
-     "_steps, step, starts[half:])", "_steps, step, starts[:half])"),
+     "blocks[half:]", "blocks[:half]"),
 ]
 GEOMETRY_MUTANTS = [
-    ("lemma1_gap skips the last partial block", "lemma1_gap",
-     "starts = range(0, out.size, _BLOCK)", "starts = range(0, out.size - _BLOCK + 1, _BLOCK)"),
-    ("lemma1_gap checks only the first block", "lemma1_gap",
-     "if not np.all(dist <=", "if start == 0 and not np.all(dist <="),
+    # 2**14 is grid._BLOCK
+    ("lemma1_gap skips the last partial block of the gap pass", "lemma1_gap",
+     "_run_blocks(form, out.size)", "_run_blocks(form, out.size - out.size % 2**14)"),
+    # at the gate the second half of the blocks is the worker's
+    ("lemma1_gap drops the worker half's admissibility", "lemma1_gap",
+     "if not all(checked):", "if not all(checked[: len(checked) // 2]):"),
 ]
 # the files still load the same; only the pinned bytes can tell
 IO_MUTANTS = [
@@ -107,6 +114,7 @@ IO_MUTANTS = [
 # (name, the file, scope, old, new)
 MUTANTS = (
     [(name, BOUNDS, *edit) for name, *edit in BOUNDS_MUTANTS]
+    + [(name, GRID, *edit) for name, *edit in GRID_MUTANTS]
     + [(name, GEOMETRY, *edit) for name, *edit in GEOMETRY_MUTANTS]
     + [(name, IO, *edit) for name, *edit in IO_MUTANTS]
 )
