@@ -243,8 +243,8 @@ def _pair(f, g, p: float, caller: str) -> _Pair:
     _require_same_grid(f, g)
     space_volume, size = f.grid.cell_volume, f.grid.size
     F, G = _two_threads(
-        lambda: _centred(np.fft.fftn, f.values, space_volume),
-        lambda: _centred(np.fft.fftn, g.values, space_volume),
+        lambda: _centred(np.fft.fft, f.values, space_volume),
+        lambda: _centred(np.fft.fft, g.values, space_volume),
         size,
     )
     F, G, fv, gv = (a.reshape(-1) for a in (F, G, f.values, g.values))

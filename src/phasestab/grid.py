@@ -19,7 +19,9 @@ point count N per axis, the centred transform of x is
     (-1)^(sum N/2) * s * fftn(s * x),    s[j] = (-1)^(sum j),
 
 which equals fftshift(fftn(ifftshift(x))) bit for bit when every axis is a
-power of two, and to within rounding (a few 1e-16 relative) otherwise.
+power of two, and to within rounding (a few 1e-16 relative) otherwise.  The
+fftn is the 1-D transform applied in place once per axis, last axis first:
+the calls numpy's own fftn makes, without its per-call argument handling.
 
 The library's elementwise passes over large arrays (the pair pass, the
 spectrum helpers and lemma1_gap) run through one block runner,
@@ -96,8 +98,11 @@ def _two_threads(first, second, size: int) -> tuple:
 def _run_blocks(step, size: int) -> list:
     """``step(s)`` for each slice ``s`` of ``_BLOCK`` points covering range(size),
     the last one partial; their results, in block order.  The second half of
-    the blocks is ``_two_threads``' second: on a worker from the gate on."""
+    the blocks is ``_two_threads``' second: on a worker from the gate on.  A
+    lone block, far below the gate, runs here without that split."""
     blocks = [slice(start, start + _BLOCK) for start in range(0, size, _BLOCK)]
+    if len(blocks) < 2:
+        return list(map(step, blocks))
     half = len(blocks) // 2
     first, second = _two_threads(
         lambda: list(map(step, blocks[:half])), lambda: list(map(step, blocks[half:])), size
@@ -202,11 +207,12 @@ class GridSpec:
     def size(self) -> int:
         return math.prod(self.points_per_axis)
 
-    @property
+    # formed once per grid, as _dual is: every transform and norm reads them
+    @functools.cached_property
     def spacing(self) -> tuple[float, ...]:
         return tuple(2.0 * t / n for t, n in zip(self.half_extent, self.points_per_axis))
 
-    @property
+    @functools.cached_property
     def cell_volume(self) -> float:
         return math.prod(self.spacing)
 
@@ -292,26 +298,39 @@ class Spectrum(_GridField):
     """Frequency-domain samples on the dual GridSpec, physical ordering."""
 
 
+@functools.cache
+def _corners(ndim: int, parity: int) -> tuple[tuple[slice, ...], ...]:
+    """The strided index tuples, one per corner of the unit cell, that select
+    the samples of an ``ndim``-axis array whose index sum has the given parity."""
+    return tuple(
+        tuple(slice(c, None, 2) for c in corner)
+        for corner in itertools.product((0, 1), repeat=ndim)
+        if sum(corner) % 2 == parity
+    )
+
+
 def _flip_signs(a: np.ndarray, parity: int) -> None:
     """Negate in place the samples of ``a`` whose index sum has the given parity."""
-    for corner in itertools.product((0, 1), repeat=a.ndim):
-        if sum(corner) % 2 == parity:
-            view = a[tuple(slice(c, None, 2) for c in corner)]
-            # 0 - x rather than -x: an exact +0 stays +0, as in the shifted FFT
-            np.subtract(0.0, view, out=view)
+    for corner in _corners(a.ndim, parity):
+        view = a[corner]
+        # 0 - x rather than -x: an exact +0 stays +0, as in the shifted FFT
+        np.subtract(0.0, view, out=view)
 
 
 def _centred(transform, values: np.ndarray, scale: float) -> np.ndarray:
-    """``scale`` times ``transform`` over every axis of zero-centred samples.
+    """``scale`` times the 1-D ``transform`` (np.fft.fft or np.fft.ifft) over
+    every axis of zero-centred samples.
 
     Returns a new array; ``values`` is read once and never written.  The
     centring is the sign modulation of the module docstring, applied to one
-    copy of ``values`` through strided views, and the FFT writes into that
-    same buffer.
+    copy of ``values`` through strided views, and each axis's FFT writes into
+    that same buffer, last axis first as in np.fft.fftn, which gives fftn's
+    bits.
     """
     a = np.array(values, dtype=np.complex128)
     _flip_signs(a, 1)
-    transform(a, out=a)
+    for axis in reversed(range(a.ndim)):
+        transform(a, axis=axis, out=a)
     a *= scale
     _flip_signs(a, (1 + sum(n // 2 for n in a.shape)) % 2)
     return a
@@ -330,7 +349,7 @@ def fourier_transform(f: SampledFunction) -> Spectrum:
     """
     if not isinstance(f, SampledFunction):
         raise TypeError("fourier_transform expects a SampledFunction")
-    return Spectrum(f.grid.dual(), _centred(np.fft.fftn, f.values, f.grid.cell_volume))
+    return Spectrum(f.grid.dual(), _centred(np.fft.fft, f.values, f.grid.cell_volume))
 
 
 def inverse_transform(spectrum: Spectrum) -> SampledFunction:
@@ -338,9 +357,9 @@ def inverse_transform(spectrum: Spectrum) -> SampledFunction:
     if not isinstance(spectrum, Spectrum):
         raise TypeError("inverse_transform expects a Spectrum")
     g = spectrum.grid
-    # ifftn divides by the point count; dxi^n * N^n = 1 / dx^n restores the
-    # quadrature scaling of the inverse integral.
-    vals = _centred(np.fft.ifftn, spectrum.values, g.cell_volume * g.size)
+    # ifft divides by each axis's point count; dxi^n * N^n = 1 / dx^n restores
+    # the quadrature scaling of the inverse integral.
+    vals = _centred(np.fft.ifft, spectrum.values, g.cell_volume * g.size)
     return SampledFunction(g.dual(), vals)
 
 

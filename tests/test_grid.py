@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import pickle
 import re
 
 import numpy as np
@@ -11,6 +13,8 @@ from phasestab.grid import (
     SampledFunction,
     Spectrum,
     fourier_transform,
+    _centred,
+    _flip_signs,
     inverse_transform,
     lp_norm,
     shift,
@@ -103,6 +107,32 @@ class TestGridSpec:
         grid = GridSpec(3, (2, np.float32(1.5), np.int64(4)), (8, 8, 8))
         assert grid.half_extent == (2.0, 1.5, 4.0)
         assert all(type(t) is float for t in grid.half_extent)
+
+    @pytest.mark.parametrize(
+        "grid",
+        [GridSpec.uniform(1, 16.0, 1024), GridSpec(3, (1.5, 2.0, 0.7), (6, 10, 2))],
+        ids=["1d", "3d"],
+    )
+    def test_cached_spacing_and_volume_leave_the_spec_unchanged(self, grid):
+        # spacing and cell_volume are cached on the instance once read; a spec
+        # read first and one never read must be the same value in every way
+        args = (grid.dimension, grid.half_extent, grid.points_per_axis)
+        read, unread = GridSpec(*args), GridSpec(*args)
+        spacing, volume = read.spacing, read.cell_volume
+        assert read == unread
+        assert hash(read) == hash(unread)
+        assert repr(read) == repr(unread)
+        assert dataclasses.replace(read) == unread
+        wider = dataclasses.replace(read, half_extent=tuple(2.0 * t for t in grid.half_extent))
+        assert wider.spacing == tuple(2.0 * dx for dx in spacing)
+        assert wider.cell_volume == math.prod(wider.spacing)
+        restored = pickle.loads(pickle.dumps(read))
+        assert restored == unread
+        assert hash(restored) == hash(unread)
+        assert (restored.spacing, restored.cell_volume) == (spacing, volume)
+        assert read.dual().dual() == read
+        assert read.dual().dual() == unread
+        assert (unread.spacing, unread.cell_volume) == (spacing, volume)
 
     def test_oversized_grid_rejected(self):
         with pytest.raises(ValueError, match="exceeds"):
@@ -228,10 +258,12 @@ class TestFourierTransform:
             inverse_transform(f)
 
 
-def _shifted_transforms(shape, rng):
-    """(transform, fftshift reference) pairs, forward and inverse, on random data."""
+def _shifted_transforms(shape, rng, x=None):
+    """(transform, fftshift reference) pairs, forward and inverse, on ``x``
+    (random data when None)."""
     grid = GridSpec(len(shape), (1.0,) * len(shape), shape)
-    x = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    if x is None:
+        x = rng.normal(size=shape) + 1j * rng.normal(size=shape)
     F = fourier_transform(SampledFunction(grid, x)).values
     f = inverse_transform(Spectrum(grid, x)).values
     ref_F = np.fft.fftshift(np.fft.fftn(np.fft.ifftshift(x))) * grid.cell_volume
@@ -239,19 +271,62 @@ def _shifted_transforms(shape, rng):
     return [(F, ref_F), (f, ref_f)]
 
 
+def _bits(a):
+    return a.view(np.uint64)
+
+
+def _centred_by_fftn(transform, values, scale):
+    """The centred transform with numpy's n-D ``transform`` (np.fft.fftn or
+    np.fft.ifftn) in place, where grid._centred runs the 1-D one per axis."""
+    a = np.array(values, dtype=np.complex128)
+    _flip_signs(a, 1)
+    transform(a, out=a)
+    a *= scale
+    _flip_signs(a, (1 + sum(n // 2 for n in a.shape)) % 2)
+    return a
+
+
 class TestCentredTransform:
     """The sign-modulated transform against fftshift(fftn(ifftshift(x)))."""
 
     @pytest.mark.parametrize("shape", [(2,), (1024,), (64, 64), (32, 32, 32)])
     def test_bit_identical_on_power_of_two_axes(self, shape, rng):
-        for values, reference in _shifted_transforms(shape, rng):
-            assert np.array_equal(values.view(np.uint64), reference.view(np.uint64))
+        # random data, and an all -0 field: the one input on which flipping
+        # the other parity at both ends, which negates input and output
+        # alike, moves a bit (the sign of an exact zero)
+        for x in (None, np.full(shape, -0.0 - 0.0j)):
+            for values, reference in _shifted_transforms(shape, rng, x):
+                assert np.array_equal(_bits(values), _bits(reference))
 
     # N = 6, 10 and 1000 are 2 (mod 4), so (-1)^(N/2) = -1 on those axes
     @pytest.mark.parametrize("shape", [(6,), (10,), (1000,), (6, 10), (12, 8, 6)])
     def test_rounding_only_on_other_even_axes(self, shape, rng):
         for values, reference in _shifted_transforms(shape, rng):
             assert np.abs(values - reference).max() <= 1e-15 * np.abs(reference).max()
+
+    @pytest.mark.parametrize(
+        "shape", [(1024,), (32768,), (256, 256), (6, 10), (64, 64, 64), (2, 6, 10)]
+    )
+    @pytest.mark.parametrize(
+        "axis_transform, n_transform",
+        [(np.fft.fft, np.fft.fftn), (np.fft.ifft, np.fft.ifftn)],
+        ids=["forward", "inverse"],
+    )
+    def test_per_axis_transforms_are_fftn_bit_for_bit(
+        self, shape, axis_transform, n_transform, rng
+    ):
+        # random samples with a share of exact +0 and -0 parts, and an
+        # all -0 field, whose output signs come from the FFT's own zeros
+        x = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        x.real[rng.random(shape) < 0.25] = 0.0
+        x.imag[rng.random(shape) < 0.25] = -0.0
+        for values in (x, np.full(shape, -0.0 - 0.0j)):
+            before = values.copy()
+            result = _centred(axis_transform, values, 0.75)
+            assert np.array_equal(_bits(values), _bits(before))
+            assert not np.shares_memory(result, values)
+            reference = _centred_by_fftn(n_transform, values, 0.75)
+            assert np.array_equal(_bits(result), _bits(reference))
 
 
 @st.composite

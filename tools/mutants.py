@@ -1,8 +1,8 @@
 """Run the tier-1 suite against one-token mutants of the library.
 
 Each mutant edits one constant, operator, loop bound or literal in one file:
-the bound in ``src/phasestab/bounds.py``, the block runner in
-``src/phasestab/grid.py``, the blocked half-disk gap in
+the bound in ``src/phasestab/bounds.py``, the block runner and the centred
+transform in ``src/phasestab/grid.py``, the blocked half-disk gap in
 ``src/phasestab/geometry.py``, or the text that ``save_field`` joins in
 ``src/phasestab/io.py``.  It is applied
 to a fresh copy of ``src/``, ``tests/`` and ``pyproject.toml`` in a
@@ -88,12 +88,19 @@ BOUNDS_MUTANTS = [
      "if lhs < math.sqrt(sys.float_info.min)", "if lhs == 0.0"),
 ]
 # every elementwise stage of the evaluators, the spectrum helpers and
-# lemma1_gap runs through the block runner
+# lemma1_gap runs through the block runner, and every transform through the
+# centred transform
 GRID_MUTANTS = [
     ("block runner drops the last partial block", "_run_blocks",
      "range(0, size, _BLOCK)", "range(0, size - _BLOCK + 1, _BLOCK)"),
     ("block runner's worker repeats the caller's half", "_run_blocks",
      "blocks[half:]", "blocks[:half]"),
+    # np.fft.fftn's order; on n-D grids the other order rounds differently
+    ("centred transform runs its axes first axis first", "_centred",
+     "reversed(range(a.ndim))", "range(a.ndim)"),
+    # negates the input and the output: only the sign of an exact zero moves
+    ("sign flips select the other parity", "_corners",
+     "sum(corner) % 2 == parity", "sum(corner) % 2 != parity"),
 ]
 GEOMETRY_MUTANTS = [
     # 2**14 is grid._BLOCK
