@@ -23,8 +23,10 @@ readings are pinned down numerically.
 
 Both evaluators read one pass over the pair (``_pair``), whose elementwise
 stages, like those of the public spectrum helpers, run through
-``grid._run_blocks``; every integral is one sum over a full-size array, so a
-report has the same bits whether or not a second thread took half the blocks.
+``grid._run_blocks``.  Each block returns the np.sum of its part of every
+integral, and ``grid._tree_sum`` adds them in np.sum's own pairwise order, so
+every integral has the bits of one np.sum over a full-size array, whether or
+not a second thread took half the blocks.
 
 All sub-level sets use non-strict comparison (|F| <= threshold, ties
 included).  Certification tolerances are multiplicative in the right-hand
@@ -46,10 +48,11 @@ from .grid import (
     _centred,
     _index,
     _lp_integrand,
-    _lp_norm,
     _lp_root,
     _real,
     _run_blocks,
+    _sum_blocks,
+    _tree_sum,
     _two_threads,
 )
 
@@ -204,8 +207,7 @@ def _default_tol(mags: np.ndarray, tol: float | None, name: str, strict: bool = 
 
 class _Pair(NamedTuple):
     """What both evaluators read of a pair.  F, G and |F| are flat and the
-    pass's own; ``scratch`` is a flat full-size float array free for the
-    evaluators' stages."""
+    pass's own."""
 
     epsilon: float
     lhs: float
@@ -214,7 +216,6 @@ class _Pair(NamedTuple):
     magF: np.ndarray
     modulus_l2: float
     volume: float
-    scratch: np.ndarray
 
 
 def _pair(f, g, p: float, caller: str) -> _Pair:
@@ -225,13 +226,13 @@ def _pair(f, g, p: float, caller: str) -> _Pair:
     |f - g| and |F| are each computed once.  F and G are transformed through
     ``grid._two_threads`` and the elementwise stages run block by block
     through ``grid._run_blocks``, so from the two-thread gate on G and the
-    second half of every stage's blocks are a worker's.  Every block runs the
-    same numpy operations in the same order as one full-size pass, and every
-    sum is one sum over a full-size array, so the bits do not depend on the
-    thread or the blocks.  A pair with f != g whose |f - g|_2^2 underflows
-    below the smallest normal double raises ArithmeticError: its reports
-    would be checked with no significant digits, and at lhs = 0 they would
-    certify vacuously.
+    right half of every stage's blocks are a worker's.  Every block runs the
+    same numpy operations in the same order as one full-size pass and returns
+    its np.sums, which ``grid._tree_sum`` adds in np.sum's pairwise order, so
+    the bits do not depend on the thread or the blocks.  A pair with f != g
+    whose |f - g|_2^2 underflows below the smallest normal double raises
+    ArithmeticError: its reports would be checked with no significant
+    digits, and at lhs = 0 they would certify vacuously.
 
     No array is checked for inf or NaN: overflow is the reports' to refuse.
     f and g are finite by construction, so a non-finite sample of f - g is an
@@ -248,18 +249,17 @@ def _pair(f, g, p: float, caller: str) -> _Pair:
         size,
     )
     F, G, fv, gv = (a.reshape(-1) for a in (F, G, f.values, g.values))
-    # the two full-size float arrays of the pass: |F| is written over the
-    # p-th powers of |f - g| once they are summed, and the evaluators'
-    # stages reuse ``scratch`` in turn
-    scratch, magF = np.empty(size), np.empty(size)
+    # the one full-size float array of the pass: |F|, written over the p-th
+    # powers of |f - g| once their block is summed
+    magF = np.empty(size)
 
     def difference(s):
         absdiff = np.abs(np.subtract(fv[s], gv[s]), out=magF[s])
-        _lp_integrand(absdiff, 2.0, out=scratch[s])
-        _lp_integrand(absdiff, p, out=absdiff)
+        squares = _lp_integrand(absdiff, 2.0).sum()
+        return squares, _lp_integrand(absdiff, p, out=absdiff).sum()
 
-    _run_blocks(difference, size)
-    lhs = _lp_root(float(scratch.sum()), space_volume, 2.0)
+    squares, powers = zip(*_run_blocks(difference, size))
+    lhs = _lp_root(float(_tree_sum(squares, size)), space_volume, 2.0)
     # sqrt(min) is 2^-511 exactly, so this is lhs**2 < min without the ** that
     # raises OverflowError for a large lhs
     if lhs < math.sqrt(sys.float_info.min) and np.any(fv != gv):
@@ -267,43 +267,42 @@ def _pair(f, g, p: float, caller: str) -> _Pair:
             f"{caller}: |f - g|_2^2 = {lhs**2!r} is below the smallest normal double "
             "although f != g (underflow), so the report has no significant digits"
         )
-    epsilon = _lp_root(float(magF.sum()), space_volume, p)
+    epsilon = _lp_root(float(_tree_sum(powers, size)), space_volume, p)
 
     def modulus(s):
-        mags, diff = np.abs(F[s], out=magF[s]), np.abs(G[s], out=scratch[s])
-        np.subtract(mags, diff, out=diff)
-        _lp_integrand(diff, 2.0, out=diff)
+        diff = np.abs(G[s])
+        np.subtract(np.abs(F[s], out=magF[s]), diff, out=diff)
+        return _lp_integrand(diff, 2.0, out=diff).sum()
 
-    _run_blocks(modulus, size)
     volume = f.grid.dual().cell_volume
-    modulus_l2 = _lp_root(float(scratch.sum()), volume, 2.0)
-    return _Pair(epsilon, lhs, F, G, magF, modulus_l2, volume, scratch)
+    modulus_l2 = _lp_root(float(_sum_blocks(modulus, size)), volume, 2.0)
+    return _Pair(epsilon, lhs, F, G, magF, modulus_l2, volume)
 
 
-def _sublevel_masses(mags: np.ndarray, volume: float, xs, out=None) -> list[float]:
+def _sublevel_masses(mags: np.ndarray, volume: float, xs) -> list[float]:
     """integral of |F|^2 over the sub-level set {|F| <= 10 x} (ties in), for
     each x in ``xs``, in their order.
 
-    |F|^2 is formed once, in ``out`` (flat and full size; a new array when
-    None), and zeroed in place from the largest x down, block by block.  Each
-    zeroed set holds the one before it, so the array summed at x is |F|^2
-    zeroed where |F| > 10 x, as if it were formed for x alone.
+    Each block forms its |F|^2 once and zeroes it in place from the largest
+    x down, summing it at each x.  Each zeroed set holds the one before it,
+    so the block summed at x is |F|^2 zeroed where |F| > 10 x, as if it were
+    formed for x alone.
     """
     mags = mags.reshape(-1)
-    sq = np.empty(mags.size) if out is None else out
-    masses = [0.0] * len(xs)
     order = sorted(range(len(xs)), key=xs.__getitem__, reverse=True)
-    for i in order:
-        # |F|^2 is formed in the pass of the largest x
+    thresholds = [(i, _REGIME * xs[i]) for i in order]
 
-        def zero(s, square=i == order[0], threshold=_REGIME * xs[i]):
-            if square:
-                np.multiply(mags[s], mags[s], out=sq[s])
-            np.copyto(sq[s], 0.0, where=mags[s] > threshold)
+    def masses(s):
+        block = mags[s]
+        sq = np.multiply(block, block)
+        sums = [0.0] * len(xs)
+        for i, threshold in thresholds:
+            np.copyto(sq, 0.0, where=block > threshold)
+            sums[i] = sq.sum()
+        return sums
 
-        _run_blocks(zero, mags.size)
-        masses[i] = float(volume * sq.sum())
-    return masses
+    parts = _run_blocks(masses, mags.size)
+    return [float(volume * _tree_sum(sums, mags.size)) for sums in zip(*parts)]
 
 
 def _support_measure(mags: np.ndarray, volume: float, tol: float) -> float:
@@ -334,25 +333,23 @@ def smoothness_modulus(f_spectrum: Spectrum, x: float, p: float) -> float:
 
 
 def _translation(
-    F: np.ndarray, G: np.ndarray, magF: np.ndarray, tol: float, volume: float, out
+    F: np.ndarray, G: np.ndarray, magF: np.ndarray, tol: float, volume: float
 ) -> float:
     """2 * L^2 norm of Im(conj(F) G / |F|), set to 0 where |F| <= tol.
 
-    F, G, |F| and ``out`` are flat.  The squared integrand is formed in
-    ``out`` block by block and conj(F) G in a block temporary, so F and G
-    are left as they were.
+    F, G and |F| are flat.  conj(F) G and the squared integrand are formed
+    and summed in block temporaries, so F and G are left as they were.
     """
 
     def square(s):
         cross = np.conjugate(F[s])
         np.multiply(cross, G[s], out=cross)
-        field, mags = out[s], magF[s]
-        field.fill(0.0)
+        mags = magF[s]
+        field = np.zeros(mags.size)
         np.divide(cross.imag, mags, out=field, where=mags > tol)
-        _lp_integrand(field, 2.0, out=field)
+        return _lp_integrand(field, 2.0, out=field).sum()
 
-    _run_blocks(square, out.size)
-    return 2.0 * _lp_root(float(out.sum()), volume, 2.0)
+    return 2.0 * _lp_root(float(_sum_blocks(square, magF.size)), volume, 2.0)
 
 
 def translation_term(
@@ -370,7 +367,7 @@ def translation_term(
     F, G = f_spectrum.values.reshape(-1), g_spectrum.values.reshape(-1)
     magF = np.abs(F)
     tol = _default_tol(magF, zero_tol, "zero_tol", strict=True)
-    return _translation(F, G, magF, tol, f_spectrum.grid.cell_volume, np.empty(magF.size))
+    return _translation(F, G, magF, tol, f_spectrum.grid.cell_volume)
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -385,8 +382,8 @@ def evaluate_theorem(
     pair = _pair(f, g, p, "evaluate_theorem")
     epsilon, lhs, magF, volume = pair.epsilon, pair.lhs, pair.magF, pair.volume
     tol = _default_tol(magF, zero_tol, "zero_tol")
-    term_translation = _translation(pair.F, pair.G, magF, tol, volume, pair.scratch)
-    mass = _sublevel_masses(magF, volume, (epsilon,), pair.scratch)[0]
+    term_translation = _translation(pair.F, pair.G, magF, tol, volume)
+    mass = _sublevel_masses(magF, volume, (epsilon,))[0]
     term_modulus = 2.0 * pair.modulus_l2
     term_smoothness = _smoothness(mass, epsilon, p)
     rhs = term_modulus + term_smoothness + term_translation
@@ -493,8 +490,12 @@ def evaluate_corollary1(
     most 1e-8); rejects otherwise, naming the violated hypothesis.
     """
     pair = _pair(f, g, 1.0, "evaluate_corollary1")
+    F, G, size = pair.F, pair.G, pair.magF.size
     peak = float(pair.magF.max(initial=0.0))
-    im_peak = float(np.abs(pair.F.imag).max(initial=0.0))
+    # np.max, not max: a NaN block maximum must win, as in one full-size max
+    im_peak = float(
+        np.max(_run_blocks(lambda s: np.abs(F[s].imag).max(initial=0.0), size), initial=0.0)
+    )
     if im_peak > 1e-8 * peak:
         raise ValueError(
             "hypothesis violated: spectrum of f must be real-valued "
@@ -505,7 +506,8 @@ def evaluate_corollary1(
     epsilon, lhs = pair.epsilon, pair.lhs
     term_modulus = 2.0 * pair.modulus_l2
     term_bandlimit = 30.0 * math.sqrt(L) * epsilon
-    term_translation = 2.0 * _lp_norm(pair.G.imag, pair.volume, 2.0)
+    squares = _sum_blocks(lambda s: _lp_integrand(G[s].imag, 2.0).sum(), size)
+    term_translation = 2.0 * _lp_root(float(squares), pair.volume, 2.0)
     rhs = term_modulus + term_bandlimit + term_translation
     return Corollary1Report(
         epsilon=epsilon,

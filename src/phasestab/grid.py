@@ -25,9 +25,13 @@ the calls numpy's own fftn makes, without its per-call argument handling.
 
 The library's elementwise passes over large arrays (the pair pass, the
 spectrum helpers and lemma1_gap) run through one block runner,
-``_run_blocks``: blocks of ``_BLOCK`` points, each with the operations of one
-full-size pass.  The runner alone decides, from the size it is given, whether
-a worker thread takes the second half of the blocks (``_two_threads``).
+``_run_blocks``: blocks of at most ``_BLOCK`` points, each with the operations
+of one full-size pass.  The blocks are the leaves of np.sum's pairwise tree
+(``_blocks``), so a block returns the np.sum of its part of an integrand and
+``_tree_sum`` adds those partial sums in the tree's own order: an integral
+has the bits of one np.sum over a full-size array that is never formed.  The
+runner alone decides, from the size it is given, whether a worker thread
+takes the tree's right half (``_two_threads``).
 """
 
 from __future__ import annotations
@@ -56,10 +60,11 @@ __all__ = [
 # array comfortably in memory on ordinary hardware.
 MAX_TOTAL_POINTS = 2**26
 
-# Points per block of the passes that run through _run_blocks (the pair pass,
-# the spectrum helpers and lemma1_gap): a block's operands (about 0.5 MB) stay in cache between the
-# operations on it.  On a 2.5M-point chunk of lemma1_gap 2^12 and 2^16 were
-# slower.
+# Most points per block of the passes that run through _run_blocks (the pair
+# pass, the spectrum helpers and lemma1_gap); a block of a larger array has
+# from about _BLOCK/2 up to _BLOCK points (see _blocks).  A block's operands
+# (about 0.5 MB) stay in cache between the operations on it.  On a 2.5M-point
+# chunk of lemma1_gap 2^12 and 2^16 were slower.
 _BLOCK = 2**14
 
 # From this many points on, a pass splits its work between two threads (see
@@ -95,19 +100,68 @@ def _two_threads(first, second, size: int) -> tuple:
         return first(), future.result()
 
 
+def _split(n: int) -> int:
+    """Where np.sum's pairwise summation splits ``n`` points: the left part
+    is about half, cut down to a multiple of 8 (numpy's unroll)."""
+    half = n // 2
+    return half - half % 8
+
+
+# bounded: lemma1_gap takes arrays of any size
+@functools.lru_cache(maxsize=64)
+def _blocks(size: int) -> tuple[slice, ...]:
+    """The leaves of np.sum's pairwise tree over range(size), in order: the
+    tree is split at ``_split`` until a part has at most ``_BLOCK`` points.
+    The np.sum of a contiguous float64 array is that tree, down to its
+    leaves, so ``_tree_sum`` of the leaves' np.sums has its bits."""
+
+    def leaves(start, n):
+        if n <= _BLOCK:
+            yield slice(start, start + n)
+        else:
+            half = _split(n)
+            yield from leaves(start, half)
+            yield from leaves(start + half, n - half)
+
+    return tuple(leaves(0, size)) if size else ()
+
+
+def _tree_sum(parts, size: int):
+    """The sum of ``parts``, the np.sum of each block of ``_blocks(size)`` in
+    order, added in np.sum's pairwise order: the bits of np.sum over the
+    whole array.  0.0 for no points."""
+    if size <= _BLOCK:
+        return parts[0] if size else 0.0
+    parts = iter(parts)
+
+    def total(n):
+        if n <= _BLOCK:
+            return next(parts)
+        half = _split(n)
+        return total(half) + total(n - half)
+
+    return total(size)
+
+
 def _run_blocks(step, size: int) -> list:
-    """``step(s)`` for each slice ``s`` of ``_BLOCK`` points covering range(size),
-    the last one partial; their results, in block order.  The second half of
-    the blocks is ``_two_threads``' second: on a worker from the gate on.  A
-    lone block, far below the gate, runs here without that split."""
-    blocks = [slice(start, start + _BLOCK) for start in range(0, size, _BLOCK)]
+    """``step(s)`` for each slice ``s`` of ``_blocks(size)``, which cover
+    range(size) in order; their results, in block order.  The blocks of the
+    tree's right half are ``_two_threads``' second: on a worker from the gate
+    on.  A lone block, far below the gate, runs here without that split."""
+    blocks = _blocks(size)
     if len(blocks) < 2:
         return list(map(step, blocks))
-    half = len(blocks) // 2
+    half = len(_blocks(_split(size)))
     first, second = _two_threads(
         lambda: list(map(step, blocks[:half])), lambda: list(map(step, blocks[half:])), size
     )
     return first + second
+
+
+def _sum_blocks(step, size: int):
+    """The sum over range(size) of an integrand whose np.sum over block ``s``
+    is ``step(s)``: the bits of one np.sum over the full-size integrand."""
+    return _tree_sum(_run_blocks(step, size), size)
 
 
 def _index(value) -> int | None:

@@ -36,8 +36,11 @@ from phasestab.grid import (
     GridSpec,
     SampledFunction,
     Spectrum,
+    _blocks,
     _centred,
     _run_blocks,
+    _split,
+    _tree_sum,
     fourier_transform,
     inverse_transform,
     lp_norm,
@@ -748,6 +751,10 @@ BLOCKED_GRIDS = [
     pytest.param(CONCURRENT_GRID, id="1024x512-at-the-gate"),
     pytest.param(GridSpec(2, (8.0, 8.0), (1026, 512)), id="1026x512-partial-last-block-above-the-gate"),
     pytest.param(GridSpec(3, (4.0, 4.0, 4.0), (128, 64, 64)), id="128x64x64-at-the-gate"),
+    # 1022040 points: the pairwise tree's halves are uneven at several levels
+    pytest.param(
+        GridSpec(3, (4.0, 4.0, 4.0), (30, 34, 1002)), id="30x34x1002-uneven-leaves-above-the-gate"
+    ),
 ]
 
 
@@ -817,7 +824,7 @@ class TestBlockedPairPass:
         F, G, magF, eps, lhs, modulus_l2, dual = _sequential_pass(f, g, 1.5)
         pair = bounds._pair(f, g, 1.5, "test")
         # the translation stage forms conj(F) G in block temporaries: F stays F
-        bounds._translation(pair.F, pair.G, pair.magF, 0.0, pair.volume, pair.scratch)
+        bounds._translation(pair.F, pair.G, pair.magF, 0.0, pair.volume)
         assert _bits(pair.F) == _bits(F)
         assert _bits(pair.G) == _bits(G)
         assert _bits(pair.magF) == _bits(magF)
@@ -885,10 +892,17 @@ class TestBlockedPairPass:
 
 def _record_blocks(size):
     """_run_blocks over ``size`` points with a step that returns its block's
-    start, its length within range(size) and the thread it ran on."""
-    return _run_blocks(
-        lambda s: (s.start, len(range(size)[s]), threading.current_thread()), size
-    )
+    start, its stop and the thread it ran on."""
+    return _run_blocks(lambda s: (s.start, s.stop, threading.current_thread()), size)
+
+
+# np.sum's pairwise tree: up to 8, up to 128 and more points in one block;
+# one point either side of _BLOCK; halves of different leaf counts (2^21 + 6)
+# and halves cut by 4 or more to reach a multiple of 8 (65552, 1000003)
+TREE_SIZES = [
+    0, 1, 7, 8, 9, 127, 128, 129, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 5,
+    65552, 1000003, 2**21 + 6,
+]
 
 
 @pytest.mark.usefixtures("no_thread_outlives_the_call")
@@ -899,26 +913,47 @@ class TestRunBlocks:
             pytest.param(0, id="empty"),
             pytest.param(_BLOCK - 1, id="one-partial-block"),
             pytest.param(3 * _BLOCK + 7, id="partial-last-block"),
+            pytest.param(65552, id="uneven-leaves-below-the-gate"),
             pytest.param(_TWO_THREADS_MIN_POINTS - 1, id="one-below-the-gate"),
             pytest.param(_TWO_THREADS_MIN_POINTS, id="at-the-gate"),
             pytest.param(_TWO_THREADS_MIN_POINTS + 7, id="partial-last-block-above-the-gate"),
+            pytest.param(30 * 34 * 1002, id="uneven-leaves-above-the-gate"),
         ],
     )
     def test_blocks_in_order_and_their_threads(self, size):
         results = _record_blocks(size)
-        starts = list(range(0, size, _BLOCK))
-        assert [start for start, _, _ in results] == starts
-        assert [length for _, length, _ in results] == [min(_BLOCK, size - a) for a in starts]
+        assert [(start, stop) for start, stop, _ in results] == [
+            (s.start, s.stop) for s in _blocks(size)
+        ]
+        # the blocks cover range(size) in order, each of 1 to _BLOCK points
+        starts = [start for start, _, _ in results]
+        stops = [stop for _, stop, _ in results]
+        assert starts + [size] == [0] + stops
+        assert all(0 < stop - start <= _BLOCK for start, stop in zip(starts, stops))
         caller = threading.current_thread()
         threads = [thread for _, _, thread in results]
-        half = len(starts) // 2
-        assert all(thread is caller for thread in threads[:half])
         if size < _TWO_THREADS_MIN_POINTS:
             assert all(thread is caller for thread in threads)
         else:
-            # the second half of the blocks, partial last one included, on one worker
-            assert len({id(thread) for thread in threads[half:]}) == 1
+            # the tree's left half on the caller, its right half, the last
+            # block included, on one worker
+            half = _split(size)
+            assert half in starts
+            assert all(thread is caller for thread in threads[: starts.index(half)])
+            assert len({id(thread) for thread in threads[starts.index(half) :]}) == 1
             assert threads[-1] is not caller
+
+    def test_no_points_no_blocks(self):
+        assert _blocks(0) == ()
+        assert _run_blocks(lambda s: 1 / 0, 0) == []
+        assert _tree_sum([], 0) == 0.0
+
+    @pytest.mark.parametrize("size", TREE_SIZES)
+    def test_tree_sum_of_block_sums_is_np_sum(self, rng, size):
+        # magnitudes e^-20 .. e^20 of both signs: every addition rounds
+        x = np.exp(rng.uniform(-20.0, 20.0, size)) * rng.choice([-1.0, 1.0], size)
+        got = np.float64(_tree_sum([x[s].sum() for s in _blocks(size)], size))
+        assert got.view(np.uint64) == np.sum(x).view(np.uint64)
 
     def test_worker_exception_is_raised_in_the_caller(self):
         def step(s):

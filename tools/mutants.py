@@ -1,8 +1,9 @@
 """Run the tier-1 suite against one-token mutants of the library.
 
 Each mutant edits one constant, operator, loop bound or literal in one file:
-the bound in ``src/phasestab/bounds.py``, the block runner and the centred
-transform in ``src/phasestab/grid.py``, the blocked half-disk gap in
+the bound in ``src/phasestab/bounds.py``, the block runner, its pairwise
+blocks and tree sum and the centred transform in ``src/phasestab/grid.py``,
+the blocked half-disk gap in
 ``src/phasestab/geometry.py``, or the text that ``save_field`` joins in
 ``src/phasestab/io.py``.  It is applied
 to a fresh copy of ``src/``, ``tests/`` and ``pyproject.toml`` in a
@@ -49,7 +50,7 @@ BOUNDS_MUTANTS = [
     ("regime factor 10 -> 5, at every site", None,
      "_REGIME = 10.0", "_REGIME = 5.0"),
     ("sub-level ties: <= -> <", "_sublevel_masses",
-     "mags[s] > threshold", "mags[s] >= threshold"),
+     "block > threshold", "block >= threshold"),
     # each threshold's zeroed set must hold the one before it
     ("sub-level thresholds taken in ascending order", "_sublevel_masses",
      "reverse=True", "reverse=False"),
@@ -91,10 +92,17 @@ BOUNDS_MUTANTS = [
 # lemma1_gap runs through the block runner, and every transform through the
 # centred transform
 GRID_MUTANTS = [
-    ("block runner drops the last partial block", "_run_blocks",
-     "range(0, size, _BLOCK)", "range(0, size - _BLOCK + 1, _BLOCK)"),
     ("block runner's worker repeats the caller's half", "_run_blocks",
      "blocks[half:]", "blocks[:half]"),
+    # the blocks and the tree sum still agree, but no longer with np.sum
+    ("pairwise split cut to a multiple of 4", "_split",
+     "half - half % 8", "half - half % 4"),
+    ("blocks split a part of exactly _BLOCK points", "_blocks",
+     "if n <= _BLOCK:", "if n < _BLOCK:"),
+    ("tree sum splits a part of exactly _BLOCK points", "_tree_sum",
+     "if n <= _BLOCK:", "if n < _BLOCK:"),
+    ("tree sum takes the right half's parts first", "_tree_sum",
+     "total(half) + total(n - half)", "total(n - half) + total(half)"),
     # np.fft.fftn's order; on n-D grids the other order rounds differently
     ("centred transform runs its axes first axis first", "_centred",
      "reversed(range(a.ndim))", "range(a.ndim)"),
