@@ -42,7 +42,7 @@ from .bounds import (
     is_certified,
 )
 from .grid import GridSpec, SampledFunction, Spectrum, fourier_transform, inverse_transform
-from .grid import _index, _lp_norm, _real, _reals, shift
+from .grid import _index, _lp_norm, _real, _reals, _run_slabs, _slab_sum, shift
 
 __all__ = [
     "ScalingResult",
@@ -178,15 +178,23 @@ def gaussian(
     width: float | Sequence[float] = 1.0,
     amplitude: complex = 1.0,
 ) -> SampledFunction:
-    """amplitude * exp(-pi sum_i ((x_i - c_i)/w_i)^2) sampled on ``grid``."""
+    """amplitude * exp(-pi sum_i ((x_i - c_i)/w_i)^2) sampled on ``grid``.
+
+    The samples are formed slab by slab (``grid._run_slabs``), each with the
+    operations of one full-size pass, so they have that pass's bits.
+    """
     centers = _reals(center, "center", grid.dimension)
     widths = _reals(width, "width", grid.dimension)
     if min(widths) <= 0:
         raise ValueError("width must be positive")
-    expo = np.zeros(grid.shape, dtype=float)
-    for c, w, x in zip(centers, widths, grid.coordinate_grids()):
-        expo = expo + ((x - c) / w) ** 2
-    return SampledFunction(grid, amplitude * np.exp(-np.pi * expo))
+    terms = [((x - c) / w) ** 2 for c, w, x in zip(centers, widths, grid.coordinate_grids())]
+    values = np.empty(grid.shape, dtype=np.complex128)
+
+    def fill(s):
+        np.multiply(amplitude, np.exp(-np.pi * _slab_sum(terms, s)), out=values[s])
+
+    _run_slabs(fill, grid.shape)
+    return SampledFunction(grid, values)
 
 
 def smooth_bump(t):

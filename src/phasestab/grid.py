@@ -22,6 +22,9 @@ which equals fftshift(fftn(ifftshift(x))) bit for bit when every axis is a
 power of two, and to within rounding (a few 1e-16 relative) otherwise.  The
 fftn is the 1-D transform applied in place once per axis, last axis first:
 the calls numpy's own fftn makes, without its per-call argument handling.
+A lone transform (not the pair pass, which runs F and G on two threads)
+cuts each axis pass's lines in two halves along another axis, for
+``_two_threads``; every line gets the same FFT call, so the bits are the same.
 
 The library's elementwise passes over large arrays (the pair pass, the
 spectrum helpers and lemma1_gap) run through one block runner,
@@ -31,7 +34,9 @@ of one full-size pass.  The blocks are the leaves of np.sum's pairwise tree
 ``_tree_sum`` adds those partial sums in the tree's own order: an integral
 has the bits of one np.sum over a full-size array that is never formed.  The
 runner alone decides, from the size it is given, whether a worker thread
-takes the tree's right half (``_two_threads``).
+takes the tree's right half (``_two_threads``).  ``shift`` and
+experiments.gaussian build their fields the same way, in slabs of axis-0 rows
+(``_run_slabs``), each with the operations of the full-size formula.
 """
 
 from __future__ import annotations
@@ -78,6 +83,14 @@ _BLOCK = 2**14
 # 0.54-1.10 at 64 x 64 x 128, and 0.51-0.98 from 2^20 to 128^3, where the
 # second thread overlaps the transforms and memory traffic.
 _TWO_THREADS_MIN_POINTS = 2**19
+
+# From this many bytes on, numpy computes ``x * y`` with a temporary ``y`` in
+# place as ``y * x`` (its temporary elision, NPY_MIN_ELIDE_BYTES).  A
+# complex128 product is not bitwise commutative (21074 of 65536 products of a
+# 256^2 Gaussian spectrum and its shift factor differed, numpy 2.4 on
+# AVX-512), so ``shift``, whose full-size formula was ``S * np.exp(...)``,
+# multiplies factor first from this size on.
+_FACTOR_FIRST_BYTES = 256 * 1024
 
 
 def _two_threads(first, second, size: int) -> tuple:
@@ -143,6 +156,16 @@ def _tree_sum(parts, size: int):
     return total(size)
 
 
+def _run_parts(step, parts, half: int, size: int) -> list:
+    """``step(part)`` for each of ``parts``, in order; their results.  The
+    parts from ``half`` on are ``_two_threads``' second, on a worker when the
+    work covers ``size`` points at or above the gate."""
+    first, second = _two_threads(
+        lambda: list(map(step, parts[:half])), lambda: list(map(step, parts[half:])), size
+    )
+    return first + second
+
+
 def _run_blocks(step, size: int) -> list:
     """``step(s)`` for each slice ``s`` of ``_blocks(size)``, which cover
     range(size) in order; their results, in block order.  The blocks of the
@@ -151,11 +174,37 @@ def _run_blocks(step, size: int) -> list:
     blocks = _blocks(size)
     if len(blocks) < 2:
         return list(map(step, blocks))
-    half = len(_blocks(_split(size)))
-    first, second = _two_threads(
-        lambda: list(map(step, blocks[:half])), lambda: list(map(step, blocks[half:])), size
-    )
-    return first + second
+    return _run_parts(step, blocks, len(_blocks(_split(size))), size)
+
+
+def _slabs(shape: tuple[int, ...]) -> tuple[slice, ...]:
+    """Runs of axis-0 rows of an array of ``shape``, in order, each of at most
+    ``_BLOCK`` points (one row where a row alone has more)."""
+    rows = max(1, _BLOCK // math.prod(shape[1:]))
+    return tuple(slice(start, start + rows) for start in range(0, shape[0], rows))
+
+
+def _run_slabs(step, shape: tuple[int, ...]) -> None:
+    """``step(s)`` for each slab ``s`` of ``_slabs(shape)``, an index of axis
+    0.  The second half of the slabs is ``_two_threads``' second; an array of
+    at most ``_BLOCK`` points is one slab, ``slice(None)``, stepped here in one
+    direct call."""
+    size = math.prod(shape)
+    if size <= _BLOCK:
+        step(slice(None))
+        return
+    slabs = _slabs(shape)
+    _run_parts(step, slabs, len(slabs) // 2, size)
+
+
+def _slab_sum(terms, s) -> np.ndarray:
+    """0.0 + terms[0][s] + terms[1] + ...: the sum of the broadcastable
+    per-axis ``terms`` on slab ``s`` of axis 0, added in the order of the
+    same sum over the whole grid, so with its bits."""
+    total = np.zeros((), dtype=float)
+    for term in (terms[0][s], *terms[1:]):
+        total = total + term
+    return total
 
 
 def _sum_blocks(step, size: int):
@@ -371,23 +420,47 @@ def _flip_signs(a: np.ndarray, parity: int) -> None:
         np.subtract(0.0, view, out=view)
 
 
-def _centred(transform, values: np.ndarray, scale: float) -> np.ndarray:
-    """``scale`` times the 1-D ``transform`` (np.fft.fft or np.fft.ifft) over
-    every axis of zero-centred samples.
+def _axis_pass(transform, a: np.ndarray, axis: int, split: bool) -> None:
+    """``transform`` (np.fft.fft or np.fft.ifft) in place over every line of
+    ``a`` along ``axis``.  With ``split``, an array of more than one block
+    gives its lines in two halves, cut along another axis, to ``_run_parts``:
+    each line still gets the same FFT call, so the bits are the same."""
+    if not split or a.ndim == 1 or a.size <= _BLOCK:
+        transform(a, axis=axis, out=a)
+        return
+    cut = 1 if axis == 0 else 0
+    middle = a.shape[cut] // 2
 
-    Returns a new array; ``values`` is read once and never written.  The
-    centring is the sign modulation of the module docstring, applied to one
-    copy of ``values`` through strided views, and each axis's FFT writes into
-    that same buffer, last axis first as in np.fft.fftn, which gives fftn's
-    bits.
+    def lines(part):
+        view = a[(slice(None),) * cut + (part,)]
+        transform(view, axis=axis, out=view)
+
+    _run_parts(lines, (slice(None, middle), slice(middle, None)), 1, a.size)
+
+
+def _centred_in_place(transform, a: np.ndarray, scale: float, split: bool = False) -> np.ndarray:
+    """``scale`` times the 1-D ``transform`` (np.fft.fft or np.fft.ifft) over
+    every axis of the zero-centred complex128 samples ``a``, written over ``a``
+    and returned.
+
+    The centring is the sign modulation of the module docstring, applied
+    through strided views, and each axis's FFT writes into the same buffer,
+    last axis first as in np.fft.fftn, which gives fftn's bits.  ``split``
+    gives each axis pass two threads from the gate on (``_axis_pass``); the
+    pair pass, which already transforms F and G on two, leaves it off.
     """
-    a = np.array(values, dtype=np.complex128)
     _flip_signs(a, 1)
     for axis in reversed(range(a.ndim)):
-        transform(a, axis=axis, out=a)
+        _axis_pass(transform, a, axis, split)
     a *= scale
     _flip_signs(a, (1 + sum(n // 2 for n in a.shape)) % 2)
     return a
+
+
+def _centred(transform, values: np.ndarray, scale: float, split: bool = False) -> np.ndarray:
+    """``_centred_in_place`` on a complex128 copy of ``values``, which is read
+    once and never written."""
+    return _centred_in_place(transform, np.array(values, dtype=np.complex128), scale, split)
 
 
 def fourier_transform(f: SampledFunction) -> Spectrum:
@@ -403,7 +476,8 @@ def fourier_transform(f: SampledFunction) -> Spectrum:
     """
     if not isinstance(f, SampledFunction):
         raise TypeError("fourier_transform expects a SampledFunction")
-    return Spectrum(f.grid.dual(), _centred(np.fft.fft, f.values, f.grid.cell_volume))
+    values = _centred(np.fft.fft, f.values, f.grid.cell_volume, split=True)
+    return Spectrum(f.grid.dual(), values)
 
 
 def inverse_transform(spectrum: Spectrum) -> SampledFunction:
@@ -413,7 +487,7 @@ def inverse_transform(spectrum: Spectrum) -> SampledFunction:
     g = spectrum.grid
     # ifft divides by each axis's point count; dxi^n * N^n = 1 / dx^n restores
     # the quadrature scaling of the inverse integral.
-    vals = _centred(np.fft.ifft, spectrum.values, g.cell_volume * g.size)
+    vals = _centred(np.fft.ifft, spectrum.values, g.cell_volume * g.size, split=True)
     return SampledFunction(g.dual(), vals)
 
 
@@ -462,13 +536,30 @@ def shift(f: SampledFunction, offset) -> SampledFunction:
     and transformed back, so non-grid-aligned offsets are exact for functions
     that are band-limited on the grid.  The spectrum of the result has the same
     modulus as the spectrum of ``f`` pointwise.
+
+    The spectrum is formed in one full-size buffer, multiplied in place by the
+    phase factor slab by slab (``_run_slabs``) and transformed back in place;
+    besides its input and its output, that buffer is all that is kept.  Each
+    slab's phase, exponential and product are the operations of one
+    full-size pass, in numpy's operand order (``_FACTOR_FIRST_BYTES``), so
+    the result has the bits of the full-array formula.
     """
     if not isinstance(f, SampledFunction):
         raise TypeError("shift expects a SampledFunction")
     offsets = _reals(offset, "offset", f.grid.dimension)
-    spec = fourier_transform(f)
-    phase = np.zeros((), dtype=float)
-    for eps, xi in zip(offsets, spec.grid.coordinate_grids()):
-        phase = phase + eps * xi
-    shifted = Spectrum(spec.grid, spec.values * np.exp(-2j * np.pi * phase))
-    return inverse_transform(shifted)
+    dual = f.grid.dual()
+    spectrum = _centred(np.fft.fft, f.values, f.grid.cell_volume, split=True)
+    scaled = [eps * xi for eps, xi in zip(offsets, dual.coordinate_grids())]
+    factor_first = spectrum.nbytes >= _FACTOR_FIRST_BYTES
+
+    def modulate(s):
+        factor = np.exp(-2j * np.pi * _slab_sum(scaled, s))
+        block = spectrum[s]
+        if factor_first:
+            np.multiply(factor, block, out=block)
+        else:
+            np.multiply(block, factor, out=block)
+
+    _run_slabs(modulate, spectrum.shape)
+    values = _centred_in_place(np.fft.ifft, spectrum, dual.cell_volume * dual.size, split=True)
+    return SampledFunction(dual.dual(), values)

@@ -28,3 +28,32 @@ def no_thread_outlives_the_call():
     before = threading.active_count()
     yield
     assert threading.active_count() == before
+
+
+@pytest.fixture
+def executors(monkeypatch):
+    """Counts of the executors that grid._two_threads opens: ``opened`` in
+    all, ``most`` open at once and ``workers``, the most workers one had."""
+    import concurrent.futures
+
+    counts = {"opened": 0, "open": 0, "most": 0, "workers": 0}
+    lock = threading.Lock()
+
+    class Counted(concurrent.futures.ThreadPoolExecutor):
+        def __enter__(self):
+            with lock:
+                counts["opened"] += 1
+                counts["open"] += 1
+                counts["most"] = max(counts["most"], counts["open"])
+                counts["workers"] = max(counts["workers"], self._max_workers)
+            return super().__enter__()
+
+        def __exit__(self, *exc):
+            try:
+                return super().__exit__(*exc)
+            finally:
+                with lock:
+                    counts["open"] -= 1
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Counted)
+    return counts

@@ -726,6 +726,17 @@ class TestConcurrentPairPass:
         with pytest.raises(ArithmeticError, match="non-finite .*term_modulus"):
             evaluate(f, g)
 
+    def test_no_nested_workers(self, executors):
+        # F and G on two threads, each transformed whole: the axis passes of
+        # a lone transform split their lines, those of the pair pass do not
+        grid = GridSpec(2, (8.0, 8.0), (1026, 512))
+        f = gaussian(grid, center=(0.3, -0.2))
+        g = gaussian(grid, width=1.2)
+        executors.update(opened=0, most=0)
+        bounds._pair(f, g, 1.5, "test")
+        assert executors["opened"] >= 1
+        assert executors["most"] == 1 and executors["workers"] == 1
+
     def test_worker_exception_is_raised_in_the_caller(self, monkeypatch):
         def centred(transform, values, scale):
             if threading.current_thread() is not threading.main_thread():

@@ -2,6 +2,7 @@ import dataclasses
 import math
 import pickle
 import re
+import threading
 
 import numpy as np
 import pytest
@@ -13,8 +14,12 @@ from phasestab.grid import (
     SampledFunction,
     Spectrum,
     fourier_transform,
+    _BLOCK,
+    _TWO_THREADS_MIN_POINTS,
     _centred,
     _flip_signs,
+    _run_slabs,
+    _slabs,
     inverse_transform,
     lp_norm,
     shift,
@@ -497,3 +502,134 @@ class TestShift:
             (drawn, tuple(drawn.tolist())),
         ]:
             assert np.array_equal(shift(f, offset).values, shift(f, same).values)
+
+
+# ---------------------------------------------------------------------------
+# slabs and split axis passes: the full-array formulas' bits, on two threads
+# from the gate on
+# ---------------------------------------------------------------------------
+
+
+def _full_centred(transform, values, scale):
+    """The centred transform as one serial in-place pass per axis."""
+    a = np.array(values, dtype=np.complex128)
+    _flip_signs(a, 1)
+    for axis in reversed(range(a.ndim)):
+        transform(a, axis=axis, out=a)
+    a *= scale
+    _flip_signs(a, (1 + sum(n // 2 for n in a.shape)) % 2)
+    return a
+
+
+def _full_shift(f, offsets):
+    """shift as one full-size formula: one exponential per point, and numpy's
+    own operand order for the product (its temporary elision swaps it from
+    256 KiB on)."""
+    dual = f.grid.dual()
+    spectrum = _full_centred(np.fft.fft, f.values, f.grid.cell_volume)
+    phase = np.zeros((), dtype=float)
+    for eps, xi in zip(offsets, dual.coordinate_grids()):
+        phase = phase + eps * xi
+    shifted = spectrum * np.exp(-2j * np.pi * phase)
+    return _full_centred(np.fft.ifft, shifted, dual.cell_volume * dual.size)
+
+
+def _full_gaussian(grid, centers, widths, amplitude):
+    """experiments.gaussian as one full-size formula."""
+    expo = np.zeros(grid.shape, dtype=float)
+    for c, w, x in zip(centers, widths, grid.coordinate_grids()):
+        expo = expo + ((x - c) / w) ** 2
+    return np.array(amplitude * np.exp(-np.pi * expo), dtype=np.complex128)
+
+
+# either side of numpy's 256 KiB elision threshold (16384 complex points), at
+# the gate (1024x512), above it with rows of more than _BLOCK points
+# (30x34x1002) and the verify_3d grid
+PARITY_SHAPES = [
+    (1024,), (16382,), (16384,), (6, 10), (256, 256), (1024, 512), (30, 34, 1002),
+    (128, 128, 128),
+]
+AMPLITUDES = [pytest.param(1.3, id="real"), pytest.param(1.2 * np.exp(0.7j), id="complex")]
+
+
+@pytest.mark.parametrize("amplitude", AMPLITUDES)
+@pytest.mark.parametrize("shape", PARITY_SHAPES, ids=lambda shape: "x".join(map(str, shape)))
+def test_slabs_and_split_passes_keep_the_full_formulas_bits(shape, amplitude):
+    n = len(shape)
+    grid = GridSpec(n, (8.0, 6.0, 4.0)[:n], shape)
+    centers, widths = (0.3, -0.2, 0.1)[:n], (1.1, 0.9, 1.2)[:n]
+    offsets = (0.05, -0.013, 0.21)[:n]
+    values = _full_gaussian(grid, centers, widths, amplitude)
+    assert np.array_equal(_bits(gaussian(grid, centers, widths, amplitude).values), _bits(values))
+    f = SampledFunction(grid, values)
+    assert np.array_equal(_bits(shift(f, offsets).values), _bits(_full_shift(f, offsets)))
+    assert np.array_equal(
+        _bits(fourier_transform(f).values),
+        _bits(_full_centred(np.fft.fft, values, grid.cell_volume)),
+    )
+    dual = grid.dual()
+    assert np.array_equal(
+        _bits(inverse_transform(Spectrum(dual, values)).values),
+        _bits(_full_centred(np.fft.ifft, values, dual.cell_volume * dual.size)),
+    )
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [(2,), (16384,), (16386,), (6, 10), (256, 256), (258, 256), (30, 34, 1002), (128, 128, 128)],
+)
+def test_slabs_cover_axis_0_in_order(shape):
+    slabs = _slabs(shape)
+    row = math.prod(shape[1:])
+    starts = [s.start for s in slabs]
+    stops = [min(s.stop, shape[0]) for s in slabs]
+    assert starts + [shape[0]] == [0] + stops
+    sizes = [(stop - start) * row for start, stop in zip(starts, stops)]
+    assert all(size <= max(_BLOCK, row) for size in sizes)
+
+
+@pytest.mark.usefixtures("no_thread_outlives_the_call")
+@pytest.mark.parametrize(
+    "shape", [(256, 256), (1024, 512), (30, 34, 1002)], ids=["below", "at", "above"]
+)
+def test_second_half_of_the_slabs_on_one_worker_from_the_gate(shape):
+    seen = []
+    lock = threading.Lock()
+
+    def step(s):
+        with lock:
+            seen.append((s.start, threading.current_thread()))
+
+    _run_slabs(step, shape)
+    seen.sort(key=lambda start_thread: start_thread[0])
+    assert [start for start, _ in seen] == [s.start for s in _slabs(shape)]
+    threads = [thread for _, thread in seen]
+    half = len(threads) // 2
+    assert all(thread is threading.current_thread() for thread in threads[:half])
+    if math.prod(shape) < _TWO_THREADS_MIN_POINTS:
+        assert all(thread is threading.current_thread() for thread in threads)
+    else:
+        assert len(set(threads[half:])) == 1 and threads[-1] is not threading.current_thread()
+
+
+# 525312 points, above the gate
+ABOVE_THE_GATE = GridSpec(2, (8.0, 8.0), (1026, 512))
+
+
+@pytest.mark.usefixtures("no_thread_outlives_the_call")
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda f: shift(f, (0.1, -0.05)), id="shift"),
+        pytest.param(lambda f: gaussian(f.grid, 0.2, 0.9, 0.5j), id="gaussian"),
+        pytest.param(fourier_transform, id="fourier_transform"),
+        pytest.param(
+            lambda f: inverse_transform(Spectrum(f.grid, f.values)), id="inverse_transform"
+        ),
+    ],
+)
+def test_no_worker_outlives_a_lone_call_nor_nests(call, executors):
+    values = _full_gaussian(ABOVE_THE_GATE, (0.1, 0.2), (1.0, 1.0), 1.0)
+    call(SampledFunction(ABOVE_THE_GATE, values))
+    assert executors["opened"] >= 1
+    assert executors["most"] == 1 and executors["workers"] == 1

@@ -2,7 +2,8 @@
 
 Each mutant edits one constant, operator, loop bound or literal in one file:
 the bound in ``src/phasestab/bounds.py``, the block runner, its pairwise
-blocks and tree sum and the centred transform in ``src/phasestab/grid.py``,
+blocks and tree sum, the slabs, the centred transform's axis passes and
+``shift``'s product in ``src/phasestab/grid.py``,
 the blocked half-disk gap in
 ``src/phasestab/geometry.py``, or the text that ``save_field`` joins in
 ``src/phasestab/io.py``.  It is applied
@@ -89,11 +90,11 @@ BOUNDS_MUTANTS = [
      "if lhs < math.sqrt(sys.float_info.min)", "if lhs == 0.0"),
 ]
 # every elementwise stage of the evaluators, the spectrum helpers and
-# lemma1_gap runs through the block runner, and every transform through the
-# centred transform
+# lemma1_gap runs through the block runner, shift and gaussian through the
+# slabs, and every transform through the centred transform
 GRID_MUTANTS = [
-    ("block runner's worker repeats the caller's half", "_run_blocks",
-     "blocks[half:]", "blocks[:half]"),
+    ("block runner's worker repeats the caller's half", "_run_parts",
+     "parts[half:]", "parts[:half]"),
     # the blocks and the tree sum still agree, but no longer with np.sum
     ("pairwise split cut to a multiple of 4", "_split",
      "half - half % 8", "half - half % 4"),
@@ -104,8 +105,22 @@ GRID_MUTANTS = [
     ("tree sum takes the right half's parts first", "_tree_sum",
      "total(half) + total(n - half)", "total(n - half) + total(half)"),
     # np.fft.fftn's order; on n-D grids the other order rounds differently
-    ("centred transform runs its axes first axis first", "_centred",
+    ("centred transform runs its axes first axis first", "_centred_in_place",
      "reversed(range(a.ndim))", "range(a.ndim)"),
+    # each half then holds half of every line, not half of the lines
+    ("axis pass splits its lines along the transformed axis", "_axis_pass",
+     "cut = 1 if axis == 0 else 0", "cut = axis"),
+    # a slab skips the row after it; killed by the slab tests and the parity
+    # tests of shift and gaussian
+    ("slab step off by one", "_slabs",
+     "range(0, shape[0], rows)", "range(0, shape[0], rows + 1)"),
+    # complex128 a * b is not bitwise b * a; numpy's elision puts the factor
+    # first from 256 KiB on
+    ("shift's product takes the spectrum first above 256 KiB", "shift",
+     "np.multiply(factor, block, out=block)", "np.multiply(block, factor, out=block)"),
+    # killed at 16384 points, exactly 256 KiB
+    ("shift's 256 KiB test written with >", "shift",
+     "spectrum.nbytes >= _FACTOR_FIRST_BYTES", "spectrum.nbytes > _FACTOR_FIRST_BYTES"),
     # negates the input and the output: only the sign of an exact zero moves
     ("sign flips select the other parity", "_corners",
      "sum(corner) % 2 == parity", "sum(corner) % 2 != parity"),
