@@ -21,7 +21,9 @@ un-squared sum is reported as the headline bound (its translation term enters
 linearly with constant 2); the squared form is certified alongside so both
 readings are pinned down numerically.
 
-Both evaluators read one pass over the pair (``_pair``), whose elementwise
+Every report of a pair reads one pass over it (``_pair``): the pair is
+transformed once, whatever number of exponents p or forms are read from it,
+and the evaluators are one-report wrappers over that pass.  Its elementwise
 stages, like those of the public spectrum helpers, run through
 ``grid._run_blocks``.  Each block returns the np.sum of its part of every
 integral, and ``grid._tree_sum`` adds them in np.sum's own pairwise order, so
@@ -206,10 +208,11 @@ def _default_tol(mags: np.ndarray, tol: float | None, name: str, strict: bool = 
 
 
 class _Pair(NamedTuple):
-    """What both evaluators read of a pair.  F, G and |F| are flat and the
-    pass's own."""
+    """What every report of a pair reads.  ``epsilons`` holds |f - g|_p for
+    each p of ``ps``, in order; F, G and |F| are flat and the pass's own."""
 
-    epsilon: float
+    ps: tuple[float, ...]
+    epsilons: tuple[float, ...]
     lhs: float
     F: np.ndarray
     G: np.ndarray
@@ -218,20 +221,23 @@ class _Pair(NamedTuple):
     volume: float
 
 
-def _pair(f, g, p: float, caller: str) -> _Pair:
-    """The one pass over a pair: eps = |f - g|_p at a checked p, lhs = |f - g|_2,
-    the spectra F and G, |F|, and | |F|-|G| |_2, with ``volume`` the dual grid's
-    cell volume.
+@np.errstate(over="ignore", invalid="ignore")
+def _pair(f, g, ps: tuple[float, ...], caller: str) -> _Pair:
+    """The one pass over a pair, for every report read from it: eps = |f - g|_p
+    at each checked p of ``ps``, lhs = |f - g|_2, the spectra F and G, |F|,
+    and | |F|-|G| |_2, with ``volume`` the dual grid's cell volume.
 
-    |f - g| and |F| are each computed once.  F and G are transformed through
+    F, G, |f - g| and |F| are each computed once, however many p there are:
+    each block of |f - g| is summed squared and at every p before |F| is
+    written over it.  F and G are transformed through
     ``grid._two_threads`` and the elementwise stages run block by block
     through ``grid._run_blocks``, so from the two-thread gate on G and the
     right half of every stage's blocks are a worker's.  Every block runs the
     same numpy operations in the same order as one full-size pass and returns
     its np.sums, which ``grid._tree_sum`` adds in np.sum's pairwise order, so
-    the bits do not depend on the thread or the blocks.  A pair with f != g
-    whose |f - g|_2^2 underflows below the smallest normal double raises
-    ArithmeticError: its reports would be checked with no significant
+    the bits do not depend on the thread, the blocks or the other p.  A pair
+    with f != g whose |f - g|_2^2 underflows below the smallest normal double
+    raises ArithmeticError: its reports would be checked with no significant
     digits, and at lhs = 0 they would certify vacuously.
 
     No array is checked for inf or NaN: overflow is the reports' to refuse.
@@ -249,16 +255,17 @@ def _pair(f, g, p: float, caller: str) -> _Pair:
         size,
     )
     F, G, fv, gv = (a.reshape(-1) for a in (F, G, f.values, g.values))
-    # the one full-size float array of the pass: |F|, written over the p-th
-    # powers of |f - g| once their block is summed
+    # the one full-size float array of the pass: |F|, written over |f - g|
+    # once its block is summed
     magF = np.empty(size)
 
     def difference(s):
         absdiff = np.abs(np.subtract(fv[s], gv[s]), out=magF[s])
-        squares = _lp_integrand(absdiff, 2.0).sum()
-        return squares, _lp_integrand(absdiff, p, out=absdiff).sum()
+        power = np.empty_like(absdiff)
+        squares = _lp_integrand(absdiff, 2.0, out=power).sum()
+        return squares, *(_lp_integrand(absdiff, p, out=power).sum() for p in ps)
 
-    squares, powers = zip(*_run_blocks(difference, size))
+    squares, *powers = zip(*_run_blocks(difference, size))
     lhs = _lp_root(float(_tree_sum(squares, size)), space_volume, 2.0)
     # sqrt(min) is 2^-511 exactly, so this is lhs**2 < min without the ** that
     # raises OverflowError for a large lhs
@@ -267,7 +274,7 @@ def _pair(f, g, p: float, caller: str) -> _Pair:
             f"{caller}: |f - g|_2^2 = {lhs**2!r} is below the smallest normal double "
             "although f != g (underflow), so the report has no significant digits"
         )
-    epsilon = _lp_root(float(_tree_sum(powers, size)), space_volume, p)
+    epsilons = tuple(_lp_root(float(_tree_sum(s, size)), space_volume, p) for p, s in zip(ps, powers))
 
     def modulus(s):
         diff = np.abs(G[s])
@@ -276,7 +283,7 @@ def _pair(f, g, p: float, caller: str) -> _Pair:
 
     volume = f.grid.dual().cell_volume
     modulus_l2 = _lp_root(float(_sum_blocks(modulus, size)), volume, 2.0)
-    return _Pair(epsilon, lhs, F, G, magF, modulus_l2, volume)
+    return _Pair(ps, epsilons, lhs, F, G, magF, modulus_l2, volume)
 
 
 def _sublevel_masses(mags: np.ndarray, volume: float, xs) -> list[float]:
@@ -371,6 +378,44 @@ def translation_term(
 
 
 @np.errstate(over="ignore", invalid="ignore")
+def _theorems(pair: _Pair, zero_tol: float | None = None) -> list[BoundReport]:
+    """The BoundReport of ``pair`` at each p of ``pair.ps``, in order.  The
+    translation term, the modulus term and the sub-level masses at every eps
+    are formed once for all of them."""
+    lhs, magF, volume = pair.lhs, pair.magF, pair.volume
+    tol = _default_tol(magF, zero_tol, "zero_tol")
+    term_translation = _translation(pair.F, pair.G, magF, tol, volume)
+    masses = _sublevel_masses(magF, volume, pair.epsilons)
+    term_modulus = 2.0 * pair.modulus_l2
+
+    def report(p, epsilon, mass):
+        term_smoothness = _smoothness(mass, epsilon, p)
+        rhs = term_modulus + term_smoothness + term_translation
+        try:
+            squared_form_slack = (
+                2.0 * pair.modulus_l2**2
+                + (6.0 / 5.0) * (term_translation / 2.0) ** 2
+                + (epsilon**2 if p > 1.0 else 0.0)
+                + 8.0 * mass
+            ) - lhs**2
+        except OverflowError:
+            # a Python float ** past the double range; the report refuses it by name
+            squared_form_slack = math.inf
+        return BoundReport(
+            p=p,
+            epsilon=epsilon,
+            lhs=lhs,
+            term_modulus=term_modulus,
+            term_smoothness=term_smoothness,
+            term_translation=term_translation,
+            rhs=rhs,
+            slack=rhs - lhs,
+            squared_form_slack=squared_form_slack,
+        )
+
+    return [report(*row) for row in zip(pair.ps, pair.epsilons, masses)]
+
+
 def evaluate_theorem(
     f: SampledFunction,
     g: SampledFunction,
@@ -378,36 +423,7 @@ def evaluate_theorem(
     zero_tol: float | None = None,
 ) -> BoundReport:
     """Evaluate every term of the stability bound for (f, g) at exponent p."""
-    p = _check_p(p)
-    pair = _pair(f, g, p, "evaluate_theorem")
-    epsilon, lhs, magF, volume = pair.epsilon, pair.lhs, pair.magF, pair.volume
-    tol = _default_tol(magF, zero_tol, "zero_tol")
-    term_translation = _translation(pair.F, pair.G, magF, tol, volume)
-    mass = _sublevel_masses(magF, volume, (epsilon,))[0]
-    term_modulus = 2.0 * pair.modulus_l2
-    term_smoothness = _smoothness(mass, epsilon, p)
-    rhs = term_modulus + term_smoothness + term_translation
-    try:
-        squared_form_slack = (
-            2.0 * pair.modulus_l2**2
-            + (6.0 / 5.0) * (term_translation / 2.0) ** 2
-            + (epsilon**2 if p > 1.0 else 0.0)
-            + 8.0 * mass
-        ) - lhs**2
-    except OverflowError:
-        # a Python float ** past the double range; the report refuses it by name
-        squared_form_slack = math.inf
-    return BoundReport(
-        p=p,
-        epsilon=epsilon,
-        lhs=lhs,
-        term_modulus=term_modulus,
-        term_smoothness=term_smoothness,
-        term_translation=term_translation,
-        rhs=rhs,
-        slack=rhs - lhs,
-        squared_form_slack=squared_form_slack,
-    )
+    return _theorems(_pair(f, g, (_check_p(p),), "evaluate_theorem"), zero_tol)[0]
 
 
 class CertificationError(ArithmeticError):
@@ -481,15 +497,8 @@ def spectral_tail(f_spectrum: Spectrum, epsilon: float) -> float:
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def evaluate_corollary1(
-    f: SampledFunction, g: SampledFunction, support_tol: float | None = None
-) -> Corollary1Report:
-    """Evaluate the band-limited form of the bound.
-
-    Requires the spectrum of f to be real valued (relative imaginary part at
-    most 1e-8); rejects otherwise, naming the violated hypothesis.
-    """
-    pair = _pair(f, g, 1.0, "evaluate_corollary1")
+def _corollary(pair: _Pair, support_tol: float | None = None) -> Corollary1Report:
+    """The Corollary1Report of ``pair``, a pass at ps = (1.0,)."""
     F, G, size = pair.F, pair.G, pair.magF.size
     peak = float(pair.magF.max(initial=0.0))
     # np.max, not max: a NaN block maximum must win, as in one full-size max
@@ -503,7 +512,7 @@ def evaluate_corollary1(
         )
     tol = _default_tol(pair.magF, support_tol, "support_tol")
     L = _support_measure(pair.magF, pair.volume, tol)
-    epsilon, lhs = pair.epsilon, pair.lhs
+    (epsilon,), lhs = pair.epsilons, pair.lhs
     term_modulus = 2.0 * pair.modulus_l2
     term_bandlimit = 30.0 * math.sqrt(L) * epsilon
     squares = _sum_blocks(lambda s: _lp_integrand(G[s].imag, 2.0).sum(), size)
@@ -519,3 +528,14 @@ def evaluate_corollary1(
         rhs=rhs,
         slack=rhs - lhs,
     )
+
+
+def evaluate_corollary1(
+    f: SampledFunction, g: SampledFunction, support_tol: float | None = None
+) -> Corollary1Report:
+    """Evaluate the band-limited form of the bound.
+
+    Requires the spectrum of f to be real valued (relative imaginary part at
+    most 1e-8); rejects otherwise, naming the violated hypothesis.
+    """
+    return _corollary(_pair(f, g, (1.0,), "evaluate_corollary1"), support_tol)

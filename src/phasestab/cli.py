@@ -56,6 +56,7 @@ from .bounds import (
     is_certified,
     relative_slacks,
 )
+from .bounds import _check_p, _pair, _theorems
 from .experiments import (
     DEFAULT_SWEEPS,
     ScalingResult,
@@ -139,19 +140,22 @@ def cmd_corollary1(args) -> int:
 def cmd_certify(args) -> int:
     if args.count < 1:
         raise ValueError(f"--count must be at least 1, got {args.count}")
+    if args.seed < 0:
+        raise ValueError(f"--seed must be nonnegative, got {args.seed}")
+    ps = tuple(map(_check_p, args.p))
     worst, failures = {}, 0
     pairs = iter_certification_pairs(args.count, np.random.default_rng(args.seed))
     for index, (family, f, g) in enumerate(pairs):
         entry = worst.setdefault(family, {"min_rel_slack": math.inf, "min_rel_sq_slack": math.inf})
-        for p in args.p:
-            report = evaluate_theorem(f, g, p)
+        # one pass per pair, read at every p
+        for report in _theorems(_pair(f, g, ps, "evaluate_theorem")):
             rel, rel_sq = relative_slacks(report)
             entry["min_rel_slack"] = min(entry["min_rel_slack"], rel)
             entry["min_rel_sq_slack"] = min(entry["min_rel_sq_slack"], rel_sq)
             if not is_certified(report):
                 failures += 1
                 print(
-                    f"FAIL {family} pair={index} p={p!r} seed={args.seed}: "
+                    f"FAIL {family} pair={index} p={report.p!r} seed={args.seed}: "
                     f"slack={report.slack:.3e}, squared_form_slack={report.squared_form_slack:.3e}",
                     file=sys.stderr,
                 )

@@ -37,10 +37,10 @@ from .bounds import (
     TailParams,
     _check_epsilon,
     _sublevel_masses,
-    evaluate_corollary1,
     evaluate_theorem,
     is_certified,
 )
+from .bounds import _corollary, _pair, _theorems
 from .grid import GridSpec, SampledFunction, Spectrum, fourier_transform, inverse_transform
 from .grid import _index, _lp_norm, _real, _reals, _run_slabs, _slab_sum, shift
 
@@ -256,8 +256,9 @@ def optimality_experiment(
     l2s, l1s, reports = [], [], []
     for L in L_values:
         f, g = optimality_family(grid, L)
-        report = _require_certified(evaluate_theorem(f, g, 1.0), f"optimality L={L}")
-        reports.append(_require_certified(evaluate_corollary1(f, g), f"optimality L={L}"))
+        pair = _pair(f, g, (1.0,), "evaluate_theorem")
+        report = _require_certified(_theorems(pair)[0], f"optimality L={L}")
+        reports.append(_require_certified(_corollary(pair), f"optimality L={L}"))
         l2s.append(report.lhs)
         l1s.append(report.epsilon)
     results = [
@@ -324,8 +325,9 @@ def triangle_experiment(
     params, observables = [], []
     for delta in amplitudes:
         g = inverse_transform(Spectrum(freq, edge_sign_flip(xi, fhat.values, delta)))
-        report = _require_certified(evaluate_theorem(f, g, 1.0), f"triangle delta={delta}")
-        _require_certified(evaluate_corollary1(f, g), f"triangle delta={delta}")
+        pair = _pair(f, g, (1.0,), "evaluate_theorem")
+        report = _require_certified(_theorems(pair)[0], f"triangle delta={delta}")
+        _require_certified(_corollary(pair), f"triangle delta={delta}")
         if _REGIME * report.epsilon <= 1.0:
             params.append(report.epsilon)
             observables.append(report.lhs - report.term_modulus)

@@ -686,7 +686,7 @@ class TestConcurrentPairPass:
             return _centred(transform, values, scale)
 
         monkeypatch.setattr(bounds, "_centred", centred)
-        pair = bounds._pair(f, g, 1.5, "test")
+        pair = bounds._pair(f, g, (1.5,), "test")
         assert len(threads) == 2
         off_main = [t for t in threads if t is not threading.main_thread()]
         assert len(off_main) == int(concurrent)
@@ -733,7 +733,7 @@ class TestConcurrentPairPass:
         f = gaussian(grid, center=(0.3, -0.2))
         g = gaussian(grid, width=1.2)
         executors.update(opened=0, most=0)
-        bounds._pair(f, g, 1.5, "test")
+        bounds._pair(f, g, (1.5,), "test")
         assert executors["opened"] >= 1
         assert executors["most"] == 1 and executors["workers"] == 1
 
@@ -833,13 +833,13 @@ class TestBlockedPairPass:
     def test_pair_matches_the_sequential_pass(self, grid):
         f, g = _complex_pair(grid)
         F, G, magF, eps, lhs, modulus_l2, dual = _sequential_pass(f, g, 1.5)
-        pair = bounds._pair(f, g, 1.5, "test")
+        pair = bounds._pair(f, g, (1.5,), "test")
         # the translation stage forms conj(F) G in block temporaries: F stays F
         bounds._translation(pair.F, pair.G, pair.magF, 0.0, pair.volume)
         assert _bits(pair.F) == _bits(F)
         assert _bits(pair.G) == _bits(G)
         assert _bits(pair.magF) == _bits(magF)
-        assert (pair.epsilon, pair.lhs, pair.modulus_l2, pair.volume) == (eps, lhs, modulus_l2, dual)
+        assert (pair.epsilons, pair.lhs, pair.modulus_l2, pair.volume) == ((eps,), lhs, modulus_l2, dual)
 
     @pytest.mark.parametrize("p", [1.0, 1.25, 1.5, 1.75])
     @pytest.mark.parametrize("grid", BLOCKED_GRIDS)

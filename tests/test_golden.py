@@ -3,11 +3,14 @@
 The corpus in ``tests/data/golden_reports.json`` holds the reports of a fixed
 set of pairs, all built in code here:
 
-* ``evaluate_theorem`` at p = 1, 1.25, 1.5, 1.75 on the first 50 pairs of
-  ``iter_certification_pairs`` seeded with 3;
-* the same four p on a Gaussian pair and a shifted pair in 2-D (256^2) and
-  3-D (32^3);
-* ``evaluate_corollary1`` on ``optimality_family`` at L = 4 and 16;
+* the bound at p = 1, 1.25, 1.5, 1.75 on the first 50 pairs of
+  ``iter_certification_pairs`` seeded with 3, all four read from one pass
+  over each pair, as ``phasestab certify`` reads them;
+* ``evaluate_theorem`` at the same four p on a Gaussian pair and a shifted
+  pair in 2-D (256^2) and 3-D (32^3);
+* the band-limited form on ``optimality_family`` at L = 4 and 16, read from
+  a pass that has already yielded the bound's report, as
+  ``optimality_experiment`` reads it;
 * the ``ScalingResult`` fields of ``phasestab experiment --name all``.
 
 Under the numpy version that wrote the corpus every float must match exactly
@@ -17,7 +20,9 @@ regenerates the corpus with
 
     PYTHONPATH=src python tests/test_golden.py
 
-and names every changed field in CHANGES.md.
+and names every changed field in CHANGES.md.  The corpus is written at one
+p per pass or at four; a report read at several p must have the bits of the
+same report read alone, which ``test_shared_pass_matches_one_p_passes`` pins.
 """
 
 import contextlib
@@ -26,8 +31,9 @@ import json
 from pathlib import Path
 
 import numpy as np
+import pytest
 
-from phasestab.bounds import evaluate_corollary1, evaluate_theorem
+from phasestab.bounds import _corollary, _pair, _theorems, evaluate_theorem
 from phasestab.cli import main
 from phasestab.experiments import (
     OPTIMALITY_GRID,
@@ -52,16 +58,18 @@ def build_corpus() -> dict:
     """label -> report fields, for every report of the corpus."""
     entries = {}
     for index, (family, f, g) in enumerate(iter_certification_pairs(50, np.random.default_rng(3))):
-        for p in P_VALUES:
-            entries[f"certify/{index}/{family}/p={p!r}"] = evaluate_theorem(f, g, p).to_dict()
+        reports = _theorems(_pair(f, g, P_VALUES, "evaluate_theorem"))
+        for p, report in zip(P_VALUES, reports):
+            entries[f"certify/{index}/{family}/p={p!r}"] = report.to_dict()
     grids = {"2d": GridSpec.uniform(2, 8.0, 256), "3d": GridSpec.uniform(3, 4.0, 32)}
     for name, grid in grids.items():
         for kind, (f, g) in _gaussian_pairs(grid, 0.05).items():
             for p in P_VALUES:
                 entries[f"{name}/{kind}/p={p!r}"] = evaluate_theorem(f, g, p).to_dict()
     for L in (4.0, 16.0):
-        f, g = optimality_family(OPTIMALITY_GRID, L)
-        entries[f"corollary1/optimality/L={L!r}"] = evaluate_corollary1(f, g).to_dict()
+        pair = _pair(*optimality_family(OPTIMALITY_GRID, L), (1.0,), "evaluate_theorem")
+        _theorems(pair)  # the bound's report first, as optimality_experiment reads them
+        entries[f"corollary1/optimality/L={L!r}"] = _corollary(pair).to_dict()
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = main(["experiment", "--name", "all"])
@@ -110,6 +118,34 @@ def test_reports_match_golden_corpus():
     assert list(actual) == list(corpus["entries"])
     bad = _mismatches(actual, corpus["entries"], exact, "corpus")
     assert not bad, f"{len(bad)} report fields moved ({'exact' if exact else f'{ULPS} ulps'}):\n" + "\n".join(bad[:20])
+
+
+def _shared_pass_pairs():
+    pairs = iter_certification_pairs(5, np.random.default_rng(3))
+    for family, f, g in pairs:
+        yield pytest.param(f, g, id=family)
+    # several blocks, and from 1024 x 512 on a worker's half of them
+    for name, grid in [
+        ("2d", GridSpec.uniform(2, 8.0, 256)),
+        ("3d", GridSpec.uniform(3, 4.0, 32)),
+        ("1024x512", GridSpec(2, (8.0, 8.0), (1024, 512))),
+    ]:
+        for kind, (f, g) in _gaussian_pairs(grid, 0.05).items():
+            yield pytest.param(f, g, id=f"{name}-{kind}")
+
+
+def _bits(report) -> list[int]:
+    fields = list(report.to_dict().values())
+    return np.array(fields, dtype=np.float64).view(np.uint64).tolist()
+
+
+@pytest.mark.parametrize("f, g", _shared_pass_pairs())
+def test_shared_pass_matches_one_p_passes(f, g):
+    # out of order and repeated: each report is its own p's, bit for bit
+    ps = (1.75, 1.0, 1.5, 1.0)
+    reports = _theorems(_pair(f, g, ps, "evaluate_theorem"))
+    assert [r.p for r in reports] == list(ps)
+    assert [_bits(r) for r in reports] == [_bits(evaluate_theorem(f, g, p)) for p in ps]
 
 
 if __name__ == "__main__":

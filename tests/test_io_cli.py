@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from phasestab import cli, experiments
+from phasestab import bounds, cli, experiments
 from phasestab.bounds import evaluate_corollary1, evaluate_theorem
 from phasestab.cli import main
 from phasestab.experiments import gaussian, triangle_spectrum
@@ -727,10 +727,10 @@ class TestCmdExperiment:
             assert len(lines) == 1 + len(result["parameter_values"])
 
     def test_violated_side_certificate_fails(self, monkeypatch, capsys):
-        def violated(f, g, support_tol=None):
-            return dataclasses.replace(evaluate_corollary1(f, g, support_tol), slack=-1.0)
+        def violated(pair, support_tol=None):
+            return dataclasses.replace(bounds._corollary(pair, support_tol), slack=-1.0)
 
-        monkeypatch.setattr(experiments, "evaluate_corollary1", violated)
+        monkeypatch.setattr(experiments, "_corollary", violated)
         assert main(["experiment", "--name", "optimality"]) == 2
         assert "certification failure: Corollary1Report not certified" in capsys.readouterr().err
 
@@ -775,21 +775,99 @@ class TestCmdCertify:
             pytest.param(["--count", "0"], id="count-0"),
             pytest.param(["--count", "-3"], id="count-negative"),
             pytest.param(["--count", "1", "--p", ","], id="empty-p"),
+            pytest.param(["--count", "1", "--seed", "-1"], id="seed-negative"),
+            pytest.param(["--count", "1", "--p", "1,2"], id="p-out-of-range"),
         ],
     )
     def test_malformed_p_is_input_error(self, options):
         assert main(["certify", *options]) == 1
 
-    def test_failure_names_its_pair(self, monkeypatch, capsys):
-        def violated(f, g, p):
-            return dataclasses.replace(evaluate_theorem(f, g, p), slack=-1.0)
+    @pytest.mark.parametrize(
+        "options, message",
+        [
+            (["--seed", "-1"], "error: --seed must be nonnegative, got -1"),
+            # the last p is out of range: refused before the first pair is built
+            (["--p", "1,2"], "error: p must lie in [1, 2), got 2.0"),
+        ],
+    )
+    def test_refused_before_any_pair(self, options, message, monkeypatch, capsys):
+        def built(*args):
+            raise AssertionError("a pair was built")
 
-        monkeypatch.setattr(cli, "evaluate_theorem", violated)
+        monkeypatch.setattr(cli, "iter_certification_pairs", built)
+        assert main(["certify", "--count", "1", *options]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == message + "\n"
+
+    def test_failure_names_its_pair(self, monkeypatch, capsys):
+        def violated(pair, zero_tol=None):
+            return [dataclasses.replace(r, slack=-1.0) for r in bounds._theorems(pair, zero_tol)]
+
+        monkeypatch.setattr(cli, "_theorems", violated)
         code = main(["certify", "--count", "2", "--seed", "7", "--p", "1.5"])
         assert code == 2
         err = capsys.readouterr().err.splitlines()
         assert err[0].startswith("FAIL gaussian pair=0 p=1.5 seed=7:")
         assert err[1].startswith("FAIL shifted_gaussian pair=1 p=1.5 seed=7:")
+
+
+def _family_builders(f_amplitude, g_amplitude):
+    # one family whose pairs overflow or underflow the pass at every p
+    def build(rng, grid):
+        f = gaussian(grid, amplitude=f_amplitude)
+        return f, (shift(f, 0.1) if g_amplitude is None else gaussian(grid, amplitude=g_amplitude))
+
+    return {"scaled": build}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "f_amplitude, g_amplitude, fragment",
+    [
+        pytest.param(1e307, 1.0, "has non-finite", id="overflow-1e307"),
+        pytest.param(1e-160, None, "underflow", id="underflow-1e-160"),
+    ],
+)
+def test_certify_refuses_a_numerical_fault(
+    f_amplitude, g_amplitude, fragment, monkeypatch, capsys
+):
+    # the shared pass at all four p, under the evaluators' error state
+    monkeypatch.setattr(experiments, "FAMILY_BUILDERS", _family_builders(f_amplitude, g_amplitude))
+    assert main(["certify", "--count", "1"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("numerical error: ") and fragment in err
+
+
+class TestOnePassPerPair:
+    """Each pair is transformed once, however many p or forms are read from it."""
+
+    @pytest.fixture
+    def transforms(self, monkeypatch):
+        calls = []
+        centred = bounds._centred
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return centred(*args, **kwargs)
+
+        monkeypatch.setattr(bounds, "_centred", counted)
+        return calls
+
+    def test_certify(self, transforms, capsys):
+        assert main(["certify", "--count", "10", "--seed", "0"]) == 0
+        assert len(transforms) == 20
+
+    @pytest.mark.parametrize("name, pairs", [("optimality", 5), ("triangle", 8)])
+    def test_experiment(self, name, pairs, transforms, capsys):
+        assert main(["experiment", "--name", name]) == 0
+        assert len(transforms) == 2 * pairs
+
+    def test_one_report(self, transforms):
+        f = gaussian(GRID)
+        evaluate_theorem(f, shift(f, 0.1), 1.5)
+        assert len(transforms) == 2
 
 
 class TestUsage:

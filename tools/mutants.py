@@ -38,11 +38,11 @@ COPIED = ("src", "tests", "pyproject.toml")
 # (name, the function whose body holds the edit or None for the module, old, new);
 # ``old`` must occur exactly once in that scope of the mutant's file.
 BOUNDS_MUTANTS = [
-    ("theorem modulus 2 -> 1.5", "evaluate_theorem",
+    ("theorem modulus 2 -> 1.5", "_theorems",
      "term_modulus = 2.0 *", "term_modulus = 1.5 *"),
-    ("theorem modulus 2 -> 3", "evaluate_theorem",
+    ("theorem modulus 2 -> 3", "_theorems",
      "term_modulus = 2.0 *", "term_modulus = 3.0 *"),
-    ("corollary modulus 2 -> 1.5", "evaluate_corollary1",
+    ("corollary modulus 2 -> 1.5", "_corollary",
      "term_modulus = 2.0 *", "term_modulus = 1.5 *"),
     ("h: 8 -> 4", "_smoothness",
      "math.sqrt(8.0 * mass)", "math.sqrt(4.0 * mass)"),
@@ -57,11 +57,11 @@ BOUNDS_MUTANTS = [
      "reverse=True", "reverse=False"),
     ("translation 2 -> 1.5", "_translation",
      "return 2.0 *", "return 1.5 *"),
-    ("corollary translation 2 -> 1", "evaluate_corollary1",
+    ("corollary translation 2 -> 1", "_corollary",
      "term_translation = 2.0 *", "term_translation = 1.0 *"),
-    ("corollary band limit 30 -> 15", "evaluate_corollary1",
+    ("corollary band limit 30 -> 15", "_corollary",
      "30.0 * math.sqrt(L)", "15.0 * math.sqrt(L)"),
-    ("corollary real-spectrum tolerance 1e-8 -> 1e-6", "evaluate_corollary1",
+    ("corollary real-spectrum tolerance 1e-8 -> 1e-6", "_corollary",
      "im_peak > 1e-8 * peak", "im_peak > 1e-6 * peak"),
     ("exceptional set 10 eps -> 5 eps", "exceptional_set",
      "_REGIME * epsilon", "5.0 * epsilon"),
@@ -69,15 +69,15 @@ BOUNDS_MUTANTS = [
      "magF >= _REGIME", "magF > _REGIME"),
     ("exceptional set |F - G| ties: >= -> >", "exceptional_set",
      "magdiff >= epsilon", "magdiff > epsilon"),
-    ("squared form modulus 2 -> 3", "evaluate_theorem",
+    ("squared form modulus 2 -> 3", "_theorems",
      "2.0 * pair.modulus_l2**2", "3.0 * pair.modulus_l2**2"),
-    ("squared form 6/5 -> 1", "evaluate_theorem",
+    ("squared form 6/5 -> 1", "_theorems",
      "(6.0 / 5.0)", "(5.0 / 5.0)"),
-    ("squared form 6/5 -> 2", "evaluate_theorem",
+    ("squared form 6/5 -> 2", "_theorems",
      "(6.0 / 5.0)", "(10.0 / 5.0)"),
-    ("squared form |f-g|_p^2 dropped", "evaluate_theorem",
+    ("squared form |f-g|_p^2 dropped", "_theorems",
      "(epsilon**2 if p > 1.0 else 0.0)", "(0.0 if p > 1.0 else 0.0)"),
-    ("squared form 8 mass -> 4 mass", "evaluate_theorem",
+    ("squared form 8 mass -> 4 mass", "_theorems",
      "+ 8.0 * mass", "+ 4.0 * mass"),
     ("CERTIFICATION_RTOL 1e-6 -> 1e-2", None,
      "CERTIFICATION_RTOL = 1e-6", "CERTIFICATION_RTOL = 1e-2"),
@@ -88,6 +88,13 @@ BOUNDS_MUTANTS = [
      "if lhs < math.sqrt(sys.float_info.min)", "if lhs < 0.0"),
     ("pair pass refuses only lhs = 0", "_pair",
      "if lhs < math.sqrt(sys.float_info.min)", "if lhs == 0.0"),
+    # one pass serves every p of a pair: each p must read its own eps and mass
+    ("every report reads the first p's eps", "_theorems",
+     "zip(pair.ps, pair.epsilons, masses)", "zip(pair.ps, [pair.epsilons[0]] * len(pair.ps), masses)"),
+    ("sub-level masses zipped in reverse", "_theorems",
+     "pair.epsilons, masses)", "pair.epsilons, masses[::-1])"),
+    ("difference stage sums the first p's power at every p", "_pair",
+     "_lp_integrand(absdiff, p, out=power)", "_lp_integrand(absdiff, ps[0], out=power)"),
 ]
 # every elementwise stage of the evaluators, the spectrum helpers and
 # lemma1_gap runs through the block runner, shift and gaussian through the
