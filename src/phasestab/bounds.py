@@ -30,6 +30,13 @@ integral, and ``grid._tree_sum`` adds them in np.sum's own pairwise order, so
 every integral has the bits of one np.sum over a full-size array, whether or
 not a second thread took half the blocks.
 
+Only eps = |f - g|_p and the sub-level mass at 10 eps depend on p, so
+:func:`evaluate_theorem` keeps the rest of the last pair it evaluated in one
+record, ``_record``: one read-only float array of the grid's size, |F|, and
+a few floats, until the next call with another pair or zero_tol, or until f
+or g is freed.  It holds weak references to f and g and relies on fields
+being immutable.
+
 All sub-level sets use non-strict comparison (|F| <= threshold, ties
 included).  Certification tolerances are multiplicative in the right-hand
 side, since the test families span several orders of magnitude in norm.
@@ -39,6 +46,7 @@ from __future__ import annotations
 
 import math
 import sys
+import weakref
 from dataclasses import dataclass, asdict
 from typing import NamedTuple
 
@@ -190,35 +198,59 @@ def _check_epsilon(epsilon: float) -> float:
     return value
 
 
+def _check_tol(tol, name: str) -> float | None:
+    """``tol`` as a float, checked finite and nonnegative; None stays None."""
+    value = None if tol is None else _real(tol)
+    if tol is not None and (value is None or not (math.isfinite(value) and value >= 0.0)):
+        raise ValueError(f"{name} must be a nonnegative finite real, got {tol!r}")
+    return value
+
+
 def _default_tol(mags: np.ndarray, tol: float | None, name: str, strict: bool = False) -> float:
-    """``tol``, checked finite and nonnegative, or 1e-12 * max|F| when it is None.
+    """``tol``, checked (``_check_tol``), or 1e-12 * max|F| when it is None.
     A non-finite default raises ArithmeticError with ``strict``; the evaluators'
     reports refuse that overflow themselves."""
-    if tol is None:
-        default = 1e-12 * float(mags.max(initial=0.0))
-        if strict and not math.isfinite(default):
+    value = _check_tol(tol, name)
+    if value is None:
+        value = 1e-12 * float(mags.max(initial=0.0))
+        if strict and not math.isfinite(value):
             raise ArithmeticError(
-                f"default {name} 1e-12 * max|F| is {default} (the spectrum's modulus overflows)"
+                f"default {name} 1e-12 * max|F| is {value} (the spectrum's modulus overflows)"
             )
-        return default
-    value = _real(tol)
-    if value is None or not (math.isfinite(value) and value >= 0.0):
-        raise ValueError(f"{name} must be a nonnegative finite real, got {tol!r}")
     return value
 
 
 class _Pair(NamedTuple):
     """What every report of a pair reads.  ``epsilons`` holds |f - g|_p for
-    each p of ``ps``, in order; F, G and |F| are flat and the pass's own."""
+    each p of ``ps``, in order; F, G and |F| are flat and the pass's own.
+    ``_theorem`` replaces F and G by the translation term at one zero_tol,
+    which is all the BoundReports read of them."""
 
     ps: tuple[float, ...]
     epsilons: tuple[float, ...]
     lhs: float
-    F: np.ndarray
-    G: np.ndarray
+    F: np.ndarray | None
+    G: np.ndarray | None
     magF: np.ndarray
     modulus_l2: float
     volume: float
+    term_translation: float | None = None
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _distances(f, g, exponents: tuple[float, ...]) -> list[float]:
+    """|f - g|_q at each q of ``exponents``, in order.  Each block forms
+    |f - g| once, in a block temporary, and sums its power at every q."""
+    fv, gv = f.values.reshape(-1), g.values.reshape(-1)
+
+    def difference(s):
+        absdiff = np.abs(np.subtract(fv[s], gv[s]))
+        power = np.empty_like(absdiff)
+        return [_lp_integrand(absdiff, q, out=power).sum() for q in exponents]
+
+    size, volume = f.grid.size, f.grid.cell_volume
+    sums = zip(*_run_blocks(difference, size))
+    return [_lp_root(float(_tree_sum(s, size)), volume, q) for q, s in zip(exponents, sums)]
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -228,8 +260,8 @@ def _pair(f, g, ps: tuple[float, ...], caller: str) -> _Pair:
     and | |F|-|G| |_2, with ``volume`` the dual grid's cell volume.
 
     F, G, |f - g| and |F| are each computed once, however many p there are:
-    each block of |f - g| is summed squared and at every p before |F| is
-    written over it.  F and G are transformed through
+    ``_distances`` sums each block of |f - g| squared and at every p, and the
+    modulus stage alone writes |F|.  F and G are transformed through
     ``grid._two_threads`` and the elementwise stages run block by block
     through ``grid._run_blocks``, so from the two-thread gate on G and the
     right half of every stage's blocks are a worker's.  Every block runs the
@@ -254,27 +286,17 @@ def _pair(f, g, ps: tuple[float, ...], caller: str) -> _Pair:
         lambda: _centred(np.fft.fft, g.values, space_volume),
         size,
     )
-    F, G, fv, gv = (a.reshape(-1) for a in (F, G, f.values, g.values))
-    # the one full-size float array of the pass: |F|, written over |f - g|
-    # once its block is summed
-    magF = np.empty(size)
-
-    def difference(s):
-        absdiff = np.abs(np.subtract(fv[s], gv[s]), out=magF[s])
-        power = np.empty_like(absdiff)
-        squares = _lp_integrand(absdiff, 2.0, out=power).sum()
-        return squares, *(_lp_integrand(absdiff, p, out=power).sum() for p in ps)
-
-    squares, *powers = zip(*_run_blocks(difference, size))
-    lhs = _lp_root(float(_tree_sum(squares, size)), space_volume, 2.0)
+    F, G = F.reshape(-1), G.reshape(-1)
+    lhs, *epsilons = _distances(f, g, (2.0, *ps))
     # sqrt(min) is 2^-511 exactly, so this is lhs**2 < min without the ** that
     # raises OverflowError for a large lhs
-    if lhs < math.sqrt(sys.float_info.min) and np.any(fv != gv):
+    if lhs < math.sqrt(sys.float_info.min) and np.any(f.values != g.values):
         raise ArithmeticError(
             f"{caller}: |f - g|_2^2 = {lhs**2!r} is below the smallest normal double "
             "although f != g (underflow), so the report has no significant digits"
         )
-    epsilons = tuple(_lp_root(float(_tree_sum(s, size)), space_volume, p) for p, s in zip(ps, powers))
+    # the one full-size float array of the pass
+    magF = np.empty(size)
 
     def modulus(s):
         diff = np.abs(G[s])
@@ -283,7 +305,7 @@ def _pair(f, g, ps: tuple[float, ...], caller: str) -> _Pair:
 
     volume = f.grid.dual().cell_volume
     modulus_l2 = _lp_root(float(_sum_blocks(modulus, size)), volume, 2.0)
-    return _Pair(ps, epsilons, lhs, F, G, magF, modulus_l2, volume)
+    return _Pair(ps, tuple(epsilons), lhs, F, G, magF, modulus_l2, volume)
 
 
 def _sublevel_masses(mags: np.ndarray, volume: float, xs) -> list[float]:
@@ -378,22 +400,27 @@ def translation_term(
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _theorems(pair: _Pair, zero_tol: float | None = None) -> list[BoundReport]:
-    """The BoundReport of ``pair`` at each p of ``pair.ps``, in order.  The
-    translation term, the modulus term and the sub-level masses at every eps
-    are formed once for all of them."""
-    lhs, magF, volume = pair.lhs, pair.magF, pair.volume
-    tol = _default_tol(magF, zero_tol, "zero_tol")
-    term_translation = _translation(pair.F, pair.G, magF, tol, volume)
-    masses = _sublevel_masses(magF, volume, pair.epsilons)
-    term_modulus = 2.0 * pair.modulus_l2
+def _theorem(pair: _Pair, zero_tol: float | None = None) -> _Pair:
+    """``pair`` with its translation term at ``zero_tol`` in place of F and G."""
+    tol = _default_tol(pair.magF, zero_tol, "zero_tol")
+    term_translation = _translation(pair.F, pair.G, pair.magF, tol, pair.volume)
+    return pair._replace(F=None, G=None, term_translation=term_translation)
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _reports(theorem: _Pair) -> list[BoundReport]:
+    """The BoundReport of a ``_theorem`` at each of its p, in order.  The
+    sub-level masses at every eps are formed in one pass over |F|."""
+    lhs, term_translation = theorem.lhs, theorem.term_translation
+    masses = _sublevel_masses(theorem.magF, theorem.volume, theorem.epsilons)
+    term_modulus = 2.0 * theorem.modulus_l2
 
     def report(p, epsilon, mass):
         term_smoothness = _smoothness(mass, epsilon, p)
         rhs = term_modulus + term_smoothness + term_translation
         try:
             squared_form_slack = (
-                2.0 * pair.modulus_l2**2
+                2.0 * theorem.modulus_l2**2
                 + (6.0 / 5.0) * (term_translation / 2.0) ** 2
                 + (epsilon**2 if p > 1.0 else 0.0)
                 + 8.0 * mass
@@ -413,7 +440,27 @@ def _theorems(pair: _Pair, zero_tol: float | None = None) -> list[BoundReport]:
             squared_form_slack=squared_form_slack,
         )
 
-    return [report(*row) for row in zip(pair.ps, pair.epsilons, masses)]
+    return [report(*row) for row in zip(theorem.ps, theorem.epsilons, masses)]
+
+
+def _theorems(pair: _Pair, zero_tol: float | None = None) -> list[BoundReport]:
+    """The BoundReport of ``pair`` at each p of ``pair.ps``, in order.  The
+    translation term, the modulus term and the sub-level masses at every eps
+    are formed once for all of them."""
+    return _reports(_theorem(pair, zero_tol))
+
+
+# evaluate_theorem's record of its last pass: (weak references to its f and g,
+# its checked zero_tol, None for the default, and its _theorem), or None
+_record: tuple | None = None
+
+
+def _forget(ref) -> None:
+    """Weak-reference callback: the record goes with its f or g, so its |F|
+    is not left between the allocations of whatever runs next."""
+    global _record
+    if ref in (_record or ())[:2]:
+        _record = None
 
 
 def evaluate_theorem(
@@ -422,8 +469,31 @@ def evaluate_theorem(
     p: float,
     zero_tol: float | None = None,
 ) -> BoundReport:
-    """Evaluate every term of the stability bound for (f, g) at exponent p."""
-    return _theorems(_pair(f, g, (_check_p(p),), "evaluate_theorem"), zero_tol)[0]
+    """Evaluate every term of the stability bound for (f, g) at exponent p.
+
+    Only eps = |f - g|_p and the sub-level mass at 10 eps depend on p, so the
+    rest of the last pair evaluated here is kept in one record: lhs, the
+    modulus and translation terms, the dual cell volume and |F|, one read-only
+    float array of the grid's size, until the next call with another pair or
+    zero_tol, or until f or g is freed.  Fields are immutable and compare by
+    identity, and the record holds only weak references to them, so a call
+    with the same f, g and zero_tol forms no transform: it sums |f - g|^p at
+    its p and the mass at its eps, with the bits of a fresh pass.  Any other
+    call drops the record before its pass allocates and keeps its own.
+    """
+    global _record
+    p, tol = _check_p(p), _check_tol(zero_tol, "zero_tol")
+    # read once: a concurrent call that replaces the record changes only
+    # whether this one hits.  A weak reference reads None once its field is
+    # gone, so None never hits
+    record = _record if f is not None and g is not None else None
+    if record is not None and record[0]() is f and record[1]() is g and record[2] == tol:
+        return _reports(record[3]._replace(ps=(p,), epsilons=tuple(_distances(f, g, (p,)))))[0]
+    _record = record = None
+    theorem = _theorem(_pair(f, g, (p,), "evaluate_theorem"), tol)
+    theorem.magF.flags.writeable = False
+    _record = (weakref.ref(f, _forget), weakref.ref(g, _forget), tol, theorem)
+    return _reports(theorem)[0]
 
 
 class CertificationError(ArithmeticError):

@@ -33,8 +33,9 @@ decimal formatting, so reports are byte-stable across runs):
 
 Exit codes: 0 certified / pass, 1 usage, input or numerical error (overflow
 and other arithmetic faults), 2 mathematical certification failure: a violated
-inequality, or a fitted slope outside its tolerance.  All defaults are echoed
-into the "config" object of every report.
+inequality, or a fitted slope outside its tolerance.  A closed standard output
+(``phasestab certify | head -1``) changes none of them.  All defaults are
+echoed into the "config" object of every report.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -91,7 +93,12 @@ def _emit(payload: dict, out: str | None, text: str | None = None) -> None:
     body = text if text is not None else json.dumps(payload, indent=2)
     if out:
         write_text_atomic(out, body + "\n")
-    print(body)
+    try:
+        print(body, flush=True)
+    except BrokenPipeError:
+        # the reader closed stdout: the exit code still gives the verdict, and
+        # devnull takes the interpreter's flush at exit (Python's SIGPIPE recipe)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 def _load_pair(f_path: str, g_path: str):

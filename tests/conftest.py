@@ -3,6 +3,7 @@ import threading
 import numpy as np
 import pytest
 
+from phasestab import bounds
 from phasestab.grid import GridSpec
 
 
@@ -21,6 +22,13 @@ def grid_2d():
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture
+def cleared_record():
+    """bounds.evaluate_theorem's record emptied: a test that patches a stage or
+    counts transforms sees its own pass, whatever test ran before it."""
+    bounds._record = None
 
 
 @pytest.fixture

@@ -1,6 +1,9 @@
 import dataclasses
+import gc
 import math
+import sys
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -737,6 +740,7 @@ class TestConcurrentPairPass:
         assert executors["opened"] >= 1
         assert executors["most"] == 1 and executors["workers"] == 1
 
+    @pytest.mark.usefixtures("cleared_record")
     def test_worker_exception_is_raised_in_the_caller(self, monkeypatch):
         def centred(transform, values, scale):
             if threading.current_thread() is not threading.main_thread():
@@ -872,6 +876,7 @@ class TestBlockedPairPass:
             sq[magF > 10.0 * eps] = 0.0
             assert spectral_tail(Fs, eps).hex() == float(dual * np.sum(sq)).hex()
 
+    @pytest.mark.usefixtures("cleared_record")
     def test_stage_exception_on_the_worker_is_raised_in_the_caller(self, monkeypatch):
         integrand = bounds._lp_integrand
 
@@ -1132,3 +1137,177 @@ class TestSymmetries:
         lam = 2.0**k
         scaled = [SampledFunction(h.grid, lam * h.values) for h in (f, g)]
         assert evaluate_theorem(*scaled, p).lhs == lam * evaluate_theorem(f, g, p).lhs
+
+
+# ---------------------------------------------------------------------------
+# evaluate_theorem's record: the p-independent part of the last pair it saw
+# ---------------------------------------------------------------------------
+
+# p out of order and repeated; zero_tol (times max|F|) left as None, given and
+# changed.  A change of zero_tol is a miss, so these calls make four passes.
+RECORD_CALLS = [
+    (1.5, None), (1.0, None), (1.75, None), (1.5, None), (1.25, 1e-6),
+    (1.0, 1e-6), (1.25, 0.3), (1.75, None), (1.0, None),
+]
+RECORD_PASSES = 4
+RECORD_PAIRS = [pytest.param(name, id=name) for name in sorted(FAMILY_BUILDERS)] + [
+    pytest.param(GridSpec.uniform(2, 8.0, 256), id="256x256-gaussian"),
+    pytest.param(GridSpec.uniform(3, 4.0, 32), id="32^3-gaussian"),
+]
+
+
+def _record_pair(pair):
+    if isinstance(pair, GridSpec):
+        return _complex_pair(pair)
+    return FAMILY_BUILDERS[pair](np.random.default_rng(11), GridSpec.uniform(1, 16.0, 1024))
+
+
+def _fresh(f, g, p, zero_tol=None):
+    """The report of a pass over (f, g) at p alone, which the record never sees."""
+    return bounds._theorems(bounds._pair(f, g, (p,), "evaluate_theorem"), zero_tol)[0]
+
+
+def _uint64(report):
+    return np.array(dataclasses.astuple(report)).view(np.uint64).tolist()
+
+
+def _leaves(value):
+    if isinstance(value, tuple):
+        return [leaf for item in value for leaf in _leaves(item)]
+    return [value]
+
+
+@pytest.mark.usefixtures("cleared_record")
+class TestLastPairRecord:
+    @pytest.fixture
+    def transforms(self, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return _centred(*args, **kwargs)
+
+        monkeypatch.setattr(bounds, "_centred", counted)
+        return calls
+
+    @pytest.mark.parametrize("pair", RECORD_PAIRS)
+    def test_hit_has_the_bits_of_a_fresh_pass(self, pair, transforms):
+        f, g = _record_pair(pair)
+        peak = float(np.abs(fourier_transform(f).values).max())
+        passes = 0
+        for p, relative_tol in RECORD_CALLS:
+            zero_tol = None if relative_tol is None else relative_tol * peak
+            before = len(transforms)
+            got = evaluate_theorem(f, g, p, zero_tol)
+            passes += (len(transforms) - before) // 2
+            assert _uint64(got) == _uint64(_fresh(f, g, p, zero_tol)), (p, relative_tol)
+        assert passes == RECORD_PASSES
+
+    @pytest.mark.parametrize("pair", RECORD_PAIRS)
+    def test_zero_tol_moves_the_translation_term(self, pair):
+        # so a record that ignored zero_tol would show in the bits above
+        f, g = _record_pair(pair)
+        peak = float(np.abs(fourier_transform(f).values).max())
+        terms = [_fresh(f, g, 1.0, tol).term_translation for tol in (None, 0.3 * peak)]
+        assert terms[0] != terms[1]
+
+    def test_four_p_on_one_pair_transform_it_once(self, transforms):
+        f, g = _complex_pair(GridSpec.uniform(1, 16.0, 1024))
+        for p in (1.0, 1.25, 1.5, 1.75):
+            evaluate_theorem(f, g, p)
+        assert len(transforms) == 2
+
+    def test_alternating_pairs_transform_on_every_call(self, transforms):
+        # the two pairs share f, so a key without g would hit
+        f, g = _complex_pair(GridSpec.uniform(1, 16.0, 1024))
+        others = (g, shift(g, 0.1))
+        for i, p in enumerate((1.0, 1.25, 1.5, 1.75)):
+            evaluate_theorem(f, others[i % 2], p)
+            assert len(transforms) == 2 * (i + 1)
+
+    def test_no_field_kept_alive(self):
+        f, g = _complex_pair(GridSpec.uniform(2, 8.0, 256))
+        refs = [weakref.ref(f), weakref.ref(g)]
+        evaluate_theorem(f, g, 1.5)
+        del f, g
+        gc.collect()
+        assert [ref() for ref in refs] == [None, None]
+        # and the record, with its |F|, went with them
+        assert bounds._record is None
+
+    @pytest.mark.parametrize("gone", ["f", "g"])
+    def test_record_goes_with_either_field(self, gone):
+        pair = dict(zip("fg", _complex_pair(GridSpec.uniform(1, 16.0, 1024))))
+        evaluate_theorem(pair["f"], pair["g"], 1.0)
+        assert bounds._record is not None
+        del pair[gone]
+        gc.collect()
+        assert bounds._record is None
+
+    def test_none_is_never_a_hit(self):
+        # a record whose field is gone reads None from its weak reference
+        f, g = _complex_pair(GridSpec.uniform(1, 16.0, 1024))
+        evaluate_theorem(f, g, 1.0)
+        bounds._record = (lambda: None, lambda: None, None, bounds._record[3])
+        with pytest.raises(TypeError, match="expects two SampledFunction inputs"):
+            evaluate_theorem(None, None, 1.0)
+
+    def test_record_holds_one_float_array_and_no_spectrum(self):
+        f, g = _complex_pair(GridSpec.uniform(2, 8.0, 256))
+        evaluate_theorem(f, g, 1.25)
+        arrays = [leaf for leaf in _leaves(bounds._record) if isinstance(leaf, np.ndarray)]
+        assert not any(np.iscomplexobj(a) for a in arrays)
+        (magF,) = arrays
+        assert magF.dtype == np.float64 and magF.size == f.grid.size
+        # the pass's own array, read-only: a hit cannot write over it
+        assert magF.base is None and not magF.flags.writeable
+
+    def test_threads_sharing_the_record_get_the_bits_of_a_fresh_pass(self):
+        # more threads than CPUs, each on its own pair at every p, switching
+        # often: a hit on another thread's record, or on a record read half
+        # replaced, would show in the bits
+        grid = GridSpec.uniform(1, 16.0, 1024)
+        rng = np.random.default_rng(5)
+        pairs = [FAMILY_BUILDERS[name](rng, grid) for name in sorted(FAMILY_BUILDERS)]
+        ps = (1.0, 1.25, 1.5, 1.75)
+        expected = [[_uint64(_fresh(f, g, p)) for p in ps] for f, g in pairs]
+        mismatches = []
+
+        def evaluate(k):
+            f, g = pairs[k]
+            try:
+                for _ in range(20):
+                    for p, want in zip(ps, expected[k]):
+                        if _uint64(evaluate_theorem(f, g, p)) != want:
+                            mismatches.append((k, p))
+            except Exception as exc:  # reported below, not lost on the thread
+                mismatches.append((k, exc))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=evaluate, args=(k,)) for k in range(len(pairs))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert mismatches == []
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflow_is_the_same_error_on_a_hit(self, transforms):
+        grid = GridSpec.uniform(1, 16.0, 1024)
+        f, g = gaussian(grid, amplitude=1e307), gaussian(grid)
+        messages = []
+        for p in (1.5, 1.5, 1.0):
+            with pytest.raises(ArithmeticError) as raised:
+                evaluate_theorem(f, g, p)
+            messages.append(str(raised.value))
+        # the report refused the overflow after the record was kept
+        assert len(transforms) == 2
+        with pytest.raises(ArithmeticError) as fresh:
+            _fresh(f, g, 1.0)
+        assert messages == [messages[0], messages[0], str(fresh.value)]
+        assert "non-finite" in messages[0]

@@ -1,9 +1,11 @@
 import base64
 import dataclasses
+import io
 import json
 import math
 import os
 import stat
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -844,7 +846,7 @@ class TestOnePassPerPair:
     """Each pair is transformed once, however many p or forms are read from it."""
 
     @pytest.fixture
-    def transforms(self, monkeypatch):
+    def transforms(self, monkeypatch, cleared_record):
         calls = []
         centred = bounds._centred
 
@@ -868,6 +870,59 @@ class TestOnePassPerPair:
         f = gaussian(GRID)
         evaluate_theorem(f, shift(f, 0.1), 1.5)
         assert len(transforms) == 2
+
+
+class TestClosedStdout:
+    """A reader that closes stdout early (``phasestab certify | head -1``)
+    leaves every exit code to the verdict, with no ``error:`` line."""
+
+    @pytest.fixture
+    def closed_main(self, tmp_path, monkeypatch):
+        """``main`` with a stdout whose every write raises BrokenPipeError."""
+        path = tmp_path / "stdout"
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT)
+        writes = []
+
+        class Closed(io.TextIOBase):
+            def write(self, text):
+                writes.append(text)
+                raise BrokenPipeError(32, "Broken pipe")
+
+            def fileno(self):
+                return fd
+
+        def run(argv):
+            # patched in the test's own call: capture sets sys.stdout before it
+            with monkeypatch.context() as patch:
+                patch.setattr(sys, "stdout", Closed())
+                return main(argv)
+
+        yield run
+        assert writes
+        # the interpreter's flush at exit would now go to devnull
+        os.write(fd, b"at exit")
+        os.close(fd)
+        assert path.read_bytes() == b""
+
+    def test_verify_certified(self, closed_main, gaussian_file, shifted_file, capsys):
+        argv = ["verify", "--f", str(gaussian_file), "--g", str(shifted_file), "--p", "1.5"]
+        assert closed_main(argv) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_certify_failed(self, closed_main, tmp_path, monkeypatch, capsys):
+        def violated(pair, zero_tol=None):
+            return [dataclasses.replace(r, slack=-1.0) for r in bounds._theorems(pair, zero_tol)]
+
+        monkeypatch.setattr(cli, "_theorems", violated)
+        out = tmp_path / "summary.json"
+        assert closed_main(["certify", "--count", "1", "--p", "1.5", "--out", str(out)]) == 2
+        assert json.loads(out.read_text())["failures"] == 1
+        err = capsys.readouterr().err
+        assert err.startswith("FAIL gaussian pair=0 p=1.5 seed=0:") and "error:" not in err
+
+    def test_lemma1(self, closed_main, capsys):
+        assert closed_main(["lemma1", "--radius-steps", "50", "--angle-steps", "50"]) == 0
+        assert capsys.readouterr().err == ""
 
 
 class TestUsage:

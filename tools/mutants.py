@@ -38,9 +38,9 @@ COPIED = ("src", "tests", "pyproject.toml")
 # (name, the function whose body holds the edit or None for the module, old, new);
 # ``old`` must occur exactly once in that scope of the mutant's file.
 BOUNDS_MUTANTS = [
-    ("theorem modulus 2 -> 1.5", "_theorems",
+    ("theorem modulus 2 -> 1.5", "_reports",
      "term_modulus = 2.0 *", "term_modulus = 1.5 *"),
-    ("theorem modulus 2 -> 3", "_theorems",
+    ("theorem modulus 2 -> 3", "_reports",
      "term_modulus = 2.0 *", "term_modulus = 3.0 *"),
     ("corollary modulus 2 -> 1.5", "_corollary",
      "term_modulus = 2.0 *", "term_modulus = 1.5 *"),
@@ -69,15 +69,15 @@ BOUNDS_MUTANTS = [
      "magF >= _REGIME", "magF > _REGIME"),
     ("exceptional set |F - G| ties: >= -> >", "exceptional_set",
      "magdiff >= epsilon", "magdiff > epsilon"),
-    ("squared form modulus 2 -> 3", "_theorems",
-     "2.0 * pair.modulus_l2**2", "3.0 * pair.modulus_l2**2"),
-    ("squared form 6/5 -> 1", "_theorems",
+    ("squared form modulus 2 -> 3", "_reports",
+     "2.0 * theorem.modulus_l2**2", "3.0 * theorem.modulus_l2**2"),
+    ("squared form 6/5 -> 1", "_reports",
      "(6.0 / 5.0)", "(5.0 / 5.0)"),
-    ("squared form 6/5 -> 2", "_theorems",
+    ("squared form 6/5 -> 2", "_reports",
      "(6.0 / 5.0)", "(10.0 / 5.0)"),
-    ("squared form |f-g|_p^2 dropped", "_theorems",
+    ("squared form |f-g|_p^2 dropped", "_reports",
      "(epsilon**2 if p > 1.0 else 0.0)", "(0.0 if p > 1.0 else 0.0)"),
-    ("squared form 8 mass -> 4 mass", "_theorems",
+    ("squared form 8 mass -> 4 mass", "_reports",
      "+ 8.0 * mass", "+ 4.0 * mass"),
     ("CERTIFICATION_RTOL 1e-6 -> 1e-2", None,
      "CERTIFICATION_RTOL = 1e-6", "CERTIFICATION_RTOL = 1e-2"),
@@ -89,12 +89,22 @@ BOUNDS_MUTANTS = [
     ("pair pass refuses only lhs = 0", "_pair",
      "if lhs < math.sqrt(sys.float_info.min)", "if lhs == 0.0"),
     # one pass serves every p of a pair: each p must read its own eps and mass
-    ("every report reads the first p's eps", "_theorems",
-     "zip(pair.ps, pair.epsilons, masses)", "zip(pair.ps, [pair.epsilons[0]] * len(pair.ps), masses)"),
-    ("sub-level masses zipped in reverse", "_theorems",
-     "pair.epsilons, masses)", "pair.epsilons, masses[::-1])"),
-    ("difference stage sums the first p's power at every p", "_pair",
-     "_lp_integrand(absdiff, p, out=power)", "_lp_integrand(absdiff, ps[0], out=power)"),
+    ("every report reads the first p's eps", "_reports",
+     "zip(theorem.ps, theorem.epsilons, masses)",
+     "zip(theorem.ps, [theorem.epsilons[0]] * len(theorem.ps), masses)"),
+    ("sub-level masses zipped in reverse", "_reports",
+     "theorem.epsilons, masses)", "theorem.epsilons, masses[::-1])"),
+    # the exponents are (2, *ps): lhs's square, then each p
+    ("difference stage sums the first p's power at every p", "_distances",
+     "for q in exponents]", "for q in exponents[:2] + exponents[1:2] * (len(exponents) - 2)]"),
+    # evaluate_theorem's record of the last pair: a hit must be the same f, g
+    # and zero_tol, and must read its own p's eps
+    ("record's key ignores g", "evaluate_theorem",
+     " and record[1]() is g", ""),
+    ("record's key ignores zero_tol", "evaluate_theorem",
+     " and record[2] == tol", ""),
+    ("a hit reuses the first p's eps", "evaluate_theorem",
+     ", epsilons=tuple(_distances(f, g, (p,)))", ""),
 ]
 # every elementwise stage of the evaluators, the spectrum helpers and
 # lemma1_gap runs through the block runner, shift and gaussian through the
