@@ -26,9 +26,9 @@ transformed once, whatever number of exponents p or forms are read from it,
 and the evaluators are one-report wrappers over that pass.  Its elementwise
 stages, like those of the public spectrum helpers, run through
 ``grid._run_blocks``.  Each block returns the np.sum of its part of every
-integral, and ``grid._tree_sum`` adds them in np.sum's own pairwise order, so
-every integral has the bits of one np.sum over a full-size array, whether or
-not a second thread took half the blocks.
+integral, and ``grid._sum_blocks`` adds them in np.sum's own pairwise order,
+so every integral has the bits of one np.sum over a full-size array, whether
+or not a second thread took half the blocks.
 
 Only eps = |f - g|_p and the sub-level mass at 10 eps depend on p, so
 :func:`evaluate_theorem` keeps the rest of the last pair it evaluated in one
@@ -61,9 +61,8 @@ from .grid import (
     _lp_root,
     _real,
     _run_blocks,
+    _run_parts,
     _sum_blocks,
-    _tree_sum,
-    _two_threads,
 )
 
 __all__ = [
@@ -89,6 +88,11 @@ CERTIFICATION_RTOL = 1e-6
 # The regime factor: the per-frequency estimate holds where |F| >= 10 eps, and
 # the sub-level set {|F| <= 10 x} of the smoothness modulus is where it does not.
 _REGIME = 10.0
+
+# The weight of Im(conj(F) G / |F|)^2 in the per-frequency estimate and the
+# squared form, and the weight of the sub-level mass in h and the squared form.
+_TANGENTIAL_WEIGHT = 6.0 / 5.0
+_MASS_WEIGHT = 8.0
 
 
 class _Report:
@@ -246,11 +250,10 @@ def _distances(f, g, exponents: tuple[float, ...]) -> list[float]:
     def difference(s):
         absdiff = np.abs(np.subtract(fv[s], gv[s]))
         power = np.empty_like(absdiff)
-        return [_lp_integrand(absdiff, q, out=power).sum() for q in exponents]
+        return np.array([_lp_integrand(absdiff, q, out=power).sum() for q in exponents])
 
-    size, volume = f.grid.size, f.grid.cell_volume
-    sums = zip(*_run_blocks(difference, size))
-    return [_lp_root(float(_tree_sum(s, size)), volume, q) for q, s in zip(exponents, sums)]
+    sums = _sum_blocks(difference, f.grid.size)
+    return [_lp_root(float(s), f.grid.cell_volume, q) for q, s in zip(exponents, sums)]
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -261,12 +264,12 @@ def _pair(f, g, ps: tuple[float, ...], caller: str) -> _Pair:
 
     F, G, |f - g| and |F| are each computed once, however many p there are:
     ``_distances`` sums each block of |f - g| squared and at every p, and the
-    modulus stage alone writes |F|.  F and G are transformed through
-    ``grid._two_threads`` and the elementwise stages run block by block
+    modulus stage alone writes |F|.  F and G are the two parts of one
+    ``grid._run_parts`` call and the elementwise stages run block by block
     through ``grid._run_blocks``, so from the two-thread gate on G and the
     right half of every stage's blocks are a worker's.  Every block runs the
     same numpy operations in the same order as one full-size pass and returns
-    its np.sums, which ``grid._tree_sum`` adds in np.sum's pairwise order, so
+    its np.sums, which ``grid._sum_blocks`` adds in np.sum's pairwise order, so
     the bits do not depend on the thread, the blocks or the other p.  A pair
     with f != g whose |f - g|_2^2 underflows below the smallest normal double
     raises ArithmeticError: its reports would be checked with no significant
@@ -281,12 +284,9 @@ def _pair(f, g, ps: tuple[float, ...], caller: str) -> _Pair:
         raise TypeError(f"{caller} expects two SampledFunction inputs")
     _require_same_grid(f, g)
     space_volume, size = f.grid.cell_volume, f.grid.size
-    F, G = _two_threads(
-        lambda: _centred(np.fft.fft, f.values, space_volume),
-        lambda: _centred(np.fft.fft, g.values, space_volume),
-        size,
+    F, G = _run_parts(
+        lambda v: _centred(np.fft.fft, v, space_volume).reshape(-1), (f.values, g.values), 1, size
     )
-    F, G = F.reshape(-1), G.reshape(-1)
     lhs, *epsilons = _distances(f, g, (2.0, *ps))
     # sqrt(min) is 2^-511 exactly, so this is lhs**2 < min without the ** that
     # raises OverflowError for a large lhs
@@ -324,14 +324,13 @@ def _sublevel_masses(mags: np.ndarray, volume: float, xs) -> list[float]:
     def masses(s):
         block = mags[s]
         sq = np.multiply(block, block)
-        sums = [0.0] * len(xs)
+        sums = np.empty(len(xs))
         for i, threshold in thresholds:
             np.copyto(sq, 0.0, where=block > threshold)
             sums[i] = sq.sum()
         return sums
 
-    parts = _run_blocks(masses, mags.size)
-    return [float(volume * _tree_sum(sums, mags.size)) for sums in zip(*parts)]
+    return [float(volume * mass) for mass in _sum_blocks(masses, mags.size)]
 
 
 def _support_measure(mags: np.ndarray, volume: float, tol: float) -> float:
@@ -342,7 +341,7 @@ def _support_measure(mags: np.ndarray, volume: float, tol: float) -> float:
 
 def _smoothness(mass: float, x: float, p: float) -> float:
     """h at x from the sub-level mass at threshold 10 x."""
-    return math.sqrt(8.0 * mass) + (x if p > 1.0 else 0.0)
+    return math.sqrt(_MASS_WEIGHT * mass) + (x if p > 1.0 else 0.0)
 
 
 def smoothness_modulus(f_spectrum: Spectrum, x: float, p: float) -> float:
@@ -421,9 +420,9 @@ def _reports(theorem: _Pair) -> list[BoundReport]:
         try:
             squared_form_slack = (
                 2.0 * theorem.modulus_l2**2
-                + (6.0 / 5.0) * (term_translation / 2.0) ** 2
+                + _TANGENTIAL_WEIGHT * (term_translation / 2.0) ** 2
                 + (epsilon**2 if p > 1.0 else 0.0)
-                + 8.0 * mass
+                + _MASS_WEIGHT * mass
             ) - lhs**2
         except OverflowError:
             # a Python float ** past the double range; the report refuses it by name

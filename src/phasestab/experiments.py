@@ -172,6 +172,14 @@ def _require_certified(report, context: str):
     return report
 
 
+def _certified_pass(f, g, context: str):
+    """The BoundReport at p = 1 and the Corollary1Report of (f, g), from one
+    pass, each checked by ``_require_certified``."""
+    pair = _pair(f, g, (1.0,), "evaluate_theorem")
+    theorem = _require_certified(_theorems(pair)[0], context)
+    return theorem, _require_certified(_corollary(pair), context)
+
+
 def gaussian(
     grid: GridSpec,
     center: float | Sequence[float] = 0.0,
@@ -256,9 +264,8 @@ def optimality_experiment(
     l2s, l1s, reports = [], [], []
     for L in L_values:
         f, g = optimality_family(grid, L)
-        pair = _pair(f, g, (1.0,), "evaluate_theorem")
-        report = _require_certified(_theorems(pair)[0], f"optimality L={L}")
-        reports.append(_require_certified(_corollary(pair), f"optimality L={L}"))
+        report, corollary = _certified_pass(f, g, f"optimality L={L}")
+        reports.append(corollary)
         l2s.append(report.lhs)
         l1s.append(report.epsilon)
     results = [
@@ -325,9 +332,7 @@ def triangle_experiment(
     params, observables = [], []
     for delta in amplitudes:
         g = inverse_transform(Spectrum(freq, edge_sign_flip(xi, fhat.values, delta)))
-        pair = _pair(f, g, (1.0,), "evaluate_theorem")
-        report = _require_certified(_theorems(pair)[0], f"triangle delta={delta}")
-        _require_certified(_corollary(pair), f"triangle delta={delta}")
+        report, _ = _certified_pass(f, g, f"triangle delta={delta}")
         if _REGIME * report.epsilon <= 1.0:
             params.append(report.epsilon)
             observables.append(report.lhs - report.term_modulus)

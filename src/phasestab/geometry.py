@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import _REGIME, _check_epsilon
+from .bounds import _REGIME, _TANGENTIAL_WEIGHT, _check_epsilon
 from .grid import MAX_TOTAL_POINTS, _index, _run_blocks
 
 __all__ = [
@@ -150,6 +150,6 @@ def pointwise_first_term_check(fhat_val, ghat_val, epsilon: float):
     if not np.all(np.abs(F - G) <= epsilon * (1.0 + _BOUNDARY_RTOL)):
         raise ValueError("regime violation: need |fhat_val - ghat_val| <= epsilon")
     tangential = (np.conj(F) * G).imag / magF
-    rhs = (magF - np.abs(G)) ** 2 + (6.0 / 5.0) * tangential**2
+    rhs = (magF - np.abs(G)) ** 2 + _TANGENTIAL_WEIGHT * tangential**2
     gap = rhs - np.abs(F - G) ** 2
     return gap if gap.ndim else float(gap)

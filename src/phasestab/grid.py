@@ -24,7 +24,7 @@ fftn is the 1-D transform applied in place once per axis, last axis first:
 the calls numpy's own fftn makes, without its per-call argument handling.
 A lone transform (not the pair pass, which runs F and G on two threads)
 cuts each axis pass's lines in two halves along another axis, for
-``_two_threads``; every line gets the same FFT call, so the bits are the same.
+``_run_parts``; every line gets the same FFT call, so the bits are the same.
 
 The library's elementwise passes over large arrays (the pair pass, the
 spectrum helpers and lemma1_gap) run through one block runner,
@@ -32,11 +32,13 @@ spectrum helpers and lemma1_gap) run through one block runner,
 of one full-size pass.  The blocks are the leaves of np.sum's pairwise tree
 (``_blocks``), so a block returns the np.sum of its part of an integrand and
 ``_tree_sum`` adds those partial sums in the tree's own order: an integral
-has the bits of one np.sum over a full-size array that is never formed.  The
-runner alone decides, from the size it is given, whether a worker thread
-takes the tree's right half (``_two_threads``).  ``shift`` and
+has the bits of one np.sum over a full-size array that is never formed;
+``_sum_blocks`` is the one function that adds them.  ``shift`` and
 experiments.gaussian build their fields the same way, in slabs of axis-0 rows
-(``_run_slabs``), each with the operations of the full-size formula.
+(``_run_slabs``), each with the operations of the full-size formula.  One
+function, ``_run_parts``, runs the parts of every blocked pass, slab pass,
+split axis pass and the pair pass's two transforms, and alone decides, from
+the size it is given, whether a worker thread takes the second half.
 """
 
 from __future__ import annotations
@@ -73,7 +75,7 @@ MAX_TOTAL_POINTS = 2**26
 _BLOCK = 2**14
 
 # From this many points on, a pass splits its work between two threads (see
-# _two_threads); numpy's FFT and ufunc loops release the GIL.  Each split opens
+# _run_parts); numpy's FFT and ufunc loops release the GIL.  Each split opens
 # and closes its own one-worker executor, about 0.14 ms.  Time of one
 # evaluate_theorem, two threads over one (medians of 5-30 calls, 6-14 rounds),
 # on a 2-CPU host where two threads of numpy arithmetic ran no faster than
@@ -91,26 +93,6 @@ _TWO_THREADS_MIN_POINTS = 2**19
 # AVX-512), so ``shift``, whose full-size formula was ``S * np.exp(...)``,
 # multiplies factor first from this size on.
 _FACTOR_FIRST_BYTES = 256 * 1024
-
-
-def _two_threads(first, second, size: int) -> tuple:
-    """``(first(), second())``.  From ``_TWO_THREADS_MIN_POINTS`` points on,
-    ``second`` runs on a one-worker executor, opened and closed here, while
-    this thread runs ``first``; below that, both run here, in that order.
-
-    The worker runs in a copy of this thread's context, so a caller's
-    np.errstate holds there, and its exception is raised here.  No thread
-    outlives the call.
-    """
-    if size < _TWO_THREADS_MIN_POINTS:
-        return first(), second()
-    # imported here: concurrent.futures adds about 5 ms to the package's
-    # import, which runs that stay below the gate should not pay
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(1, thread_name_prefix="phasestab") as worker:
-        future = worker.submit(contextvars.copy_context().run, second)
-        return first(), future.result()
 
 
 def _split(n: int) -> int:
@@ -142,7 +124,8 @@ def _blocks(size: int) -> tuple[slice, ...]:
 def _tree_sum(parts, size: int):
     """The sum of ``parts``, the np.sum of each block of ``_blocks(size)`` in
     order, added in np.sum's pairwise order: the bits of np.sum over the
-    whole array.  0.0 for no points."""
+    whole array.  Float64 arrays of several integrands' np.sums are added
+    elementwise, each entry with those bits.  0.0 for no points."""
     if size <= _BLOCK:
         return parts[0] if size else 0.0
     parts = iter(parts)
@@ -157,24 +140,31 @@ def _tree_sum(parts, size: int):
 
 
 def _run_parts(step, parts, half: int, size: int) -> list:
-    """``step(part)`` for each of ``parts``, in order; their results.  The
-    parts from ``half`` on are ``_two_threads``' second, on a worker when the
-    work covers ``size`` points at or above the gate."""
-    first, second = _two_threads(
-        lambda: list(map(step, parts[:half])), lambda: list(map(step, parts[half:])), size
-    )
-    return first + second
+    """``step(part)`` for each of ``parts``, in order; their results.  From
+    ``_TWO_THREADS_MIN_POINTS`` points of work (``size``) on, the parts from
+    ``half`` on run on a one-worker executor, opened and closed here, while
+    this thread runs the others; below that, all run here, in order.
+
+    The worker runs in a copy of this thread's context, so a caller's
+    np.errstate holds there, and its exception is raised here.  No thread
+    outlives the call.
+    """
+    if size < _TWO_THREADS_MIN_POINTS:
+        return list(map(step, parts))
+    # imported here: concurrent.futures adds about 5 ms to the package's
+    # import, which runs that stay below the gate should not pay
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(1, thread_name_prefix="phasestab") as worker:
+        second = worker.submit(contextvars.copy_context().run, list, map(step, parts[half:]))
+        return list(map(step, parts[:half])) + second.result()
 
 
 def _run_blocks(step, size: int) -> list:
     """``step(s)`` for each slice ``s`` of ``_blocks(size)``, which cover
     range(size) in order; their results, in block order.  The blocks of the
-    tree's right half are ``_two_threads``' second: on a worker from the gate
-    on.  A lone block, far below the gate, runs here without that split."""
-    blocks = _blocks(size)
-    if len(blocks) < 2:
-        return list(map(step, blocks))
-    return _run_parts(step, blocks, len(_blocks(_split(size))), size)
+    tree's right half are ``_run_parts``' second part."""
+    return _run_parts(step, _blocks(size), len(_blocks(_split(size))), size)
 
 
 def _slabs(shape: tuple[int, ...]) -> tuple[slice, ...]:
@@ -186,15 +176,9 @@ def _slabs(shape: tuple[int, ...]) -> tuple[slice, ...]:
 
 def _run_slabs(step, shape: tuple[int, ...]) -> None:
     """``step(s)`` for each slab ``s`` of ``_slabs(shape)``, an index of axis
-    0.  The second half of the slabs is ``_two_threads``' second; an array of
-    at most ``_BLOCK`` points is one slab, ``slice(None)``, stepped here in one
-    direct call."""
-    size = math.prod(shape)
-    if size <= _BLOCK:
-        step(slice(None))
-        return
+    0.  The second half of the slabs is ``_run_parts``' second part."""
     slabs = _slabs(shape)
-    _run_parts(step, slabs, len(slabs) // 2, size)
+    _run_parts(step, slabs, len(slabs) // 2, math.prod(shape))
 
 
 def _slab_sum(terms, s) -> np.ndarray:
@@ -209,7 +193,9 @@ def _slab_sum(terms, s) -> np.ndarray:
 
 def _sum_blocks(step, size: int):
     """The sum over range(size) of an integrand whose np.sum over block ``s``
-    is ``step(s)``: the bits of one np.sum over the full-size integrand."""
+    is ``step(s)``: the bits of one np.sum over the full-size integrand.  A
+    step that returns the np.sums of several integrands as one float64 array
+    gets an array of their sums, each with those bits."""
     return _tree_sum(_run_blocks(step, size), size)
 
 

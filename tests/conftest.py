@@ -40,7 +40,7 @@ def no_thread_outlives_the_call():
 
 @pytest.fixture
 def executors(monkeypatch):
-    """Counts of the executors that grid._two_threads opens: ``opened`` in
+    """Counts of the executors that grid._run_parts opens: ``opened`` in
     all, ``most`` open at once and ``workers``, the most workers one had."""
     import concurrent.futures
 

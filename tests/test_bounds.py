@@ -43,12 +43,14 @@ from phasestab.grid import (
     _centred,
     _run_blocks,
     _split,
+    _sum_blocks,
     _tree_sum,
     fourier_transform,
     inverse_transform,
     lp_norm,
     shift,
 )
+from phasestab.geometry import lemma1_gap
 from phasestab.io import save_field
 
 TRIANGLE_TAIL_AT_HALF = 1.0 / 12.0  # 2 * integral_{1/2}^{1} (1 - xi)^2 d xi
@@ -967,9 +969,15 @@ class TestRunBlocks:
     @pytest.mark.parametrize("size", TREE_SIZES)
     def test_tree_sum_of_block_sums_is_np_sum(self, rng, size):
         # magnitudes e^-20 .. e^20 of both signs: every addition rounds
-        x = np.exp(rng.uniform(-20.0, 20.0, size)) * rng.choice([-1.0, 1.0], size)
+        x, y = (
+            np.exp(rng.uniform(-20.0, 20.0, size)) * rng.choice([-1.0, 1.0], size) for _ in range(2)
+        )
         got = np.float64(_tree_sum([x[s].sum() for s in _blocks(size)], size))
         assert got.view(np.uint64) == np.sum(x).view(np.uint64)
+        # two integrands' block sums as one array, added elementwise
+        both = _sum_blocks(lambda s: np.array([x[s].sum(), y[s].sum()]), size)
+        got = np.broadcast_to(np.asarray(both, dtype=float), (2,))
+        assert list(got.view(np.uint64)) == list(np.array([np.sum(x), np.sum(y)]).view(np.uint64))
 
     def test_worker_exception_is_raised_in_the_caller(self):
         def step(s):
@@ -979,6 +987,43 @@ class TestRunBlocks:
 
         with pytest.raises(MemoryError, match="block at"):
             _run_blocks(step, _TWO_THREADS_MIN_POINTS)
+
+
+def _theorem_miss(grid):
+    f = gaussian(grid, center=0.3, amplitude=0.8 + 0.6j)
+    evaluate_theorem(f, shift(gaussian(grid, width=1.2), 0.1), 1.5)
+
+
+@pytest.mark.usefixtures("cleared_record", "no_thread_outlives_the_call")
+class TestExecutorsOpened:
+    @pytest.mark.parametrize(
+        "call",
+        [
+            pytest.param(lambda: _theorem_miss(GridSpec.uniform(1, 16.0, 1024)), id="theorem-1d-1024"),
+            pytest.param(lambda: _theorem_miss(GridSpec.uniform(2, 8.0, 256)), id="theorem-256x256"),
+            pytest.param(lambda: gaussian(GridSpec.uniform(2, 8.0, 256), 0.3), id="gaussian-256x256"),
+            pytest.param(
+                lambda: shift(gaussian(GridSpec.uniform(2, 8.0, 256)), (0.1, -0.05)),
+                id="shift-256x256",
+            ),
+            pytest.param(
+                lambda: lemma1_gap(1.0, 1.0 + 0.4 * np.exp(1j * np.linspace(0.0, 6.0, 10**5))),
+                id="lemma1_gap-1e5",
+            ),
+        ],
+    )
+    def test_none_below_the_gate(self, call, executors):
+        call()
+        assert executors["opened"] == 0
+
+    def test_a_theorem_miss_at_the_gate(self, executors):
+        f = gaussian(CONCURRENT_GRID, center=(0.3, -0.2), amplitude=0.8 + 0.6j)
+        g = shift(gaussian(CONCURRENT_GRID, width=1.2), (0.1, 0.05))
+        executors.update(opened=0, most=0)
+        evaluate_theorem(f, g, 1.5)
+        # F and G, then the difference, modulus, translation and sub-level stages
+        assert executors["opened"] == 5
+        assert executors["most"] == 1 and executors["workers"] == 1
 
 
 # ---------------------------------------------------------------------------

@@ -45,7 +45,7 @@ BOUNDS_MUTANTS = [
     ("corollary modulus 2 -> 1.5", "_corollary",
      "term_modulus = 2.0 *", "term_modulus = 1.5 *"),
     ("h: 8 -> 4", "_smoothness",
-     "math.sqrt(8.0 * mass)", "math.sqrt(4.0 * mass)"),
+     "math.sqrt(_MASS_WEIGHT * mass)", "math.sqrt(4.0 * mass)"),
     ("h: +x -> +0.5x", "_smoothness",
      "(x if p > 1.0 else 0.0)", "(0.5 * x if p > 1.0 else 0.0)"),
     ("regime factor 10 -> 5, at every site", None,
@@ -71,14 +71,17 @@ BOUNDS_MUTANTS = [
      "magdiff >= epsilon", "magdiff > epsilon"),
     ("squared form modulus 2 -> 3", "_reports",
      "2.0 * theorem.modulus_l2**2", "3.0 * theorem.modulus_l2**2"),
-    ("squared form 6/5 -> 1", "_reports",
-     "(6.0 / 5.0)", "(5.0 / 5.0)"),
-    ("squared form 6/5 -> 2", "_reports",
-     "(6.0 / 5.0)", "(10.0 / 5.0)"),
+    # the weight of Im(conj(F) G / |F|)^2 in the squared form and in
+    # geometry's per-frequency estimate
+    ("tangential weight 6/5 -> 1, at every site", None,
+     "_TANGENTIAL_WEIGHT = 6.0 / 5.0", "_TANGENTIAL_WEIGHT = 5.0 / 5.0"),
+    ("tangential weight 6/5 -> 2, at every site", None,
+     "_TANGENTIAL_WEIGHT = 6.0 / 5.0", "_TANGENTIAL_WEIGHT = 10.0 / 5.0"),
     ("squared form |f-g|_p^2 dropped", "_reports",
      "(epsilon**2 if p > 1.0 else 0.0)", "(0.0 if p > 1.0 else 0.0)"),
-    ("squared form 8 mass -> 4 mass", "_reports",
-     "+ 8.0 * mass", "+ 4.0 * mass"),
+    # the weight of the sub-level mass in h and in the squared form
+    ("mass weight 8 -> 4, at every site", None,
+     "_MASS_WEIGHT = 8.0", "_MASS_WEIGHT = 4.0"),
     ("CERTIFICATION_RTOL 1e-6 -> 1e-2", None,
      "CERTIFICATION_RTOL = 1e-6", "CERTIFICATION_RTOL = 1e-2"),
     # the pair pass leaves overflow to the reports, so this is its only guard
@@ -111,7 +114,10 @@ BOUNDS_MUTANTS = [
 # slabs, and every transform through the centred transform
 GRID_MUTANTS = [
     ("block runner's worker repeats the caller's half", "_run_parts",
-     "parts[half:]", "parts[:half]"),
+     "map(step, parts[half:])", "map(step, parts[:half])"),
+    # killed at exactly _TWO_THREADS_MIN_POINTS, where the worker must start
+    ("block runner's gate written with <=", "_run_parts",
+     "if size < _TWO_THREADS_MIN_POINTS:", "if size <= _TWO_THREADS_MIN_POINTS:"),
     # the blocks and the tree sum still agree, but no longer with np.sum
     ("pairwise split cut to a multiple of 4", "_split",
      "half - half % 8", "half - half % 4"),
