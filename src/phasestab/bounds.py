@@ -37,6 +37,10 @@ a few floats, until the next call with another pair or zero_tol, or until f
 or g is freed.  It holds weak references to f and g and relies on fields
 being immutable.
 
+The public helpers run with numpy's overflow warnings silenced, and one
+whose float result is not finite raises ArithmeticError naming it
+(``grid._finite``), as the reports refuse a non-finite field.
+
 All sub-level sets use non-strict comparison (|F| <= threshold, ties
 included).  Certification tolerances are multiplicative in the right-hand
 side, since the test families span several orders of magnitude in norm.
@@ -56,6 +60,7 @@ from .grid import (
     SampledFunction,
     Spectrum,
     _centred,
+    _finite,
     _index,
     _lp_integrand,
     _lp_root,
@@ -285,7 +290,7 @@ def _pair(f, g, ps: tuple[float, ...], caller: str) -> _Pair:
     _require_same_grid(f, g)
     space_volume, size = f.grid.cell_volume, f.grid.size
     F, G = _run_parts(
-        lambda v: _centred(np.fft.fft, v, space_volume).reshape(-1), (f.values, g.values), 1, size
+        lambda v: _centred(np.fft.fft, v, space_volume).reshape(-1), (f.values, g.values), size
     )
     lhs, *epsilons = _distances(f, g, (2.0, *ps))
     # sqrt(min) is 2^-511 exactly, so this is lhs**2 < min without the ** that
@@ -344,6 +349,7 @@ def _smoothness(mass: float, x: float, p: float) -> float:
     return math.sqrt(_MASS_WEIGHT * mass) + (x if p > 1.0 else 0.0)
 
 
+@_finite
 def smoothness_modulus(f_spectrum: Spectrum, x: float, p: float) -> float:
     """The nonlinear smoothness modulus h evaluated at x >= 0.
 
@@ -380,6 +386,7 @@ def _translation(
     return 2.0 * _lp_root(float(_sum_blocks(square, magF.size)), volume, 2.0)
 
 
+@_finite
 def translation_term(
     f_spectrum: Spectrum, g_spectrum: Spectrum, zero_tol: float | None = None
 ) -> float:
@@ -518,6 +525,7 @@ def relative_slacks(report: BoundReport | Corollary1Report) -> tuple[float, ...]
     return tuple(slack / rhs if rhs > 0 else 0.0 for slack, rhs in _forms(report))
 
 
+@_finite
 def support_measure(F: Spectrum, support_tol: float | None = None) -> float:
     """Volume of the numerical support {|F| > support_tol} of a spectrum.
 
@@ -532,6 +540,7 @@ def support_measure(F: Spectrum, support_tol: float | None = None) -> float:
     return _support_measure(mags, F.grid.cell_volume, tol)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def exceptional_set(
     f_spectrum: Spectrum, g_spectrum: Spectrum, epsilon: float
 ) -> tuple[float, np.ndarray]:
@@ -553,6 +562,7 @@ def exceptional_set(
     return measure, mask
 
 
+@_finite
 def spectral_tail(f_spectrum: Spectrum, epsilon: float) -> float:
     """Sub-level mass integral of |F|^2 over {|F| <= 10 eps}.
 

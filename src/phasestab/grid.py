@@ -31,14 +31,15 @@ spectrum helpers and lemma1_gap) run through one block runner,
 ``_run_blocks``: blocks of at most ``_BLOCK`` points, each with the operations
 of one full-size pass.  The blocks are the leaves of np.sum's pairwise tree
 (``_blocks``), so a block returns the np.sum of its part of an integrand and
-``_tree_sum`` adds those partial sums in the tree's own order: an integral
-has the bits of one np.sum over a full-size array that is never formed;
-``_sum_blocks`` is the one function that adds them.  ``shift`` and
-experiments.gaussian build their fields the same way, in slabs of axis-0 rows
-(``_run_slabs``), each with the operations of the full-size formula.  One
-function, ``_run_parts``, runs the parts of every blocked pass, slab pass,
-split axis pass and the pair pass's two transforms, and alone decides, from
-the size it is given, whether a worker thread takes the second half.
+``_sum_blocks``, the one function that adds them, walks the same tree: an
+integral has the bits of one np.sum over a full-size array that is never
+formed.  ``shift`` and experiments.gaussian build their fields the same way,
+in slabs of axis-0 rows (``_run_slabs``), each with the operations of the
+full-size formula.  One function, ``_run_parts``, runs the parts of every
+blocked pass, slab pass, split axis pass and the pair pass's two transforms,
+and alone decides, from the size it is given, whether a worker thread takes
+the second half of the parts.  The blocks of the tree's left half are the
+first half of its leaves, so the worker's blocks are those of its right half.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ import itertools
 import math
 import numbers
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -108,7 +109,7 @@ def _blocks(size: int) -> tuple[slice, ...]:
     """The leaves of np.sum's pairwise tree over range(size), in order: the
     tree is split at ``_split`` until a part has at most ``_BLOCK`` points.
     The np.sum of a contiguous float64 array is that tree, down to its
-    leaves, so ``_tree_sum`` of the leaves' np.sums has its bits."""
+    leaves, so ``_sum_blocks`` of the leaves' np.sums has its bits."""
 
     def leaves(start, n):
         if n <= _BLOCK:
@@ -121,29 +122,12 @@ def _blocks(size: int) -> tuple[slice, ...]:
     return tuple(leaves(0, size)) if size else ()
 
 
-def _tree_sum(parts, size: int):
-    """The sum of ``parts``, the np.sum of each block of ``_blocks(size)`` in
-    order, added in np.sum's pairwise order: the bits of np.sum over the
-    whole array.  Float64 arrays of several integrands' np.sums are added
-    elementwise, each entry with those bits.  0.0 for no points."""
-    if size <= _BLOCK:
-        return parts[0] if size else 0.0
-    parts = iter(parts)
-
-    def total(n):
-        if n <= _BLOCK:
-            return next(parts)
-        half = _split(n)
-        return total(half) + total(n - half)
-
-    return total(size)
-
-
-def _run_parts(step, parts, half: int, size: int) -> list:
+def _run_parts(step, parts, size: int) -> list:
     """``step(part)`` for each of ``parts``, in order; their results.  From
-    ``_TWO_THREADS_MIN_POINTS`` points of work (``size``) on, the parts from
-    ``half`` on run on a one-worker executor, opened and closed here, while
-    this thread runs the others; below that, all run here, in order.
+    ``_TWO_THREADS_MIN_POINTS`` points of work (``size``) on, the second half
+    of the parts, ``parts[len(parts) // 2:]``, runs on a one-worker executor,
+    opened and closed here, while this thread runs the first; below that, all
+    run here, in order.
 
     The worker runs in a copy of this thread's context, so a caller's
     np.errstate holds there, and its exception is raised here.  No thread
@@ -155,18 +139,20 @@ def _run_parts(step, parts, half: int, size: int) -> list:
     # import, which runs that stay below the gate should not pay
     from concurrent.futures import ThreadPoolExecutor
 
+    middle = len(parts) // 2
     with ThreadPoolExecutor(1, thread_name_prefix="phasestab") as worker:
-        second = worker.submit(contextvars.copy_context().run, list, map(step, parts[half:]))
-        return list(map(step, parts[:half])) + second.result()
+        second = worker.submit(contextvars.copy_context().run, list, map(step, parts[middle:]))
+        return list(map(step, parts[:middle])) + second.result()
 
 
 def _run_blocks(step, size: int) -> list:
     """``step(s)`` for each slice ``s`` of ``_blocks(size)``, which cover
-    range(size) in order; their results, in block order.  The blocks of the
-    tree's right half are ``_run_parts``' second part."""
-    return _run_parts(step, _blocks(size), len(_blocks(_split(size))), size)
+    range(size) in order; their results, in block order."""
+    return _run_parts(step, _blocks(size), size)
 
 
+# bounded, as _blocks is: a slab pass runs on every gaussian and shift
+@functools.lru_cache(maxsize=64)
 def _slabs(shape: tuple[int, ...]) -> tuple[slice, ...]:
     """Runs of axis-0 rows of an array of ``shape``, in order, each of at most
     ``_BLOCK`` points (one row where a row alone has more)."""
@@ -175,10 +161,8 @@ def _slabs(shape: tuple[int, ...]) -> tuple[slice, ...]:
 
 
 def _run_slabs(step, shape: tuple[int, ...]) -> None:
-    """``step(s)`` for each slab ``s`` of ``_slabs(shape)``, an index of axis
-    0.  The second half of the slabs is ``_run_parts``' second part."""
-    slabs = _slabs(shape)
-    _run_parts(step, slabs, len(slabs) // 2, math.prod(shape))
+    """``step(s)`` for each slab ``s`` of ``_slabs(shape)``, an index of axis 0."""
+    _run_parts(step, _slabs(shape), math.prod(shape))
 
 
 def _slab_sum(terms, s) -> np.ndarray:
@@ -193,10 +177,19 @@ def _slab_sum(terms, s) -> np.ndarray:
 
 def _sum_blocks(step, size: int):
     """The sum over range(size) of an integrand whose np.sum over block ``s``
-    is ``step(s)``: the bits of one np.sum over the full-size integrand.  A
-    step that returns the np.sums of several integrands as one float64 array
-    gets an array of their sums, each with those bits."""
-    return _tree_sum(_run_blocks(step, size), size)
+    is ``step(s)``: the bits of one np.sum over the full-size integrand, as
+    the blocks' sums are added in np.sum's pairwise order.  A step that
+    returns the np.sums of several integrands as one float64 array gets an
+    array of their sums, each with those bits.  0.0 for no points."""
+    parts = iter(_run_blocks(step, size))
+
+    def total(n):
+        if n <= _BLOCK:
+            return next(parts)
+        half = _split(n)
+        return total(half) + total(n - half)
+
+    return total(size) if size else 0.0
 
 
 def _index(value) -> int | None:
@@ -246,18 +239,14 @@ class GridSpec:
         Per-axis even point count N_i; spacing is 2 T_i / N_i.
 
     The dual grid has spacing 1/(N dx) and half extent 1/(2 dx) per axis, so a
-    grid and its dual describe matched space/frequency discretizations.
-    ``dual()`` carries the originating extents along (a non-comparing field),
-    which makes ``g.dual().dual() == g`` hold exactly rather than up to the
-    rounding of two divisions.
+    grid and its dual describe matched space/frequency discretizations.  A
+    dual links back to the grid it was formed from, so ``g.dual().dual() is
+    g`` holds exactly rather than up to the rounding of two divisions.
     """
 
     dimension: int
     half_extent: tuple[float, ...]
     points_per_axis: tuple[int, ...]
-    _dual_extent: tuple[float, ...] | None = field(
-        default=None, compare=False, repr=False
-    )
 
     def __post_init__(self) -> None:
         dimension = _index(self.dimension)
@@ -322,16 +311,11 @@ class GridSpec:
     # call, and building and validating a GridSpec cost about 8 us
     @functools.cached_property
     def _dual(self) -> "GridSpec":
-        if self._dual_extent is not None:
-            dual_he = self._dual_extent
-        else:
-            # dual half extent 1/(2 dx) = N / (4 T); 0.25 * N is exact.
-            dual_he = tuple(
-                0.25 * n / t for n, t in zip(self.points_per_axis, self.half_extent)
-            )
-        return GridSpec(
-            self.dimension, dual_he, self.points_per_axis, _dual_extent=self.half_extent
-        )
+        # dual half extent 1/(2 dx) = N / (4 T); 0.25 * N is exact.
+        extents = tuple(0.25 * n / t for n, t in zip(self.points_per_axis, self.half_extent))
+        dual = GridSpec(self.dimension, extents, self.points_per_axis)
+        dual.__dict__["_dual"] = self
+        return dual
 
 
 @dataclass(frozen=True, eq=False)
@@ -421,7 +405,7 @@ def _axis_pass(transform, a: np.ndarray, axis: int, split: bool) -> None:
         view = a[(slice(None),) * cut + (part,)]
         transform(view, axis=axis, out=view)
 
-    _run_parts(lines, (slice(None, middle), slice(middle, None)), 1, a.size)
+    _run_parts(lines, (slice(None, middle), slice(middle, None)), a.size)
 
 
 def _centred_in_place(transform, a: np.ndarray, scale: float, split: bool = False) -> np.ndarray:
@@ -501,11 +485,30 @@ def _lp_norm(mags: np.ndarray, volume: float, p: float) -> float:
     return _lp_root(float(_lp_integrand(mags, p).sum()), volume, p)
 
 
+def _finite(helper):
+    """``helper``, a public function with a float result, run under
+    np.errstate(over="ignore", invalid="ignore"): numpy prints no overflow
+    warning, and a result that is not finite raises ArithmeticError naming
+    the helper, as the reports refuse a non-finite field."""
+
+    @functools.wraps(helper)
+    def checked(*args, **kwargs):
+        with np.errstate(over="ignore", invalid="ignore"):
+            value = helper(*args, **kwargs)
+        if not math.isfinite(value):
+            raise ArithmeticError(f"{helper.__name__} is {value} (overflow or NaN)")
+        return value
+
+    return checked
+
+
+@_finite
 def lp_norm(field: SampledFunction | Spectrum, p: float) -> float:
     """Rectangle-rule L^p quadrature norm, or the max of |values| for p = inf.
 
     Accepts any p in [1, inf].  The quadrature weight is the cell volume of the
     field's own grid, so spectra are integrated in d(xi) and functions in dx.
+    A norm that overflows raises ArithmeticError.
     """
     if not isinstance(field, _GridField):
         raise TypeError("lp_norm expects a SampledFunction or Spectrum")

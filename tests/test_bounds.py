@@ -44,7 +44,6 @@ from phasestab.grid import (
     _run_blocks,
     _split,
     _sum_blocks,
-    _tree_sum,
     fourier_transform,
     inverse_transform,
     lp_norm,
@@ -523,6 +522,27 @@ def test_overflowing_default_tolerance_refused(call, name):
         call(F)
 
 
+# a 1e200 Gaussian and its shift: |F|^2 overflows, while |F| and the values
+# of the tail and of h at 1e150 are finite
+@pytest.mark.parametrize(
+    "call, expected",
+    [
+        pytest.param(translation_term, "translation_term", id="translation"),
+        pytest.param(lambda F, G: lp_norm(F, 2.0), "lp_norm", id="lp_norm"),
+        pytest.param(lambda F, G: spectral_tail(F, 1e150), 0.0, id="spectral_tail"),
+        pytest.param(lambda F, G: smoothness_modulus(F, 1e150, 1.5), 1e150, id="smoothness"),
+    ],
+)
+def test_public_helpers_refuse_overflow_without_a_warning(call, expected, grid_1d):
+    f = gaussian(grid_1d, amplitude=1e200)
+    F, G = fourier_transform(f), fourier_transform(shift(f, 0.1))
+    if isinstance(expected, str):
+        with pytest.raises(ArithmeticError, match=f"^{expected} is inf"):
+            call(F, G)
+    else:
+        assert call(F, G) == expected
+
+
 @pytest.mark.parametrize(
     "call",
     [
@@ -964,7 +984,7 @@ class TestRunBlocks:
     def test_no_points_no_blocks(self):
         assert _blocks(0) == ()
         assert _run_blocks(lambda s: 1 / 0, 0) == []
-        assert _tree_sum([], 0) == 0.0
+        assert _sum_blocks(lambda s: 1 / 0, 0) == 0.0
 
     @pytest.mark.parametrize("size", TREE_SIZES)
     def test_tree_sum_of_block_sums_is_np_sum(self, rng, size):
@@ -972,7 +992,7 @@ class TestRunBlocks:
         x, y = (
             np.exp(rng.uniform(-20.0, 20.0, size)) * rng.choice([-1.0, 1.0], size) for _ in range(2)
         )
-        got = np.float64(_tree_sum([x[s].sum() for s in _blocks(size)], size))
+        got = np.float64(_sum_blocks(lambda s: x[s].sum(), size))
         assert got.view(np.uint64) == np.sum(x).view(np.uint64)
         # two integrands' block sums as one array, added elementwise
         both = _sum_blocks(lambda s: np.array([x[s].sum(), y[s].sum()]), size)

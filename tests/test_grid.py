@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import math
 import pickle
@@ -18,6 +19,7 @@ from phasestab.grid import (
     _TWO_THREADS_MIN_POINTS,
     _centred,
     _flip_signs,
+    _run_parts,
     _run_slabs,
     _slabs,
     inverse_transform,
@@ -62,6 +64,37 @@ class TestGridSpec:
         g = GridSpec.uniform(1, t, n)
         assert g.dual().dual() == g
         assert g.dual().dual().dual() == g.dual()
+
+    def test_three_fields_and_no_dual_extent(self):
+        assert [f.name for f in dataclasses.fields(GridSpec)] == [
+            "dimension", "half_extent", "points_per_axis",
+        ]
+        with pytest.raises(TypeError, match="_dual_extent"):
+            GridSpec(1, (1.0,), (8,), _dual_extent=(99.0,))
+
+    # an axis on each grid whose extent 0.25 N / (0.25 N / T) is not T
+    NON_DYADIC = [
+        GridSpec(1, (3.7,), (34,)),
+        GridSpec(2, (3.7, 5.1), (64, 10)),
+        GridSpec(3, (1.5, 2.3, 0.7), (8, 10, 6)),
+    ]
+
+    @pytest.mark.parametrize("g", NON_DYADIC, ids=["1d", "2d", "3d"])
+    def test_dual_of_the_dual_is_the_grid(self, g):
+        d = g.dual()
+        assert g.dual() is d and d.dual() is g
+        by_formula = tuple(0.25 * n / t for n, t in zip(d.points_per_axis, d.half_extent))
+        assert by_formula != g.half_extent
+
+    @pytest.mark.parametrize("g", NON_DYADIC, ids=["1d", "2d", "3d"])
+    @pytest.mark.parametrize(
+        "clone", [lambda x: pickle.loads(pickle.dumps(x)), copy.deepcopy], ids=["pickle", "deepcopy"]
+    )
+    def test_dual_keeps_its_link_through_pickle_and_deepcopy(self, g, clone):
+        d = clone(g.dual())
+        assert d == g.dual()
+        assert d.dual() == g
+        assert d.dual().dual() == d
 
     def test_dual_spacing_relation(self):
         g = GridSpec(2, (3.0, 5.0), (64, 128))
@@ -586,6 +619,25 @@ def test_slabs_cover_axis_0_in_order(shape):
     assert starts + [shape[0]] == [0] + stops
     sizes = [(stop - start) * row for start, stop in zip(starts, stops)]
     assert all(size <= max(_BLOCK, row) for size in sizes)
+
+
+def test_slabs_are_cached_per_shape():
+    assert _slabs((256, 256)) is _slabs((256, 256))
+    assert _slabs((1024,)) is _slabs((1024,))
+
+
+@pytest.mark.usefixtures("no_thread_outlives_the_call")
+@pytest.mark.parametrize("count", [2, 3, 33])
+def test_run_parts_gives_the_worker_the_second_half(count):
+    parts = tuple(range(count))
+    caller = threading.current_thread()
+
+    def step(part):
+        return part, threading.current_thread()
+
+    results = _run_parts(step, parts, _TWO_THREADS_MIN_POINTS)
+    assert [part for part, _ in results] == list(parts)
+    assert [part for part, thread in results if thread is not caller] == list(parts[count // 2 :])
 
 
 @pytest.mark.usefixtures("no_thread_outlives_the_call")

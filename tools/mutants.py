@@ -2,8 +2,8 @@
 
 Each mutant edits one constant, operator, loop bound or literal in one file:
 the bound in ``src/phasestab/bounds.py``, the block runner, its pairwise
-blocks and tree sum, the slabs, the centred transform's axis passes and
-``shift``'s product in ``src/phasestab/grid.py``,
+blocks and tree sum, the slabs, the centred transform's axis passes,
+``shift``'s product and the dual's link in ``src/phasestab/grid.py``,
 the blocked half-disk gap in
 ``src/phasestab/geometry.py``, or the text that ``save_field`` joins in
 ``src/phasestab/io.py``.  It is applied
@@ -114,7 +114,11 @@ BOUNDS_MUTANTS = [
 # slabs, and every transform through the centred transform
 GRID_MUTANTS = [
     ("block runner's worker repeats the caller's half", "_run_parts",
-     "map(step, parts[half:])", "map(step, parts[:half])"),
+     "map(step, parts[middle:])", "map(step, parts[:middle])"),
+    # the same parts on each thread wherever their count is even; killed by
+    # the odd leaf counts of the runner's tests
+    ("block runner's middle rounds up", "_run_parts",
+     "middle = len(parts) // 2", "middle = (len(parts) + 1) // 2"),
     # killed at exactly _TWO_THREADS_MIN_POINTS, where the worker must start
     ("block runner's gate written with <=", "_run_parts",
      "if size < _TWO_THREADS_MIN_POINTS:", "if size <= _TWO_THREADS_MIN_POINTS:"),
@@ -123,9 +127,9 @@ GRID_MUTANTS = [
      "half - half % 8", "half - half % 4"),
     ("blocks split a part of exactly _BLOCK points", "_blocks",
      "if n <= _BLOCK:", "if n < _BLOCK:"),
-    ("tree sum splits a part of exactly _BLOCK points", "_tree_sum",
+    ("tree sum splits a part of exactly _BLOCK points", "_sum_blocks",
      "if n <= _BLOCK:", "if n < _BLOCK:"),
-    ("tree sum takes the right half's parts first", "_tree_sum",
+    ("tree sum takes the right half's parts first", "_sum_blocks",
      "total(half) + total(n - half)", "total(n - half) + total(half)"),
     # np.fft.fftn's order; on n-D grids the other order rounds differently
     ("centred transform runs its axes first axis first", "_centred_in_place",
@@ -147,6 +151,9 @@ GRID_MUTANTS = [
     # negates the input and the output: only the sign of an exact zero moves
     ("sign flips select the other parity", "_corners",
      "sum(corner) % 2 == parity", "sum(corner) % 2 != parity"),
+    # the dual of the dual is then formed by the formula, which rounds
+    ("dual drops its link back to its grid", "_dual",
+     'dual.__dict__["_dual"] = self', "pass"),
 ]
 GEOMETRY_MUTANTS = [
     # 2**14 is grid._BLOCK
