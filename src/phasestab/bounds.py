@@ -290,7 +290,7 @@ def _pair(f, g, ps: tuple[float, ...], caller: str) -> _Pair:
     _require_same_grid(f, g)
     space_volume, size = f.grid.cell_volume, f.grid.size
     F, G = _run_parts(
-        lambda v: _centred(np.fft.fft, v, space_volume).reshape(-1), (f.values, g.values), size
+        lambda v: _centred(np.fft.fft, v, space_volume)[0].reshape(-1), (f.values, g.values), size
     )
     lhs, *epsilons = _distances(f, g, (2.0, *ps))
     # sqrt(min) is 2^-511 exactly, so this is lhs**2 < min without the ** that

@@ -42,7 +42,7 @@ from .bounds import (
 )
 from .bounds import _corollary, _pair, _theorems
 from .grid import GridSpec, SampledFunction, Spectrum, fourier_transform, inverse_transform
-from .grid import _index, _lp_norm, _real, _reals, _run_slabs, _slab_sum, shift
+from .grid import _all_finite, _index, _lp_norm, _real, _reals, _run_slabs, _slab_sum, shift
 
 __all__ = [
     "ScalingResult",
@@ -189,7 +189,9 @@ def gaussian(
     """amplitude * exp(-pi sum_i ((x_i - c_i)/w_i)^2) sampled on ``grid``.
 
     The samples are formed slab by slab (``grid._run_slabs``), each with the
-    operations of one full-size pass, so they have that pass's bits.
+    operations of one full-size pass, so they have that pass's bits.  Each
+    slab is checked for finiteness while it is in cache, and the field keeps
+    the buffer (``_GridField._own``).
     """
     centers = _reals(center, "center", grid.dimension)
     widths = _reals(width, "width", grid.dimension)
@@ -199,10 +201,11 @@ def gaussian(
     values = np.empty(grid.shape, dtype=np.complex128)
 
     def fill(s):
-        np.multiply(amplitude, np.exp(-np.pi * _slab_sum(terms, s)), out=values[s])
+        block = values[s]
+        np.multiply(amplitude, np.exp(-np.pi * _slab_sum(terms, s)), out=block)
+        return _all_finite(block)
 
-    _run_slabs(fill, grid.shape)
-    return SampledFunction(grid, values)
+    return SampledFunction._own(grid, values, all(_run_slabs(fill, grid.shape)))
 
 
 def smooth_bump(t):

@@ -22,9 +22,15 @@ which equals fftshift(fftn(ifftshift(x))) bit for bit when every axis is a
 power of two, and to within rounding (a few 1e-16 relative) otherwise.  The
 fftn is the 1-D transform applied in place once per axis, last axis first:
 the calls numpy's own fftn makes, without its per-call argument handling.
-A lone transform (not the pair pass, which runs F and G on two threads)
-cuts each axis pass's lines in two halves along another axis, for
-``_run_parts``; every line gets the same FFT call, so the bits are the same.
+A lone 1-D or 2-D transform (not the pair pass, which runs F and G on two
+threads) cuts each axis pass's lines in two halves along another axis, for
+``_run_parts``.  A 3-D transform from the two-thread gate on, the pair
+pass's included, runs in two cache-sized stages (``_staged``): each slab of
+axis-0 rows is filled, sign-flipped and transformed along axes 2 and 1, then
+each (N0, N2) plane is gathered, transformed along axis 0, scaled, flipped,
+checked for finiteness and scattered back.  Either way every line gets the
+same FFT call and every sample the same scaling and negation, so the bits
+are the same.
 
 The library's elementwise passes over large arrays (the pair pass, the
 spectrum helpers and lemma1_gap) run through one block runner,
@@ -35,7 +41,10 @@ of one full-size pass.  The blocks are the leaves of np.sum's pairwise tree
 integral has the bits of one np.sum over a full-size array that is never
 formed.  ``shift`` and experiments.gaussian build their fields the same way,
 in slabs of axis-0 rows (``_run_slabs``), each with the operations of the
-full-size formula.  One function, ``_run_parts``, runs the parts of every
+full-size formula.  They, the transforms, io.load_field and the field
+arithmetic hand the fresh buffer they wrote to the field they return without
+a copy (``_GridField._own``), with the finite flag of the pass that wrote
+it where there is one.  One function, ``_run_parts``, runs the parts of every
 blocked pass, slab pass, split axis pass and the pair pass's two transforms,
 and alone decides, from the size it is given, whether a worker thread takes
 the second half of the parts.  The blocks of the tree's left half are the
@@ -160,9 +169,10 @@ def _slabs(shape: tuple[int, ...]) -> tuple[slice, ...]:
     return tuple(slice(start, start + rows) for start in range(0, shape[0], rows))
 
 
-def _run_slabs(step, shape: tuple[int, ...]) -> None:
-    """``step(s)`` for each slab ``s`` of ``_slabs(shape)``, an index of axis 0."""
-    _run_parts(step, _slabs(shape), math.prod(shape))
+def _run_slabs(step, shape: tuple[int, ...]) -> list:
+    """``step(s)`` for each slab ``s`` of ``_slabs(shape)``, an index of axis
+    0; their results, in slab order."""
+    return _run_parts(step, _slabs(shape), math.prod(shape))
 
 
 def _slab_sum(terms, s) -> np.ndarray:
@@ -318,23 +328,51 @@ class GridSpec:
         return dual
 
 
+def _all_finite(a: np.ndarray) -> bool:
+    """Whether every sample of the C-contiguous complex128 ``a`` is finite:
+    isfinite on its float64 view, which scans twice as fast as on complex."""
+    return bool(np.isfinite(a.view(np.float64)).all())
+
+
 @dataclass(frozen=True, eq=False)
 class _GridField:
     """Complex samples attached to a grid; immutable after construction and
     C-contiguous, so ``values.reshape(-1)`` is a view.  Fields compare and hash
     by identity: equality of two sample arrays is elementwise.
+
+    The public constructor copies its array, which the caller may still
+    write.  The library's own producers hand over a fresh buffer that no one
+    else holds through ``_own``, which keeps it: at 128^3 a copy and a scan
+    cost about 14 ms and a second 32 MiB array.  Both check the shape and
+    that every sample is finite, and mark the array read-only.
     """
 
     grid: GridSpec
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        vals = np.array(self.values, dtype=np.complex128, order="C")
+        # the caller may still hold and write the array it passed in
+        self._take(np.array(self.values, dtype=np.complex128, order="C"))
+
+    @classmethod
+    def _own(cls, grid: GridSpec, buffer: np.ndarray, finite: bool | None = None):
+        """A field that keeps ``buffer``, a fresh array that no one else holds,
+        without copying it (converted only if it is not C-contiguous
+        complex128, which no producer in the library hands over).  ``finite``
+        is whether every sample is finite, from a pass the producer already
+        made; None scans the buffer once."""
+        field = object.__new__(cls)
+        object.__setattr__(field, "grid", grid)
+        field._take(np.asarray(buffer, dtype=np.complex128, order="C"), finite)
+        return field
+
+    def _take(self, vals: np.ndarray, finite: bool | None = None) -> None:
+        """Check ``vals``' shape and finiteness, mark it read-only and keep it."""
         if vals.shape != self.grid.shape:
             raise ValueError(
                 f"values shape {vals.shape} does not match grid shape {self.grid.shape}"
             )
-        if not np.all(np.isfinite(vals)):
+        if not (_all_finite(vals) if finite is None else finite):
             raise ValueError("non-finite sample in values (NaN or Inf)")
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
@@ -344,7 +382,7 @@ class _GridField:
             raise TypeError(f"cannot combine {type(self).__name__} with {type(other).__name__}")
         if other.grid != self.grid:
             raise ValueError("grid mismatch between operands")
-        return type(self)(self.grid, op(self.values, other.values))
+        return self._own(self.grid, op(self.values, other.values))
 
     def __add__(self, other):
         return self._binary(other, np.add)
@@ -353,12 +391,12 @@ class _GridField:
         return self._binary(other, np.subtract)
 
     def __neg__(self):
-        return type(self)(self.grid, -self.values)
+        return self._own(self.grid, -self.values, finite=True)
 
     def __mul__(self, scalar):
         if not np.isscalar(scalar):
             return NotImplemented
-        return type(self)(self.grid, self.values * scalar)
+        return self._own(self.grid, self.values * scalar)
 
     __rmul__ = __mul__
 
@@ -408,29 +446,104 @@ def _axis_pass(transform, a: np.ndarray, axis: int, split: bool) -> None:
     _run_parts(lines, (slice(None, middle), slice(middle, None)), a.size)
 
 
-def _centred_in_place(transform, a: np.ndarray, scale: float, split: bool = False) -> np.ndarray:
+def _output_parity(shape: tuple[int, ...]) -> int:
+    """The index-sum parity of the samples that the centred transform's
+    output flip negates: (-1)^(1 + sum N/2) of the module docstring."""
+    return (1 + sum(n // 2 for n in shape)) % 2
+
+
+def _in_stages(shape: tuple[int, ...]) -> bool:
+    """Whether a centred transform of ``shape`` runs in two stages
+    (``_staged``): 3-D, from the two-thread gate on."""
+    return len(shape) == 3 and math.prod(shape) >= _TWO_THREADS_MIN_POINTS
+
+
+def _staged(transform, a: np.ndarray, scale: float, split: bool, fill) -> bool:
+    """The centred transform of a 3-D ``a`` in place, in two cache-sized
+    stages; whether every sample of the result is finite.
+
+    Stage A, for each slab ``s`` of ``_slabs``: ``fill(s)`` writes the slab,
+    its input signs are flipped and the FFT runs along axis 2 and then axis
+    1 while it is in cache.  Stage B, for each index of axis 1: the (N0, N2)
+    plane is gathered into a contiguous scratch array, transformed along
+    axis 0, scaled, its output signs flipped and checked, and scattered
+    back.  Every line gets the FFT call of the whole-array path, in fftn's
+    axis order, and every sample the same scaling and negation, so the bits
+    are the same.  With ``split``, each stage gives the second half of its
+    parts to a worker (``_run_parts``); the pair pass, which already runs F
+    and G on two threads, runs them here, in order.
+    """
+    parity = _output_parity(a.shape)
+
+    def run(step, parts):
+        return _run_parts(step, parts, a.size) if split else list(map(step, parts))
+
+    def rows(s):
+        if fill is not None:
+            fill(s)
+        slab = a[s]
+        # a slab starting at an odd row flips the local parity
+        _flip_signs(slab, (1 + s.start) % 2)
+        transform(slab, axis=2, out=slab)
+        transform(slab, axis=1, out=slab)
+
+    def plane(j):
+        scratch = a[:, j, :].copy()
+        transform(scratch, axis=0, out=scratch)
+        scratch *= scale
+        _flip_signs(scratch, (parity + j) % 2)
+        a[:, j, :] = scratch
+        return _all_finite(scratch)
+
+    run(rows, _slabs(a.shape))
+    return all(run(plane, range(a.shape[1])))
+
+
+def _centred_in_place(
+    transform, a: np.ndarray, scale: float, split: bool = False, fill=None
+) -> bool | None:
     """``scale`` times the 1-D ``transform`` (np.fft.fft or np.fft.ifft) over
-    every axis of the zero-centred complex128 samples ``a``, written over ``a``
-    and returned.
+    every axis of the zero-centred complex128 samples ``a``, written over
+    ``a``; whether every sample of the result is finite, or None where no
+    pass has looked.  ``fill(s)``, when given, first writes slab ``s`` of
+    ``a`` (``_slabs``).
 
     The centring is the sign modulation of the module docstring, applied
     through strided views, and each axis's FFT writes into the same buffer,
-    last axis first as in np.fft.fftn, which gives fftn's bits.  ``split``
-    gives each axis pass two threads from the gate on (``_axis_pass``); the
-    pair pass, which already transforms F and G on two, leaves it off.
+    last axis first as in np.fft.fftn, which gives fftn's bits.  A 3-D array
+    from the gate on runs in two stages (``_staged``), which fill and check
+    it on the way; any other runs the fill as a slab pass, then one pass per
+    axis.  ``split`` gives the passes two threads from the gate on
+    (``_axis_pass``, ``_run_parts``); the pair pass, which already
+    transforms F and G on two, leaves it off.
     """
+    if _in_stages(a.shape):
+        return _staged(transform, a, scale, split, fill)
+    if fill is not None:
+        _run_slabs(fill, a.shape)
     _flip_signs(a, 1)
     for axis in reversed(range(a.ndim)):
         _axis_pass(transform, a, axis, split)
     a *= scale
-    _flip_signs(a, (1 + sum(n // 2 for n in a.shape)) % 2)
-    return a
+    _flip_signs(a, _output_parity(a.shape))
+    return None
 
 
-def _centred(transform, values: np.ndarray, scale: float, split: bool = False) -> np.ndarray:
-    """``_centred_in_place`` on a complex128 copy of ``values``, which is read
-    once and never written."""
-    return _centred_in_place(transform, np.array(values, dtype=np.complex128), scale, split)
+def _centred(
+    transform, values: np.ndarray, scale: float, split: bool = False
+) -> tuple[np.ndarray, bool | None]:
+    """``_centred_in_place`` on a fresh complex128 copy of ``values``, which
+    is read once and never written: the copy and its finite flag.  The
+    staged path copies slab by slab as its stage A's fill."""
+    if not _in_stages(values.shape):
+        a = np.array(values, dtype=np.complex128)
+        return a, _centred_in_place(transform, a, scale, split)
+    a = np.empty(values.shape, dtype=np.complex128)
+
+    def copy(s):
+        a[s] = values[s]
+
+    return a, _centred_in_place(transform, a, scale, split, copy)
 
 
 def fourier_transform(f: SampledFunction) -> Spectrum:
@@ -446,8 +559,8 @@ def fourier_transform(f: SampledFunction) -> Spectrum:
     """
     if not isinstance(f, SampledFunction):
         raise TypeError("fourier_transform expects a SampledFunction")
-    values = _centred(np.fft.fft, f.values, f.grid.cell_volume, split=True)
-    return Spectrum(f.grid.dual(), values)
+    values, finite = _centred(np.fft.fft, f.values, f.grid.cell_volume, split=True)
+    return Spectrum._own(f.grid.dual(), values, finite)
 
 
 def inverse_transform(spectrum: Spectrum) -> SampledFunction:
@@ -457,8 +570,8 @@ def inverse_transform(spectrum: Spectrum) -> SampledFunction:
     g = spectrum.grid
     # ifft divides by each axis's point count; dxi^n * N^n = 1 / dx^n restores
     # the quadrature scaling of the inverse integral.
-    vals = _centred(np.fft.ifft, spectrum.values, g.cell_volume * g.size, split=True)
-    return SampledFunction(g.dual(), vals)
+    vals, finite = _centred(np.fft.ifft, spectrum.values, g.cell_volume * g.size, split=True)
+    return SampledFunction._own(g.dual(), vals, finite)
 
 
 def _lp_integrand(mags: np.ndarray, p: float, out: np.ndarray | None = None) -> np.ndarray:
@@ -479,10 +592,24 @@ def _lp_root(total: float, volume: float, p: float) -> float:
 
 def _lp_norm(mags: np.ndarray, volume: float, p: float) -> float:
     """L^p quadrature norm of moduli ``mags`` (any real array at p = 2) on cells
-    of ``volume``; max for p = inf."""
+    of ``volume``; max for p = inf.
+
+    A norm whose integral overflows although every modulus is finite is taken
+    again on the moduli scaled by 2^-k, with k the exponent of the largest,
+    and scaled back by 2^k.  At p = 2 both scalings are exact, so the norm has
+    the bits of the unscaled formula in a wider exponent range.  Norms in
+    range keep their bits: the second sum runs only on overflow.
+    """
     if math.isinf(p):
         return float(mags.max())
-    return _lp_root(float(_lp_integrand(mags, p).sum()), volume, p)
+    norm = _lp_root(float(_lp_integrand(mags, p).sum()), volume, p)
+    peak = float(mags.max()) if math.isinf(norm) else math.inf
+    if not math.isfinite(peak):
+        return norm
+    k = math.frexp(peak)[1]
+    unit = _lp_root(float(_lp_integrand(np.ldexp(mags, -k), p).sum()), volume, p)
+    with np.errstate(over="ignore"):
+        return float(np.ldexp(unit, k))
 
 
 def _finite(helper):
@@ -527,17 +654,21 @@ def shift(f: SampledFunction, offset) -> SampledFunction:
     modulus as the spectrum of ``f`` pointwise.
 
     The spectrum is formed in one full-size buffer, multiplied in place by the
-    phase factor slab by slab (``_run_slabs``) and transformed back in place;
-    besides its input and its output, that buffer is all that is kept.  Each
-    slab's phase, exponential and product are the operations of one
-    full-size pass, in numpy's operand order (``_FACTOR_FIRST_BYTES``), so
-    the result has the bits of the full-array formula.
+    phase factor slab by slab and transformed back in place; that buffer
+    becomes the result's samples (``_GridField._own``), so besides the input it
+    is the only full-size array.  The product is the inverse transform's fill
+    (``_centred_in_place``): on a staged 3-D grid each slab is modulated in
+    stage A just before its first FFTs, elsewhere the slabs are a pass of
+    their own (``_run_slabs``).  Each slab's phase, exponential and product
+    are the operations of one full-size pass, in numpy's operand order
+    (``_FACTOR_FIRST_BYTES``), so the result has the bits of the full-array
+    formula.
     """
     if not isinstance(f, SampledFunction):
         raise TypeError("shift expects a SampledFunction")
     offsets = _reals(offset, "offset", f.grid.dimension)
     dual = f.grid.dual()
-    spectrum = _centred(np.fft.fft, f.values, f.grid.cell_volume, split=True)
+    spectrum, _ = _centred(np.fft.fft, f.values, f.grid.cell_volume, split=True)
     scaled = [eps * xi for eps, xi in zip(offsets, dual.coordinate_grids())]
     factor_first = spectrum.nbytes >= _FACTOR_FIRST_BYTES
 
@@ -549,6 +680,6 @@ def shift(f: SampledFunction, offset) -> SampledFunction:
         else:
             np.multiply(block, factor, out=block)
 
-    _run_slabs(modulate, spectrum.shape)
-    values = _centred_in_place(np.fft.ifft, spectrum, dual.cell_volume * dual.size, split=True)
-    return SampledFunction(dual.dual(), values)
+    scale = dual.cell_volume * dual.size
+    finite = _centred_in_place(np.fft.ifft, spectrum, scale, split=True, fill=modulate)
+    return SampledFunction._own(dual.dual(), spectrum, finite)

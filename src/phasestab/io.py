@@ -177,6 +177,7 @@ def load_field(path: str | Path) -> SampledFunction | Spectrum:
     values.real, values.imag = re, im
     cls = SampledFunction if domain == "space" else Spectrum
     try:
-        return cls(grid, values.reshape(grid.shape))
+        # no one else holds values: the field keeps it, scanned once
+        return cls._own(grid, values.reshape(grid.shape))
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc

@@ -522,13 +522,16 @@ def test_overflowing_default_tolerance_refused(call, name):
         call(F)
 
 
-# a 1e200 Gaussian and its shift: |F|^2 overflows, while |F| and the values
-# of the tail and of h at 1e150 are finite
+# a 1e200 Gaussian and its shift: |F|^2 overflows, while |F|, its L^2 norm
+# (taken on scaled moduli) and the values of the tail and of h at 1e150 are
+# finite
 @pytest.mark.parametrize(
     "call, expected",
     [
         pytest.param(translation_term, "translation_term", id="translation"),
-        pytest.param(lambda F, G: lp_norm(F, 2.0), "lp_norm", id="lp_norm"),
+        pytest.param(
+            lambda F, G: lp_norm(F, 2.0), pytest.approx(1e200 * 2.0**-0.25, rel=1e-14), id="lp_norm"
+        ),
         pytest.param(lambda F, G: spectral_tail(F, 1e150), 0.0, id="spectral_tail"),
         pytest.param(lambda F, G: smoothness_modulus(F, 1e150, 1.5), 1e150, id="smoothness"),
     ],
@@ -715,8 +718,8 @@ class TestConcurrentPairPass:
         assert len(threads) == 2
         off_main = [t for t in threads if t is not threading.main_thread()]
         assert len(off_main) == int(concurrent)
-        F = _centred(np.fft.fft, f.values, grid.cell_volume)
-        G = _centred(np.fft.fft, g.values, grid.cell_volume)
+        F = _centred(np.fft.fft, f.values, grid.cell_volume)[0]
+        G = _centred(np.fft.fft, g.values, grid.cell_volume)[0]
         magF = np.abs(F)
         volume = grid.dual().cell_volume
         assert _bits(pair.F) == _bits(F)
@@ -808,8 +811,8 @@ def _sequential_pass(f, g, p):
     absdiff = np.abs(f.values - g.values)
     lhs = math.sqrt(volume * float(np.sum(absdiff * absdiff)))
     eps = (volume * float(np.sum(absdiff**p))) ** (1.0 / p)
-    F = _centred(np.fft.fft, f.values, volume)
-    G = _centred(np.fft.fft, g.values, volume)
+    F = _centred(np.fft.fft, f.values, volume)[0]
+    G = _centred(np.fft.fft, g.values, volume)[0]
     magF = np.abs(F)
     dual = f.grid.dual().cell_volume
     modulus = magF - np.abs(G)

@@ -4,11 +4,13 @@ import math
 import pickle
 import re
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from phasestab import experiments
 from phasestab.experiments import gaussian
 from phasestab.grid import (
     GridSpec,
@@ -19,6 +21,7 @@ from phasestab.grid import (
     _TWO_THREADS_MIN_POINTS,
     _centred,
     _flip_signs,
+    _in_stages,
     _run_parts,
     _run_slabs,
     _slabs,
@@ -360,7 +363,7 @@ class TestCentredTransform:
         x.imag[rng.random(shape) < 0.25] = -0.0
         for values in (x, np.full(shape, -0.0 - 0.0j)):
             before = values.copy()
-            result = _centred(axis_transform, values, 0.75)
+            result, _ = _centred(axis_transform, values, 0.75)
             assert np.array_equal(_bits(values), _bits(before))
             assert not np.shares_memory(result, values)
             reference = _centred_by_fftn(n_transform, values, 0.75)
@@ -454,6 +457,27 @@ class TestLpNorm:
         # oracle: |exp(-pi x^2)|_p = p^(-1/(2p)) from the Gaussian integral
         for p in (1.0, 1.5, 3.0):
             assert lp_norm(gaussian(grid_1d), p) == pytest.approx(p ** (-1 / (2 * p)), abs=1e-10)
+
+    @pytest.mark.filterwarnings("error")
+    def test_finite_norm_whose_integral_overflows(self, grid_1d):
+        # |F|^2 of a 2^664 Gaussian's spectrum overflows, its L^2 norm does
+        # not; the power-of-two scalings are exact, so the norm is 2^664 times
+        # the unit Gaussian's, bit for bit
+        unit = fourier_transform(gaussian(grid_1d))
+        big = fourier_transform(gaussian(grid_1d, amplitude=2.0**664))
+        assert np.array_equal(big.values, unit.values * 2.0**664)
+        with np.errstate(over="ignore"):
+            assert float(np.sum(np.abs(big.values) ** 2)) == math.inf
+        assert lp_norm(big, 2.0) == 2.0**664 * lp_norm(unit, 2.0)
+        assert lp_norm(big, 3.0) == pytest.approx(2.0**664 * lp_norm(unit, 3.0), rel=1e-14)
+        F = fourier_transform(gaussian(grid_1d, amplitude=1e200))
+        assert lp_norm(F, 2.0) == pytest.approx(1e200 * 2.0**-0.25, rel=1e-14)
+
+    @pytest.mark.filterwarnings("error")
+    def test_norm_that_overflows_still_raises(self, grid_1d):
+        f = SampledFunction(grid_1d, np.full(grid_1d.shape, 1.7e308))
+        with pytest.raises(ArithmeticError, match="^lp_norm is inf"):
+            lp_norm(f, 2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -577,11 +601,18 @@ def _full_gaussian(grid, centers, widths, amplitude):
 
 # either side of numpy's 256 KiB elision threshold (16384 complex points), at
 # the gate (1024x512), above it with rows of more than _BLOCK points
-# (30x34x1002) and the verify_3d grid
+# (30x34x1002), the verify_3d grid, and the staged 3-D transform's shapes
 PARITY_SHAPES = [
     (1024,), (16382,), (16384,), (6, 10), (256, 256), (1024, 512), (30, 34, 1002),
     (128, 128, 128),
 ]
+# 3-D shapes that run the staged transform: at the gate, with N/2 even and
+# stage A's slabs of two rows; N/2 odd on axes 0 and 1 and slabs of three
+# rows, so slabs start at odd rows and stage B's two halves of 33 planes
+# start at planes of either parity; and one-row slabs on non-cubic axes with
+# N/2 odd, odd and even
+STAGED_SHAPES = [(64, 64, 128), (130, 66, 64), (70, 90, 100)]
+PARITY_SHAPES += STAGED_SHAPES
 AMPLITUDES = [pytest.param(1.3, id="real"), pytest.param(1.2 * np.exp(0.7j), id="complex")]
 
 
@@ -685,3 +716,127 @@ def test_no_worker_outlives_a_lone_call_nor_nests(call, executors):
     call(SampledFunction(ABOVE_THE_GATE, values))
     assert executors["opened"] >= 1
     assert executors["most"] == 1 and executors["workers"] == 1
+
+
+# ---------------------------------------------------------------------------
+# the staged 3-D transform and fields that own their buffers
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("shape", STAGED_SHAPES, ids=lambda shape: "x".join(map(str, shape)))
+@pytest.mark.parametrize("transform", [np.fft.fft, np.fft.ifft], ids=["forward", "inverse"])
+@pytest.mark.parametrize("split", [False, True], ids=["one-thread", "two-threads"])
+def test_staged_transform_is_the_whole_array_path_bit_for_bit(shape, transform, split, rng):
+    assert _in_stages(shape) and not _in_stages(shape[:2]) and not _in_stages((32, 64, 128))
+    # random samples with a share of exact +0 and -0 parts, and an all -0
+    # field, whose output signs come from the FFT's own zeros
+    x = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    x.real[rng.random(shape) < 0.25] = 0.0
+    x.imag[rng.random(shape) < 0.25] = -0.0
+    for values in (x, np.full(shape, -0.0 - 0.0j)):
+        before = values.copy()
+        result, finite = _centred(transform, values, 0.75, split)
+        assert np.array_equal(_bits(values), _bits(before))
+        assert finite is True
+        assert np.array_equal(_bits(result), _bits(_full_centred(transform, values, 0.75)))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("shape", [(64, 64, 128), (32, 64, 128)], ids=["staged", "below-the-gate"])
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(fourier_transform, id="fourier_transform"),
+        pytest.param(lambda f: inverse_transform(Spectrum(f.grid, f.values)), id="inverse_transform"),
+        pytest.param(lambda f: shift(f, (0.1, 0.2, 0.3)), id="shift"),
+    ],
+)
+def test_transform_whose_spectrum_overflows_is_refused(shape, call):
+    # the DC sum of 1e308 at every point overflows inside the FFT
+    grid = GridSpec(3, (8.0, 8.0, 8.0), shape)
+    f = SampledFunction(grid, np.full(shape, 1e308 + 0j))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match="non-finite sample"):
+            call(f)
+
+
+class TestOwnedBuffers:
+    GRID = GridSpec(2, (4.0, 4.0), (8, 6))
+
+    @pytest.mark.parametrize("cls", [SampledFunction, Spectrum])
+    def test_own_keeps_the_buffer_read_only(self, cls):
+        buf = np.arange(48, dtype=np.complex128).reshape(8, 6)
+        field = cls._own(self.GRID, buf)
+        assert type(field) is cls and field.grid is self.GRID
+        assert field.values is buf and not buf.flags.writeable
+        assert cls._own(self.GRID, np.ones((8, 6), complex), finite=True).values.sum() == 48
+
+    @pytest.mark.parametrize("finite", [None, False])
+    def test_own_refuses_a_non_finite_sample(self, finite):
+        buf = np.ones((8, 6), dtype=np.complex128)
+        buf[3, 2] = complex(0.0, math.inf) if finite is None else 1.0
+        with pytest.raises(ValueError, match="non-finite sample"):
+            SampledFunction._own(self.GRID, buf, finite)
+
+    @pytest.mark.parametrize("shape", [(6, 8), (48,), (8, 6, 1)])
+    def test_own_refuses_a_wrong_shape(self, shape):
+        with pytest.raises(ValueError, match="does not match grid shape"):
+            SampledFunction._own(self.GRID, np.ones(shape, dtype=np.complex128))
+
+    def test_public_constructor_still_copies(self):
+        arr = np.ones((8, 6), dtype=np.complex128)
+        f = SampledFunction(self.GRID, arr)
+        arr[0, 0] = 7.0
+        assert f.values is not arr and arr.flags.writeable
+        assert np.all(f.values == 1.0)
+
+    def test_arithmetic_results_are_checked(self):
+        f = SampledFunction(self.GRID, np.full((8, 6), 1e308))
+        with np.errstate(over="ignore"):
+            with pytest.raises(ValueError, match="non-finite sample"):
+                f + f
+            with pytest.raises(ValueError, match="non-finite sample"):
+                f * 10.0
+        g = -f
+        assert np.all(g.values == -1e308) and not g.values.flags.writeable
+
+
+def test_gaussian_refuses_a_non_finite_slab(monkeypatch):
+    # a fault in the last slab alone: the finite flag must hold for every slab
+    grid = GridSpec.uniform(2, 8.0, 256)
+    last = _slabs(grid.shape)[-1]
+    slab_sum = experiments._slab_sum
+
+    def faulty(terms, s):
+        total = slab_sum(terms, s)
+        return total * np.nan if s == last else total
+
+    monkeypatch.setattr(experiments, "_slab_sum", faulty)
+    with pytest.raises(ValueError, match="non-finite sample"):
+        gaussian(grid)
+
+
+# at 64x64x128 a full-size complex array is 8 MiB; eight slab-sized complex
+# arrays (2 MiB) cover the per-thread scratch of both stages
+FULL_SIZE_GRID = GridSpec(3, (8.0, 8.0, 8.0), (64, 64, 128))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda f: gaussian(f.grid, 0.1, 1.2, 0.5j), id="gaussian"),
+        pytest.param(lambda f: shift(f, (0.01, 0.02, -0.03)), id="shift"),
+        pytest.param(fourier_transform, id="fourier_transform"),
+    ],
+)
+def test_builders_hold_one_full_size_buffer(call):
+    f = gaussian(FULL_SIZE_GRID, width=1.1)
+    full = FULL_SIZE_GRID.size * np.dtype(np.complex128).itemsize
+    tracemalloc.start()
+    try:
+        out = call(f)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.values.nbytes == full
+    assert peak <= full + 8 * _BLOCK * 16

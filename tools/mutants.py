@@ -2,9 +2,10 @@
 
 Each mutant edits one constant, operator, loop bound or literal in one file:
 the bound in ``src/phasestab/bounds.py``, the block runner, its pairwise
-blocks and tree sum, the slabs, the centred transform's axis passes,
-``shift``'s product and the dual's link in ``src/phasestab/grid.py``,
-the blocked half-disk gap in
+blocks and tree sum, the slabs, the centred transform's axis passes and
+stages, ``shift``'s product and the dual's link in
+``src/phasestab/grid.py``, ``gaussian``'s finite flag in
+``src/phasestab/experiments.py``, the blocked half-disk gap in
 ``src/phasestab/geometry.py``, or the text that ``save_field`` joins in
 ``src/phasestab/io.py``.  It is applied
 to a fresh copy of ``src/``, ``tests/`` and ``pyproject.toml`` in a
@@ -30,6 +31,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 BOUNDS = Path("src/phasestab/bounds.py")
+EXPERIMENTS = Path("src/phasestab/experiments.py")
 GEOMETRY = Path("src/phasestab/geometry.py")
 GRID = Path("src/phasestab/grid.py")
 IO = Path("src/phasestab/io.py")
@@ -111,7 +113,8 @@ BOUNDS_MUTANTS = [
 ]
 # every elementwise stage of the evaluators, the spectrum helpers and
 # lemma1_gap runs through the block runner, shift and gaussian through the
-# slabs, and every transform through the centred transform
+# slabs, and every transform through the centred transform, a 3-D one from
+# the gate on through its two stages
 GRID_MUTANTS = [
     ("block runner's worker repeats the caller's half", "_run_parts",
      "map(step, parts[middle:])", "map(step, parts[:middle])"),
@@ -154,6 +157,17 @@ GRID_MUTANTS = [
     # the dual of the dual is then formed by the formula, which rounds
     ("dual drops its link back to its grid", "_dual",
      'dual.__dict__["_dual"] = self', "pass"),
+    # every odd plane of the staged transform keeps the wrong output signs
+    ("stage B flips the output signs of every plane as of plane 0", "_staged",
+     "_flip_signs(scratch, (parity + j) % 2)", "_flip_signs(scratch, parity)"),
+    # killed by the slabs that start at odd rows (one- and three-row slabs)
+    ("stage A flips the input signs of every slab as of row 0", "_staged",
+     "_flip_signs(slab, (1 + s.start) % 2)", "_flip_signs(slab, 1)"),
+]
+# gaussian's finite flag must hold for every slab, not for one
+EXPERIMENTS_MUTANTS = [
+    ("gaussian accepts a field with one finite slab", "gaussian",
+     "all(_run_slabs(fill, grid.shape))", "any(_run_slabs(fill, grid.shape))"),
 ]
 GEOMETRY_MUTANTS = [
     # 2**14 is grid._BLOCK
@@ -175,6 +189,7 @@ IO_MUTANTS = [
 MUTANTS = (
     [(name, BOUNDS, *edit) for name, *edit in BOUNDS_MUTANTS]
     + [(name, GRID, *edit) for name, *edit in GRID_MUTANTS]
+    + [(name, EXPERIMENTS, *edit) for name, *edit in EXPERIMENTS_MUTANTS]
     + [(name, GEOMETRY, *edit) for name, *edit in GEOMETRY_MUTANTS]
     + [(name, IO, *edit) for name, *edit in IO_MUTANTS]
 )
