@@ -603,8 +603,10 @@ def _lp_norm(mags: np.ndarray, volume: float, p: float) -> float:
     if math.isinf(p):
         return float(mags.max())
     norm = _lp_root(float(_lp_integrand(mags, p).sum()), volume, p)
-    peak = float(mags.max()) if math.isinf(norm) else math.inf
-    if not math.isfinite(peak):
+    if not math.isinf(norm):
+        return norm
+    peak = float(mags.max())
+    if math.isinf(peak):
         return norm
     k = math.frexp(peak)[1]
     unit = _lp_root(float(_lp_integrand(np.ldexp(mags, -k), p).sum()), volume, p)
