@@ -828,7 +828,7 @@ FULL_SIZE_GRID = GridSpec(3, (8.0, 8.0, 8.0), (64, 64, 128))
         pytest.param(fourier_transform, id="fourier_transform"),
     ],
 )
-def test_builders_hold_one_full_size_buffer(call):
+def test_field_producers_hold_one_full_size_buffer(call):
     f = gaussian(FULL_SIZE_GRID, width=1.1)
     full = FULL_SIZE_GRID.size * np.dtype(np.complex128).itemsize
     tracemalloc.start()
