@@ -27,21 +27,25 @@ threads) cuts each axis pass's lines in two halves along another axis, for
 ``_run_parts``.  A 3-D transform from the two-thread gate on, the pair
 pass's included, runs in two cache-sized stages (``_staged``): each slab of
 axis-0 rows is filled, sign-flipped and transformed along axes 2 and 1, then
-each (N0, N2) plane is gathered, transformed along axis 0, scaled, flipped,
-checked for finiteness and scattered back.  Either way every line gets the
-same FFT call and every sample the same scaling and negation, so the bits
-are the same.
+each run of axis-1 planes is gathered, transformed along axis 0, scaled,
+flipped, checked for finiteness where the caller keeps the flag, and
+scattered back.  Either way every line gets the same FFT call and every
+sample the same scaling and negation, so the bits are the same.
 
 The library's elementwise passes over large arrays (the pair pass, the
 spectrum helpers and lemma1_gap) run through one block runner,
-``_run_blocks``: blocks of at most ``_BLOCK`` points, each with the operations
-of one full-size pass.  The blocks are the leaves of np.sum's pairwise tree
-(``_blocks``), so a block returns the np.sum of its part of an integrand and
-``_sum_blocks``, the one function that adds them, walks the same tree: an
-integral has the bits of one np.sum over a full-size array that is never
-formed.  ``shift`` and experiments.gaussian build their fields the same way,
-in slabs of axis-0 rows (``_run_slabs``), each with the operations of the
-full-size formula.  They, the transforms, io.load_field and the field
+``_run_blocks``: blocks of at most ``_block(size)`` points, each with the
+operations of one full-size pass.  The blocks are the leaves of np.sum's
+pairwise tree (``_blocks``), so a block returns the np.sum of its part of an
+integrand and ``_sum_blocks``, the one function that adds them, walks the
+same tree: an integral has the bits of one np.sum over a full-size array
+that is never formed.  ``shift`` and experiments.gaussian build their fields
+the same way, in slabs of axis-0 rows (``_run_slabs``), each with the
+operations of the full-size formula.  ``_block`` is the one owner of the
+step size of blocks, slabs and stage B's runs of planes: ``_BLOCK`` below
+the two-thread gate and four times that, ``_WIDE_BLOCK``, from it on, so two
+threads make fewer numpy calls, each of which gives up the GIL and takes it
+back.  They, the transforms, io.load_field and the field
 arithmetic hand the fresh buffer they wrote to the field they return without
 a copy (``_GridField._own``), with the finite flag of the pass that wrote
 it where there is one.  One function, ``_run_parts``, runs the parts of every
@@ -77,12 +81,22 @@ __all__ = [
 # array comfortably in memory on ordinary hardware.
 MAX_TOTAL_POINTS = 2**26
 
-# Most points per block of the passes that run through _run_blocks (the pair
-# pass, the spectrum helpers and lemma1_gap); a block of a larger array has
-# from about _BLOCK/2 up to _BLOCK points (see _blocks).  A block's operands
-# (about 0.5 MB) stay in cache between the operations on it.  On a 2.5M-point
-# chunk of lemma1_gap 2^12 and 2^16 were slower.
+# Most points per step of a pass below the two-thread gate (see _block): per
+# block of the passes that run through _run_blocks (the pair pass, the
+# spectrum helpers and lemma1_gap) and per slab.  A block of a larger array
+# has from about half of that up to all of it (see _blocks).  A block's
+# operands (about 0.5 MB) stay in cache between the operations on it.
+# _WIDE_BLOCK at every size made a 256^2 pass's blocks full-size temporaries
+# and raised cli_roundtrip_2d's peak RSS by 1.4 MiB.
 _BLOCK = 2**14
+
+# Most points per step from the two-thread gate on.  Every numpy call of a
+# step gives up the GIL and takes it back, so two threads of 2^14-point steps
+# did not use both CPUs: at 128^3 the pair pass's F and G took 81-82 ms on two
+# threads against 63 ms for one staged transform alone, and two processes
+# 65-66 ms each.  With 2^16-point steps F and G took 64-66 ms, and 2^15 and
+# 2^17 were slower.
+_WIDE_BLOCK = 2**16
 
 # From this many points on, a pass splits its work between two threads (see
 # _run_parts); numpy's FFT and ufunc loops release the GIL.  Each split opens
@@ -95,6 +109,13 @@ _BLOCK = 2**14
 # 0.54-1.10 at 64 x 64 x 128, and 0.51-0.98 from 2^20 to 128^3, where the
 # second thread overlaps the transforms and memory traffic.
 _TWO_THREADS_MIN_POINTS = 2**19
+
+
+def _block(size: int) -> int:
+    """Most points per step of a pass over ``size`` points: ``_BLOCK`` below
+    the two-thread gate, ``_WIDE_BLOCK`` from it on."""
+    return _WIDE_BLOCK if size >= _TWO_THREADS_MIN_POINTS else _BLOCK
+
 
 # From this many bytes on, numpy computes ``x * y`` with a temporary ``y`` in
 # place as ``y * x`` (its temporary elision, NPY_MIN_ELIDE_BYTES).  A
@@ -116,12 +137,13 @@ def _split(n: int) -> int:
 @functools.lru_cache(maxsize=64)
 def _blocks(size: int) -> tuple[slice, ...]:
     """The leaves of np.sum's pairwise tree over range(size), in order: the
-    tree is split at ``_split`` until a part has at most ``_BLOCK`` points.
-    The np.sum of a contiguous float64 array is that tree, down to its
-    leaves, so ``_sum_blocks`` of the leaves' np.sums has its bits."""
+    tree is split at ``_split`` until a part has at most ``_block(size)``
+    points.  The np.sum of a contiguous float64 array is that tree, down to
+    its leaves, so ``_sum_blocks`` of the leaves' np.sums has its bits."""
+    block = _block(size)
 
     def leaves(start, n):
-        if n <= _BLOCK:
+        if n <= block:
             yield slice(start, start + n)
         else:
             half = _split(n)
@@ -164,8 +186,8 @@ def _run_blocks(step, size: int) -> list:
 @functools.lru_cache(maxsize=64)
 def _slabs(shape: tuple[int, ...]) -> tuple[slice, ...]:
     """Runs of axis-0 rows of an array of ``shape``, in order, each of at most
-    ``_BLOCK`` points (one row where a row alone has more)."""
-    rows = max(1, _BLOCK // math.prod(shape[1:]))
+    ``_block`` points of the array (one row where a row alone has more)."""
+    rows = max(1, _block(math.prod(shape)) // math.prod(shape[1:]))
     return tuple(slice(start, start + rows) for start in range(0, shape[0], rows))
 
 
@@ -192,9 +214,10 @@ def _sum_blocks(step, size: int):
     returns the np.sums of several integrands as one float64 array gets an
     array of their sums, each with those bits.  0.0 for no points."""
     parts = iter(_run_blocks(step, size))
+    block = _block(size)
 
     def total(n):
-        if n <= _BLOCK:
+        if n <= block:
             return next(parts)
         half = _split(n)
         return total(half) + total(n - half)
@@ -458,15 +481,18 @@ def _in_stages(shape: tuple[int, ...]) -> bool:
     return len(shape) == 3 and math.prod(shape) >= _TWO_THREADS_MIN_POINTS
 
 
-def _staged(transform, a: np.ndarray, scale: float, split: bool, fill) -> bool:
+def _staged(transform, a: np.ndarray, scale: float, split: bool, fill, check: bool) -> bool | None:
     """The centred transform of a 3-D ``a`` in place, in two cache-sized
-    stages; whether every sample of the result is finite.
+    stages; with ``check``, whether every sample of the result is finite,
+    else None.
 
     Stage A, for each slab ``s`` of ``_slabs``: ``fill(s)`` writes the slab,
     its input signs are flipped and the FFT runs along axis 2 and then axis
-    1 while it is in cache.  Stage B, for each index of axis 1: the (N0, N2)
-    plane is gathered into a contiguous scratch array, transformed along
-    axis 0, scaled, its output signs flipped and checked, and scattered
+    1 while it is in cache.  Stage B, for each run ``s`` of axis-1 planes
+    (the slabs of ``a`` with axes 0 and 1 swapped, as wide as stage A's): the
+    (N0, k, N2) run is gathered into a contiguous scratch array, transformed
+    along axis 0, scaled, its output signs flipped (a run starting at an odd
+    plane flips the local parity), checked with ``check``, and scattered
     back.  Every line gets the FFT call of the whole-array path, in fftn's
     axis order, and every sample the same scaling and negation, so the bits
     are the same.  With ``split``, each stage gives the second half of its
@@ -487,38 +513,41 @@ def _staged(transform, a: np.ndarray, scale: float, split: bool, fill) -> bool:
         transform(slab, axis=2, out=slab)
         transform(slab, axis=1, out=slab)
 
-    def plane(j):
-        scratch = a[:, j, :].copy()
+    def planes(s):
+        scratch = a[:, s, :].copy()
         transform(scratch, axis=0, out=scratch)
         scratch *= scale
-        _flip_signs(scratch, (parity + j) % 2)
-        a[:, j, :] = scratch
-        return _all_finite(scratch)
+        _flip_signs(scratch, (parity + s.start) % 2)
+        a[:, s, :] = scratch
+        return not check or _all_finite(scratch)
 
     run(rows, _slabs(a.shape))
-    return all(run(plane, range(a.shape[1])))
+    finite = all(run(planes, _slabs((a.shape[1], a.shape[0], a.shape[2]))))
+    return finite if check else None
 
 
 def _centred_in_place(
-    transform, a: np.ndarray, scale: float, split: bool = False, fill=None
+    transform, a: np.ndarray, scale: float, split: bool = False, fill=None, check: bool = False
 ) -> bool | None:
     """``scale`` times the 1-D ``transform`` (np.fft.fft or np.fft.ifft) over
     every axis of the zero-centred complex128 samples ``a``, written over
     ``a``; whether every sample of the result is finite, or None where no
     pass has looked.  ``fill(s)``, when given, first writes slab ``s`` of
-    ``a`` (``_slabs``).
+    ``a`` (``_slabs``).  ``check`` asks the staged path for the finite flag,
+    which a caller that hands ``a`` to a field keeps; the others leave it
+    off and skip the scan.
 
     The centring is the sign modulation of the module docstring, applied
     through strided views, and each axis's FFT writes into the same buffer,
     last axis first as in np.fft.fftn, which gives fftn's bits.  A 3-D array
-    from the gate on runs in two stages (``_staged``), which fill and check
-    it on the way; any other runs the fill as a slab pass, then one pass per
-    axis.  ``split`` gives the passes two threads from the gate on
-    (``_axis_pass``, ``_run_parts``); the pair pass, which already
-    transforms F and G on two, leaves it off.
+    from the gate on runs in two stages (``_staged``), which fill it, and
+    check it where asked, on the way; any other runs the fill as a slab
+    pass, then one pass per axis.  ``split`` gives the passes two threads
+    from the gate on (``_axis_pass``, ``_run_parts``); the pair pass, which
+    already transforms F and G on two, leaves it off.
     """
     if _in_stages(a.shape):
-        return _staged(transform, a, scale, split, fill)
+        return _staged(transform, a, scale, split, fill, check)
     if fill is not None:
         _run_slabs(fill, a.shape)
     _flip_signs(a, 1)
@@ -530,11 +559,11 @@ def _centred_in_place(
 
 
 def _centred(
-    transform, values: np.ndarray, scale: float, split: bool = False
+    transform, values: np.ndarray, scale: float, split: bool = False, check: bool = False
 ) -> tuple[np.ndarray, bool | None]:
     """``_centred_in_place`` on a fresh complex128 copy of ``values``, which
-    is read once and never written: the copy and its finite flag.  The
-    staged path copies slab by slab as its stage A's fill."""
+    is read once and never written: the copy and its finite flag (with
+    ``check``).  The staged path copies slab by slab as its stage A's fill."""
     if not _in_stages(values.shape):
         a = np.array(values, dtype=np.complex128)
         return a, _centred_in_place(transform, a, scale, split)
@@ -543,7 +572,7 @@ def _centred(
     def copy(s):
         a[s] = values[s]
 
-    return a, _centred_in_place(transform, a, scale, split, copy)
+    return a, _centred_in_place(transform, a, scale, split, copy, check)
 
 
 def fourier_transform(f: SampledFunction) -> Spectrum:
@@ -559,7 +588,7 @@ def fourier_transform(f: SampledFunction) -> Spectrum:
     """
     if not isinstance(f, SampledFunction):
         raise TypeError("fourier_transform expects a SampledFunction")
-    values, finite = _centred(np.fft.fft, f.values, f.grid.cell_volume, split=True)
+    values, finite = _centred(np.fft.fft, f.values, f.grid.cell_volume, split=True, check=True)
     return Spectrum._own(f.grid.dual(), values, finite)
 
 
@@ -570,7 +599,9 @@ def inverse_transform(spectrum: Spectrum) -> SampledFunction:
     g = spectrum.grid
     # ifft divides by each axis's point count; dxi^n * N^n = 1 / dx^n restores
     # the quadrature scaling of the inverse integral.
-    vals, finite = _centred(np.fft.ifft, spectrum.values, g.cell_volume * g.size, split=True)
+    vals, finite = _centred(
+        np.fft.ifft, spectrum.values, g.cell_volume * g.size, split=True, check=True
+    )
     return SampledFunction._own(g.dual(), vals, finite)
 
 
@@ -683,5 +714,5 @@ def shift(f: SampledFunction, offset) -> SampledFunction:
             np.multiply(block, factor, out=block)
 
     scale = dual.cell_volume * dual.size
-    finite = _centred_in_place(np.fft.ifft, spectrum, scale, split=True, fill=modulate)
+    finite = _centred_in_place(np.fft.ifft, spectrum, scale, split=True, fill=modulate, check=True)
     return SampledFunction._own(dual.dual(), spectrum, finite)

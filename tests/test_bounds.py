@@ -39,6 +39,7 @@ from phasestab.grid import (
     GridSpec,
     SampledFunction,
     Spectrum,
+    _block,
     _blocks,
     _centred,
     _run_blocks,
@@ -938,11 +939,12 @@ def _record_blocks(size):
 
 
 # np.sum's pairwise tree: up to 8, up to 128 and more points in one block;
-# one point either side of _BLOCK; halves of different leaf counts (2^21 + 6)
-# and halves cut by 4 or more to reach a multiple of 8 (65552, 1000003)
+# one point either side of _BLOCK; leaves of exactly _WIDE_BLOCK points (the
+# gate); halves of different leaf counts (2^21 + 6) and halves cut by 4 or
+# more to reach a multiple of 8 (65552, 1000003)
 TREE_SIZES = [
     0, 1, 7, 8, 9, 127, 128, 129, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 5,
-    65552, 1000003, 2**21 + 6,
+    65552, _TWO_THREADS_MIN_POINTS, 1000003, 2**21 + 6,
 ]
 
 
@@ -966,11 +968,13 @@ class TestRunBlocks:
         assert [(start, stop) for start, stop, _ in results] == [
             (s.start, s.stop) for s in _blocks(size)
         ]
-        # the blocks cover range(size) in order, each of 1 to _BLOCK points
+        # the blocks cover range(size) in order, each of 1 to _block(size)
+        # points: _BLOCK below the gate, _WIDE_BLOCK from it on
         starts = [start for start, _, _ in results]
         stops = [stop for _, stop, _ in results]
         assert starts + [size] == [0] + stops
-        assert all(0 < stop - start <= _BLOCK for start, stop in zip(starts, stops))
+        block = _block(size)
+        assert all(0 < stop - start <= block for start, stop in zip(starts, stops))
         caller = threading.current_thread()
         threads = [thread for _, _, thread in results]
         if size < _TWO_THREADS_MIN_POINTS:

@@ -19,6 +19,9 @@ from phasestab.grid import (
     fourier_transform,
     _BLOCK,
     _TWO_THREADS_MIN_POINTS,
+    _WIDE_BLOCK,
+    _block,
+    _blocks,
     _centred,
     _flip_signs,
     _in_stages,
@@ -606,12 +609,14 @@ PARITY_SHAPES = [
     (1024,), (16382,), (16384,), (6, 10), (256, 256), (1024, 512), (30, 34, 1002),
     (128, 128, 128),
 ]
-# 3-D shapes that run the staged transform: at the gate, with N/2 even and
-# stage A's slabs of two rows; N/2 odd on axes 0 and 1 and slabs of three
-# rows, so slabs start at odd rows and stage B's two halves of 33 planes
-# start at planes of either parity; and one-row slabs on non-cubic axes with
-# N/2 odd, odd and even
-STAGED_SHAPES = [(64, 64, 128), (130, 66, 64), (70, 90, 100)]
+# 3-D shapes that run the staged transform, all in steps of _WIDE_BLOCK
+# points: at the gate, with N/2 even, slabs of eight rows and runs of eight
+# planes; N/2 odd on axes 0 and 1, slabs of 15 rows and runs of 7 planes, so
+# slabs and runs start at odd indices and the last run is partial; slabs of
+# 7 rows and runs of 9 planes on non-cubic axes with N/2 odd, odd and even;
+# runs of 8 planes that leave a partial run of 6; and slabs of 15 rows and
+# runs of 3 planes, whose two halves of 5 runs start at planes 0 and 15
+STAGED_SHAPES = [(64, 64, 128), (130, 66, 64), (70, 90, 100), (128, 70, 64), (128, 28, 150)]
 PARITY_SHAPES += STAGED_SHAPES
 AMPLITUDES = [pytest.param(1.3, id="real"), pytest.param(1.2 * np.exp(0.7j), id="complex")]
 
@@ -649,7 +654,34 @@ def test_slabs_cover_axis_0_in_order(shape):
     stops = [min(s.stop, shape[0]) for s in slabs]
     assert starts + [shape[0]] == [0] + stops
     sizes = [(stop - start) * row for start, stop in zip(starts, stops)]
-    assert all(size <= max(_BLOCK, row) for size in sizes)
+    assert all(size <= max(_block(math.prod(shape)), row) for size in sizes)
+
+
+def test_steps_are_wider_from_the_gate_on():
+    # below the gate every step has at most _BLOCK points, from it on
+    # _WIDE_BLOCK: the leaves of np.sum's tree, the slabs and stage B's runs
+    assert (_BLOCK, _WIDE_BLOCK) == (2**14, 2**16)
+    below = _TWO_THREADS_MIN_POINTS - 8
+    assert _block(below) == 2**14 and _block(_TWO_THREADS_MIN_POINTS) == 2**16
+    assert max(s.stop - s.start for s in _blocks(below)) == 2**14
+    assert [s.stop - s.start for s in _blocks(_TWO_THREADS_MIN_POINTS)] == [2**16] * 8
+    assert len(_slabs((64, 64, 64))) == 16 and len(_slabs((1024, 256))) == 16
+    shape = (128, 128, 128)
+    assert [s.stop - s.start for s in _blocks(math.prod(shape))] == [2**16] * 32
+    assert [(s.start, s.stop) for s in _slabs(shape)] == [(i, i + 4) for i in range(0, 128, 4)]
+    # 32 slabs of 4 rows transformed along axes 2 and 1, then 32 runs of 4
+    # planes along axis 0
+    calls = []
+
+    def fft(a, axis, out):
+        calls.append((axis, a.shape))
+        return np.fft.fft(a, axis=axis, out=out)
+
+    assert _in_stages(shape)
+    _centred(fft, np.zeros(shape, dtype=np.complex128), 1.0)
+    assert calls == [(axis, (4, 128, 128)) for _ in range(32) for axis in (2, 1)] + [
+        (0, (128, 4, 128))
+    ] * 32
 
 
 def test_slabs_are_cached_per_shape():
@@ -735,10 +767,14 @@ def test_staged_transform_is_the_whole_array_path_bit_for_bit(shape, transform, 
     x.imag[rng.random(shape) < 0.25] = -0.0
     for values in (x, np.full(shape, -0.0 - 0.0j)):
         before = values.copy()
-        result, finite = _centred(transform, values, 0.75, split)
+        result, finite = _centred(transform, values, 0.75, split, check=True)
         assert np.array_equal(_bits(values), _bits(before))
         assert finite is True
         assert np.array_equal(_bits(result), _bits(_full_centred(transform, values, 0.75)))
+        # without check, stage B scans nothing and the bits are the same
+        unchecked, flag = _centred(transform, values, 0.75, split)
+        assert flag is None
+        assert np.array_equal(_bits(unchecked), _bits(result))
 
 
 @pytest.mark.filterwarnings("error")
@@ -815,9 +851,10 @@ def test_gaussian_refuses_a_non_finite_slab(monkeypatch):
         gaussian(grid)
 
 
-# at 64x64x128 a full-size complex array is 8 MiB; eight slab-sized complex
-# arrays (2 MiB) cover the per-thread scratch of both stages
-FULL_SIZE_GRID = GridSpec(3, (8.0, 8.0, 8.0), (64, 64, 128))
+# at 64x128x128 a full-size complex array is 16 MiB; eight slab-sized complex
+# arrays (8 MiB, steps of _WIDE_BLOCK points) cover the per-thread scratch of
+# both stages and stay below a second full-size array
+FULL_SIZE_GRID = GridSpec(3, (8.0, 8.0, 8.0), (64, 128, 128))
 
 
 @pytest.mark.parametrize(
@@ -838,4 +875,4 @@ def test_field_producers_hold_one_full_size_buffer(call):
     finally:
         tracemalloc.stop()
     assert out.values.nbytes == full
-    assert peak <= full + 8 * _BLOCK * 16
+    assert peak <= full + 8 * _block(FULL_SIZE_GRID.size) * 16

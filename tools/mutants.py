@@ -125,13 +125,16 @@ GRID_MUTANTS = [
     # killed at exactly _TWO_THREADS_MIN_POINTS, where the worker must start
     ("block runner's gate written with <=", "_run_parts",
      "if size < _TWO_THREADS_MIN_POINTS:", "if size <= _TWO_THREADS_MIN_POINTS:"),
+    # killed at exactly _TWO_THREADS_MIN_POINTS, where the steps widen
+    ("step size's gate written with >", "_block",
+     "size >= _TWO_THREADS_MIN_POINTS", "size > _TWO_THREADS_MIN_POINTS"),
     # the blocks and the tree sum still agree, but no longer with np.sum
     ("pairwise split cut to a multiple of 4", "_split",
      "half - half % 8", "half - half % 4"),
-    ("blocks split a part of exactly _BLOCK points", "_blocks",
-     "if n <= _BLOCK:", "if n < _BLOCK:"),
-    ("tree sum splits a part of exactly _BLOCK points", "_sum_blocks",
-     "if n <= _BLOCK:", "if n < _BLOCK:"),
+    ("blocks split a part of exactly the step size", "_blocks",
+     "if n <= block:", "if n < block:"),
+    ("tree sum splits a part of exactly the step size", "_sum_blocks",
+     "if n <= block:", "if n < block:"),
     ("tree sum takes the right half's parts first", "_sum_blocks",
      "total(half) + total(n - half)", "total(n - half) + total(half)"),
     # np.fft.fftn's order; on n-D grids the other order rounds differently
@@ -157,9 +160,16 @@ GRID_MUTANTS = [
     # the dual of the dual is then formed by the formula, which rounds
     ("dual drops its link back to its grid", "_dual",
      'dual.__dict__["_dual"] = self', "pass"),
-    # every odd plane of the staged transform keeps the wrong output signs
-    ("stage B flips the output signs of every plane as of plane 0", "_staged",
-     "_flip_signs(scratch, (parity + j) % 2)", "_flip_signs(scratch, parity)"),
+    # every run starting at an odd plane keeps the wrong output signs
+    ("stage B flips the output signs of every run as of plane 0", "_staged",
+     "_flip_signs(scratch, (parity + s.start) % 2)", "_flip_signs(scratch, parity)"),
+    # runs sized and counted along axis 0: where N0 < N1 the last planes
+    # are never transformed along axis 0
+    ("stage B's runs are the slabs of the unswapped shape", "_staged",
+     "_slabs((a.shape[1], a.shape[0], a.shape[2]))", "_slabs(a.shape)"),
+    # an overflowed transform is then kept as a field
+    ("stage B finds every run finite", "_staged",
+     "return not check or _all_finite(scratch)", "return True"),
     # killed by the slabs that start at odd rows (one- and three-row slabs)
     ("stage A flips the input signs of every slab as of row 0", "_staged",
      "_flip_signs(slab, (1 + s.start) % 2)", "_flip_signs(slab, 1)"),
@@ -170,7 +180,7 @@ EXPERIMENTS_MUTANTS = [
      "all(_run_slabs(fill, grid.shape))", "any(_run_slabs(fill, grid.shape))"),
 ]
 GEOMETRY_MUTANTS = [
-    # 2**14 is grid._BLOCK
+    # 2**14 is grid._BLOCK, the step below the gate
     ("lemma1_gap skips the last partial block of the gap pass", "lemma1_gap",
      "_run_blocks(form, out.size)", "_run_blocks(form, out.size - out.size % 2**14)"),
     # at the gate the second half of the blocks is the worker's
