@@ -53,7 +53,7 @@ def lemma1_gap(w, z):
     different w are comparable after dividing by w^2.
 
     The gap is formed through ``grid._run_blocks``, in blocks of at most
-    ``_BLOCK`` points (on two threads from the gate on), with the formula's elementwise
+    ``grid._block`` points (on two threads from the gate on), with the formula's elementwise
     operations in the order of one full-size pass, so every point rounds as
     it would there.  Every point is checked before any gap is formed, so an
     inadmissible point anywhere raises before any arithmetic that could

@@ -87,27 +87,30 @@ MAX_TOTAL_POINTS = 2**26
 # has from about half of that up to all of it (see _blocks).  A block's
 # operands (about 0.5 MB) stay in cache between the operations on it.
 # _WIDE_BLOCK at every size made a 256^2 pass's blocks full-size temporaries
-# and raised cli_roundtrip_2d's peak RSS by 1.4 MiB.
+# and raised cli_roundtrip_2d's peak RSS from 52.3 to 53.7 MiB.
 _BLOCK = 2**14
 
 # Most points per step from the two-thread gate on.  Every numpy call of a
-# step gives up the GIL and takes it back, so two threads of 2^14-point steps
-# did not use both CPUs: at 128^3 the pair pass's F and G took 81-82 ms on two
-# threads against 63 ms for one staged transform alone, and two processes
-# 65-66 ms each.  With 2^16-point steps F and G took 64-66 ms, and 2^15 and
-# 2^17 were slower.
+# step gives up the GIL and takes it back, and a staged 128^3 transform in
+# 2^14-point steps made about 1900 calls, so two threads did not use both
+# CPUs: at 128^3 the pair pass's F and G took 79-93 ms on two threads
+# against 59-72 ms for one staged transform on one (medians of 15 calls in
+# three processes), and 70-83 ms in 2^16-point steps.  verify_3d's op took a
+# median 94.6 ms in 2^16-point steps, 103.7 ms in 2^15 and 102.3 ms in 2^17.
 _WIDE_BLOCK = 2**16
 
 # From this many points on, a pass splits its work between two threads (see
-# _run_parts); numpy's FFT and ufunc loops release the GIL.  Each split opens
-# and closes its own one-worker executor, about 0.14 ms.  Time of one
-# evaluate_theorem, two threads over one (medians of 5-30 calls, 6-14 rounds),
-# on a 2-CPU host where two threads of numpy arithmetic ran no faster than
-# one: 1.90-2.40 at 2^14 points, 1.71-1.92 at 2^15, 1.27-1.36 at 256^2,
-# 1.10-1.46 at 512 x 256, 0.88-1.38 at 512^2 and 0.54-1.25 at 64^3 (two
-# rounds of 28 won), 0.53-1.17 at 1024 x 512, 0.58-1.00 at 2^19 in 1-D and
-# 0.54-1.10 at 64 x 64 x 128, and 0.51-0.98 from 2^20 to 128^3, where the
-# second thread overlaps the transforms and memory traffic.
+# _run_parts) and takes wider steps (see _block); numpy's FFT and ufunc loops
+# release the GIL.  Each split opens and closes its own one-worker executor,
+# about 0.14 ms.  Time of one evaluate_theorem, two threads over one, on a
+# 2-CPU host; below the gate, in 2^14-point steps (medians of 5-30 calls,
+# 6-14 rounds): 1.90-2.40 at 2^14 points, 1.71-1.92 at 2^15, 1.27-1.36 at
+# 256^2, 1.10-1.46 at 512 x 256, 0.88-1.38 at 512^2 and 0.54-1.25 at 64^3
+# (two rounds of 28 won); from the gate on, in 2^16-point steps on both
+# (medians of 5-30 calls, 6 rounds): 0.47-0.55 at 2^19 in 1-D, 0.54-0.71 at
+# 1024 x 512, 0.61-0.85 at 64 x 64 x 128, 0.48-0.61 at 1024^2 and 0.53-0.78
+# at 128^3.  Against one thread in 2^14-point steps, unstaged, which a higher
+# gate would run, two threads read 0.45-0.78 at those sizes.
 _TWO_THREADS_MIN_POINTS = 2**19
 
 
