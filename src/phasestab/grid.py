@@ -22,15 +22,15 @@ which equals fftshift(fftn(ifftshift(x))) bit for bit when every axis is a
 power of two, and to within rounding (a few 1e-16 relative) otherwise.  The
 fftn is the 1-D transform applied in place once per axis, last axis first:
 the calls numpy's own fftn makes, without its per-call argument handling.
-A lone 1-D or 2-D transform (not the pair pass, which runs F and G on two
-threads) cuts each axis pass's lines in two halves along another axis, for
-``_run_parts``.  A 3-D transform from the two-thread gate on, the pair
-pass's included, runs in two cache-sized stages (``_staged``): each slab of
-axis-0 rows is filled, sign-flipped and transformed along axes 2 and 1, then
-each run of axis-1 planes is gathered, transformed along axis 0, scaled,
+A 2-D or 3-D transform from the two-thread gate on, the pair pass's
+included, runs in two cache-sized stages (``_staged``): each slab of axis-0
+rows is filled, sign-flipped and transformed along every other axis, then
+each run of axis-1 indices is gathered, transformed along axis 0, scaled,
 flipped, checked for finiteness where the caller keeps the flag, and
-scattered back.  Either way every line gets the same FFT call and every
-sample the same scaling and negation, so the bits are the same.
+scattered back.  A 1-D transform, and any below the gate, makes one pass
+per axis on the calling thread.  Either way every line gets the same FFT
+call and every sample the same scaling and negation, so the bits are the
+same.
 
 The library's elementwise passes over large arrays (the pair pass, the
 spectrum helpers and lemma1_gap) run through one block runner,
@@ -49,10 +49,11 @@ back.  They, the transforms, io.load_field and the field
 arithmetic hand the fresh buffer they wrote to the field they return without
 a copy (``_GridField._own``), with the finite flag of the pass that wrote
 it where there is one.  One function, ``_run_parts``, runs the parts of every
-blocked pass, slab pass, split axis pass and the pair pass's two transforms,
-and alone decides, from the size it is given, whether a worker thread takes
-the second half of the parts.  The blocks of the tree's left half are the
-first half of its leaves, so the worker's blocks are those of its right half.
+blocked pass, slab pass, stage and the pair pass's two transforms, and alone
+decides, from the size it is given and whether it runs inside a part,
+whether a worker thread takes the second half of the parts.  The blocks of
+the tree's left half are the first half of its leaves, so the worker's
+blocks are those of its right half.
 """
 
 from __future__ import annotations
@@ -107,10 +108,11 @@ _WIDE_BLOCK = 2**16
 # 6-14 rounds): 1.90-2.40 at 2^14 points, 1.71-1.92 at 2^15, 1.27-1.36 at
 # 256^2, 1.10-1.46 at 512 x 256, 0.88-1.38 at 512^2 and 0.54-1.25 at 64^3
 # (two rounds of 28 won); from the gate on, in 2^16-point steps on both
-# (medians of 5-30 calls, 6 rounds): 0.47-0.55 at 2^19 in 1-D, 0.54-0.71 at
-# 1024 x 512, 0.61-0.85 at 64 x 64 x 128, 0.48-0.61 at 1024^2 and 0.53-0.78
-# at 128^3.  Against one thread in 2^14-point steps, unstaged, which a higher
-# gate would run, two threads read 0.45-0.78 at those sizes.
+# (medians of 5-30 calls, 6 rounds): 0.47-0.55 at 2^19 in 1-D, 0.50-0.65 at
+# 1024 x 512, 0.61-0.85 at 64 x 64 x 128, 0.47-0.66 at 1024^2 and 0.53-0.78
+# at 128^3, 2-D and 3-D staged on both.  Against one thread in 2^14-point
+# steps, unstaged, which a higher gate would run, two threads read 0.42-0.78
+# at those sizes.
 _TWO_THREADS_MIN_POINTS = 2**19
 
 
@@ -156,27 +158,39 @@ def _blocks(size: int) -> tuple[slice, ...]:
     return tuple(leaves(0, size)) if size else ()
 
 
+# True while the parts of a two-thread _run_parts call run, on both threads:
+# a split nested inside each of the pair pass's F and G made 128^3 slower
+# (97-108 ms against 81-90 ms)
+_IN_PARTS = contextvars.ContextVar("phasestab_in_parts", default=False)
+
+
 def _run_parts(step, parts, size: int) -> list:
     """``step(part)`` for each of ``parts``, in order; their results.  From
     ``_TWO_THREADS_MIN_POINTS`` points of work (``size``) on, the second half
     of the parts, ``parts[len(parts) // 2:]``, runs on a one-worker executor,
-    opened and closed here, while this thread runs the first; below that, all
-    run here, in order.
+    opened and closed here, while this thread runs the first; below that, or
+    inside a part of such a call, all run here, in order.
 
-    The worker runs in a copy of this thread's context, so a caller's
-    np.errstate holds there, and its exception is raised here.  No thread
-    outlives the call.
+    The worker runs in a copy of this thread's context, taken once
+    ``_IN_PARTS`` is set, so a caller's np.errstate holds there and a part's
+    own calls open no second worker; its exception is raised here.  A thread
+    that a part starts has a context of its own, and its calls keep their
+    worker.  No thread outlives the call.
     """
-    if size < _TWO_THREADS_MIN_POINTS:
+    if size < _TWO_THREADS_MIN_POINTS or _IN_PARTS.get():
         return list(map(step, parts))
     # imported here: concurrent.futures adds about 5 ms to the package's
     # import, which runs that stay below the gate should not pay
     from concurrent.futures import ThreadPoolExecutor
 
     middle = len(parts) // 2
-    with ThreadPoolExecutor(1, thread_name_prefix="phasestab") as worker:
-        second = worker.submit(contextvars.copy_context().run, list, map(step, parts[middle:]))
-        return list(map(step, parts[:middle])) + second.result()
+    token = _IN_PARTS.set(True)
+    try:
+        with ThreadPoolExecutor(1, thread_name_prefix="phasestab") as worker:
+            second = worker.submit(contextvars.copy_context().run, list, map(step, parts[middle:]))
+            return list(map(step, parts[:middle])) + second.result()
+    finally:
+        _IN_PARTS.reset(token)
 
 
 def _run_blocks(step, size: int) -> list:
@@ -454,24 +468,6 @@ def _flip_signs(a: np.ndarray, parity: int) -> None:
         np.subtract(0.0, view, out=view)
 
 
-def _axis_pass(transform, a: np.ndarray, axis: int, split: bool) -> None:
-    """``transform`` (np.fft.fft or np.fft.ifft) in place over every line of
-    ``a`` along ``axis``.  With ``split``, an array of more than one block
-    gives its lines in two halves, cut along another axis, to ``_run_parts``:
-    each line still gets the same FFT call, so the bits are the same."""
-    if not split or a.ndim == 1 or a.size <= _BLOCK:
-        transform(a, axis=axis, out=a)
-        return
-    cut = 1 if axis == 0 else 0
-    middle = a.shape[cut] // 2
-
-    def lines(part):
-        view = a[(slice(None),) * cut + (part,)]
-        transform(view, axis=axis, out=view)
-
-    _run_parts(lines, (slice(None, middle), slice(middle, None)), a.size)
-
-
 def _output_parity(shape: tuple[int, ...]) -> int:
     """The index-sum parity of the samples that the centred transform's
     output flip negates: (-1)^(1 + sum N/2) of the module docstring."""
@@ -480,32 +476,32 @@ def _output_parity(shape: tuple[int, ...]) -> int:
 
 def _in_stages(shape: tuple[int, ...]) -> bool:
     """Whether a centred transform of ``shape`` runs in two stages
-    (``_staged``): 3-D, from the two-thread gate on."""
-    return len(shape) == 3 and math.prod(shape) >= _TWO_THREADS_MIN_POINTS
+    (``_staged``): 2-D or 3-D, from the two-thread gate on.  Below the gate
+    a lone staged transform was 12-20 % slower than the whole-array passes
+    at 256^2 and 32^3, and about 3 % faster at 512^2."""
+    return len(shape) > 1 and math.prod(shape) >= _TWO_THREADS_MIN_POINTS
 
 
-def _staged(transform, a: np.ndarray, scale: float, split: bool, fill, check: bool) -> bool | None:
-    """The centred transform of a 3-D ``a`` in place, in two cache-sized
-    stages; with ``check``, whether every sample of the result is finite,
-    else None.
+def _staged(transform, a: np.ndarray, scale: float, fill, check: bool) -> bool | None:
+    """The centred transform of a 2-D or 3-D ``a`` in place, in two
+    cache-sized stages; with ``check``, whether every sample of the result is
+    finite, else None.
 
     Stage A, for each slab ``s`` of ``_slabs``: ``fill(s)`` writes the slab,
-    its input signs are flipped and the FFT runs along axis 2 and then axis
-    1 while it is in cache.  Stage B, for each run ``s`` of axis-1 planes
-    (the slabs of ``a`` with axes 0 and 1 swapped, as wide as stage A's): the
-    (N0, k, N2) run is gathered into a contiguous scratch array, transformed
-    along axis 0, scaled, its output signs flipped (a run starting at an odd
-    plane flips the local parity), checked with ``check``, and scattered
-    back.  Every line gets the FFT call of the whole-array path, in fftn's
-    axis order, and every sample the same scaling and negation, so the bits
-    are the same.  With ``split``, each stage gives the second half of its
-    parts to a worker (``_run_parts``); the pair pass, which already runs F
-    and G on two threads, runs them here, in order.
+    its input signs are flipped and the FFT runs along every axis but 0,
+    last axis first, while it is in cache.  Stage B, for each run ``s`` of
+    axis-1 indices (the slabs of ``a`` with axes 0 and 1 swapped, as wide as
+    stage A's): ``a[:, s]`` is gathered into a contiguous scratch array,
+    transformed along axis 0, scaled, its output signs flipped (a run
+    starting at an odd index flips the local parity), checked with
+    ``check``, and scattered back.  Every line gets the FFT call of the
+    whole-array path, in fftn's axis order, and every sample the same
+    scaling and negation, so the bits are the same.  Each stage is one
+    ``_run_slabs`` call, so a lone transform gives the second half of its
+    parts to a worker and the pair pass's F and G, each already a part, run
+    them in order.
     """
     parity = _output_parity(a.shape)
-
-    def run(step, parts):
-        return _run_parts(step, parts, a.size) if split else list(map(step, parts))
 
     def rows(s):
         if fill is not None:
@@ -513,24 +509,24 @@ def _staged(transform, a: np.ndarray, scale: float, split: bool, fill, check: bo
         slab = a[s]
         # a slab starting at an odd row flips the local parity
         _flip_signs(slab, (1 + s.start) % 2)
-        transform(slab, axis=2, out=slab)
-        transform(slab, axis=1, out=slab)
+        for axis in reversed(range(1, a.ndim)):
+            transform(slab, axis=axis, out=slab)
 
     def planes(s):
-        scratch = a[:, s, :].copy()
+        scratch = a[:, s].copy()
         transform(scratch, axis=0, out=scratch)
         scratch *= scale
         _flip_signs(scratch, (parity + s.start) % 2)
-        a[:, s, :] = scratch
+        a[:, s] = scratch
         return not check or _all_finite(scratch)
 
-    run(rows, _slabs(a.shape))
-    finite = all(run(planes, _slabs((a.shape[1], a.shape[0], a.shape[2]))))
+    _run_slabs(rows, a.shape)
+    finite = all(_run_slabs(planes, (a.shape[1], a.shape[0], *a.shape[2:])))
     return finite if check else None
 
 
 def _centred_in_place(
-    transform, a: np.ndarray, scale: float, split: bool = False, fill=None, check: bool = False
+    transform, a: np.ndarray, scale: float, fill=None, check: bool = False
 ) -> bool | None:
     """``scale`` times the 1-D ``transform`` (np.fft.fft or np.fft.ifft) over
     every axis of the zero-centred complex128 samples ``a``, written over
@@ -542,40 +538,38 @@ def _centred_in_place(
 
     The centring is the sign modulation of the module docstring, applied
     through strided views, and each axis's FFT writes into the same buffer,
-    last axis first as in np.fft.fftn, which gives fftn's bits.  A 3-D array
-    from the gate on runs in two stages (``_staged``), which fill it, and
-    check it where asked, on the way; any other runs the fill as a slab
-    pass, then one pass per axis.  ``split`` gives the passes two threads
-    from the gate on (``_axis_pass``, ``_run_parts``); the pair pass, which
-    already transforms F and G on two, leaves it off.
+    last axis first as in np.fft.fftn, which gives fftn's bits.  A 2-D or
+    3-D array from the gate on runs in two stages (``_staged``), which fill
+    it, and check it where asked, on the way; any other runs the fill as a
+    slab pass, then one pass per axis on this thread.
     """
     if _in_stages(a.shape):
-        return _staged(transform, a, scale, split, fill, check)
+        return _staged(transform, a, scale, fill, check)
     if fill is not None:
         _run_slabs(fill, a.shape)
     _flip_signs(a, 1)
     for axis in reversed(range(a.ndim)):
-        _axis_pass(transform, a, axis, split)
+        transform(a, axis=axis, out=a)
     a *= scale
     _flip_signs(a, _output_parity(a.shape))
     return None
 
 
 def _centred(
-    transform, values: np.ndarray, scale: float, split: bool = False, check: bool = False
+    transform, values: np.ndarray, scale: float, check: bool = False
 ) -> tuple[np.ndarray, bool | None]:
     """``_centred_in_place`` on a fresh complex128 copy of ``values``, which
     is read once and never written: the copy and its finite flag (with
     ``check``).  The staged path copies slab by slab as its stage A's fill."""
     if not _in_stages(values.shape):
         a = np.array(values, dtype=np.complex128)
-        return a, _centred_in_place(transform, a, scale, split)
+        return a, _centred_in_place(transform, a, scale)
     a = np.empty(values.shape, dtype=np.complex128)
 
     def copy(s):
         a[s] = values[s]
 
-    return a, _centred_in_place(transform, a, scale, split, copy, check)
+    return a, _centred_in_place(transform, a, scale, copy, check)
 
 
 def fourier_transform(f: SampledFunction) -> Spectrum:
@@ -591,7 +585,7 @@ def fourier_transform(f: SampledFunction) -> Spectrum:
     """
     if not isinstance(f, SampledFunction):
         raise TypeError("fourier_transform expects a SampledFunction")
-    values, finite = _centred(np.fft.fft, f.values, f.grid.cell_volume, split=True, check=True)
+    values, finite = _centred(np.fft.fft, f.values, f.grid.cell_volume, check=True)
     return Spectrum._own(f.grid.dual(), values, finite)
 
 
@@ -602,9 +596,7 @@ def inverse_transform(spectrum: Spectrum) -> SampledFunction:
     g = spectrum.grid
     # ifft divides by each axis's point count; dxi^n * N^n = 1 / dx^n restores
     # the quadrature scaling of the inverse integral.
-    vals, finite = _centred(
-        np.fft.ifft, spectrum.values, g.cell_volume * g.size, split=True, check=True
-    )
+    vals, finite = _centred(np.fft.ifft, spectrum.values, g.cell_volume * g.size, check=True)
     return SampledFunction._own(g.dual(), vals, finite)
 
 
@@ -704,7 +696,7 @@ def shift(f: SampledFunction, offset) -> SampledFunction:
         raise TypeError("shift expects a SampledFunction")
     offsets = _reals(offset, "offset", f.grid.dimension)
     dual = f.grid.dual()
-    spectrum, _ = _centred(np.fft.fft, f.values, f.grid.cell_volume, split=True)
+    spectrum, _ = _centred(np.fft.fft, f.values, f.grid.cell_volume)
     scaled = [eps * xi for eps, xi in zip(offsets, dual.coordinate_grids())]
     factor_first = spectrum.nbytes >= _FACTOR_FIRST_BYTES
 
@@ -717,5 +709,5 @@ def shift(f: SampledFunction, offset) -> SampledFunction:
             np.multiply(block, factor, out=block)
 
     scale = dual.cell_volume * dual.size
-    finite = _centred_in_place(np.fft.ifft, spectrum, scale, split=True, fill=modulate, check=True)
+    finite = _centred_in_place(np.fft.ifft, spectrum, scale, fill=modulate, check=True)
     return SampledFunction._own(dual.dual(), spectrum, finite)

@@ -756,8 +756,9 @@ class TestConcurrentPairPass:
             evaluate(f, g)
 
     def test_no_nested_workers(self, executors):
-        # F and G on two threads, each transformed whole: the axis passes of
-        # a lone transform split their lines, those of the pair pass do not
+        # F and G on two threads, each a part of one _run_parts call: the
+        # stages of a lone transform split their slabs, those of F and G run
+        # in order on their own thread
         grid = GridSpec(2, (8.0, 8.0), (1026, 512))
         f = gaussian(grid, center=(0.3, -0.2))
         g = gaussian(grid, width=1.2)

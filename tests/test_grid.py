@@ -5,6 +5,7 @@ import pickle
 import re
 import threading
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from phasestab.grid import (
     _WIDE_BLOCK,
     _block,
     _blocks,
+    _IN_PARTS,
     _centred,
     _flip_signs,
     _in_stages,
@@ -565,8 +567,8 @@ class TestShift:
 
 
 # ---------------------------------------------------------------------------
-# slabs and split axis passes: the full-array formulas' bits, on two threads
-# from the gate on
+# slabs and stages: the full-array formulas' bits, on two threads from the
+# gate on
 # ---------------------------------------------------------------------------
 
 
@@ -609,21 +611,29 @@ PARITY_SHAPES = [
     (1024,), (16382,), (16384,), (6, 10), (256, 256), (1024, 512), (30, 34, 1002),
     (128, 128, 128),
 ]
-# 3-D shapes that run the staged transform, all in steps of _WIDE_BLOCK
-# points: at the gate, with N/2 even, slabs of eight rows and runs of eight
+# shapes that run the staged transform, all in steps of _WIDE_BLOCK points.
+# 3-D: at the gate, with N/2 even, slabs of eight rows and runs of eight
 # planes; N/2 odd on axes 0 and 1, slabs of 15 rows and runs of 7 planes, so
 # slabs and runs start at odd indices and the last run is partial; slabs of
 # 7 rows and runs of 9 planes on non-cubic axes with N/2 odd, odd and even;
 # runs of 8 planes that leave a partial run of 6; and slabs of 15 rows and
-# runs of 3 planes, whose two halves of 5 runs start at planes 0 and 15
-STAGED_SHAPES = [(64, 64, 128), (130, 66, 64), (70, 90, 100), (128, 70, 64), (128, 28, 150)]
+# runs of 3 planes, whose two halves of 5 runs start at planes 0 and 15.
+# 2-D, above the gate: N0/2 odd, slabs of 128 rows and runs of 63 columns
+# that start at odd indices, the last a partial run of 8; slabs of 87 rows
+# and runs of 93 columns, both starting at odd indices, with N/2 even and
+# odd and partial last runs; and slabs of 16 rows and runs of 504 columns
+# with a partial last run of 2
+STAGED_SHAPES = [
+    (64, 64, 128), (130, 66, 64), (70, 90, 100), (128, 70, 64), (128, 28, 150),
+    (1026, 512), (700, 750), (130, 4034),
+]
 PARITY_SHAPES += STAGED_SHAPES
 AMPLITUDES = [pytest.param(1.3, id="real"), pytest.param(1.2 * np.exp(0.7j), id="complex")]
 
 
 @pytest.mark.parametrize("amplitude", AMPLITUDES)
 @pytest.mark.parametrize("shape", PARITY_SHAPES, ids=lambda shape: "x".join(map(str, shape)))
-def test_slabs_and_split_passes_keep_the_full_formulas_bits(shape, amplitude):
+def test_slabs_and_stages_keep_the_full_formulas_bits(shape, amplitude):
     n = len(shape)
     grid = GridSpec(n, (8.0, 6.0, 4.0)[:n], shape)
     centers, widths = (0.3, -0.2, 0.1)[:n], (1.1, 0.9, 1.2)[:n]
@@ -670,18 +680,23 @@ def test_steps_are_wider_from_the_gate_on():
     assert [s.stop - s.start for s in _blocks(math.prod(shape))] == [2**16] * 32
     assert [(s.start, s.stop) for s in _slabs(shape)] == [(i, i + 4) for i in range(0, 128, 4)]
     # 32 slabs of 4 rows transformed along axes 2 and 1, then 32 runs of 4
-    # planes along axis 0
-    calls = []
+    # planes along axis 0; at 1024x512, 8 slabs of 128 rows along axis 1,
+    # then 8 runs of 64 columns along axis 0.  Each stage's steps run on two
+    # threads, so its calls are compared as a multiset
+    for shape, stage_a, stage_b in [
+        (shape, [(2, (4, 128, 128)), (1, (4, 128, 128))] * 32, [(0, (128, 4, 128))] * 32),
+        ((1024, 512), [(1, (128, 512))] * 8, [(0, (1024, 64))] * 8),
+    ]:
+        calls = []
 
-    def fft(a, axis, out):
-        calls.append((axis, a.shape))
-        return np.fft.fft(a, axis=axis, out=out)
+        def fft(a, axis, out):
+            calls.append((axis, a.shape))
+            return np.fft.fft(a, axis=axis, out=out)
 
-    assert _in_stages(shape)
-    _centred(fft, np.zeros(shape, dtype=np.complex128), 1.0)
-    assert calls == [(axis, (4, 128, 128)) for _ in range(32) for axis in (2, 1)] + [
-        (0, (128, 4, 128))
-    ] * 32
+        assert _in_stages(shape)
+        _centred(fft, np.zeros(shape, dtype=np.complex128), 1.0)
+        assert Counter(calls[: len(stage_a)]) == Counter(stage_a)
+        assert Counter(calls[len(stage_a) :]) == Counter(stage_b)
 
 
 def test_slabs_are_cached_per_shape():
@@ -701,6 +716,59 @@ def test_run_parts_gives_the_worker_the_second_half(count):
     results = _run_parts(step, parts, _TWO_THREADS_MIN_POINTS)
     assert [part for part, _ in results] == list(parts)
     assert [part for part, thread in results if thread is not caller] == list(parts[count // 2 :])
+
+
+@pytest.mark.usefixtures("no_thread_outlives_the_call")
+def test_a_part_runs_its_own_parts_on_its_thread_in_order(executors):
+    def inner(part):
+        return part, threading.current_thread()
+
+    def outer(start):
+        parts = (start, start + 1, start + 2)
+        return threading.current_thread(), _run_parts(inner, parts, _TWO_THREADS_MIN_POINTS)
+
+    results = _run_parts(outer, (0, 10), _TWO_THREADS_MIN_POINTS)
+    assert executors["opened"] == 1 and executors["most"] == 1
+    assert len({thread for thread, _ in results}) == 2
+    for start, (thread, inner_results) in zip((0, 10), results):
+        assert inner_results == [(start + k, thread) for k in range(3)]
+
+
+def test_in_parts_reads_false_after_a_call_returns_or_raises():
+    assert _IN_PARTS.get() is False
+    assert _run_parts(lambda _: _IN_PARTS.get(), (0, 1), _TWO_THREADS_MIN_POINTS) == [True, True]
+    assert _IN_PARTS.get() is False
+
+    def fail(part):
+        raise LookupError(part)
+
+    with pytest.raises(LookupError):
+        _run_parts(fail, (0, 1), _TWO_THREADS_MIN_POINTS)
+    assert _IN_PARTS.get() is False
+    below = _run_parts(lambda _: _IN_PARTS.get(), (0, 1), _TWO_THREADS_MIN_POINTS - 1)
+    assert below == [False, False]
+
+
+@pytest.mark.usefixtures("no_thread_outlives_the_call")
+def test_a_thread_started_in_a_part_keeps_its_worker(executors):
+    # a new thread starts in a context of its own, where no part is running
+    seen = []
+
+    def calls():
+        caller = threading.current_thread()
+        first, second = _run_parts(
+            lambda _: threading.current_thread(), (0, 1), _TWO_THREADS_MIN_POINTS
+        )
+        seen.append((first is caller, second is not caller))
+
+    def part(_):
+        thread = threading.Thread(target=calls)
+        thread.start()
+        thread.join()
+
+    _run_parts(part, (None,), _TWO_THREADS_MIN_POINTS)
+    assert seen == [(True, True)]
+    assert executors["opened"] == 2 and executors["most"] == 2
 
 
 @pytest.mark.usefixtures("no_thread_outlives_the_call")
@@ -751,15 +819,23 @@ def test_no_worker_outlives_a_lone_call_nor_nests(call, executors):
 
 
 # ---------------------------------------------------------------------------
-# the staged 3-D transform and fields that own their buffers
+# the staged transform and fields that own their buffers
 # ---------------------------------------------------------------------------
+
+
+def _in_a_part(call):
+    """``call()`` run as the one part of a two-thread ``_run_parts`` call, as
+    the pair pass runs F and G: every ``_run_parts`` call it makes runs here."""
+    return _run_parts(lambda _: call(), (None,), _TWO_THREADS_MIN_POINTS)[0]
 
 
 @pytest.mark.parametrize("shape", STAGED_SHAPES, ids=lambda shape: "x".join(map(str, shape)))
 @pytest.mark.parametrize("transform", [np.fft.fft, np.fft.ifft], ids=["forward", "inverse"])
-@pytest.mark.parametrize("split", [False, True], ids=["one-thread", "two-threads"])
-def test_staged_transform_is_the_whole_array_path_bit_for_bit(shape, transform, split, rng):
-    assert _in_stages(shape) and not _in_stages(shape[:2]) and not _in_stages((32, 64, 128))
+@pytest.mark.parametrize("in_a_part", [True, False], ids=["one-thread", "two-threads"])
+def test_staged_transform_is_the_whole_array_path_bit_for_bit(shape, transform, in_a_part, rng):
+    assert _in_stages(shape) and not _in_stages((math.prod(shape),))
+    assert not _in_stages((512, 512)) and not _in_stages((32, 64, 128))
+    run = _in_a_part if in_a_part else (lambda call: call())
     # random samples with a share of exact +0 and -0 parts, and an all -0
     # field, whose output signs come from the FFT's own zeros
     x = rng.normal(size=shape) + 1j * rng.normal(size=shape)
@@ -767,12 +843,12 @@ def test_staged_transform_is_the_whole_array_path_bit_for_bit(shape, transform, 
     x.imag[rng.random(shape) < 0.25] = -0.0
     for values in (x, np.full(shape, -0.0 - 0.0j)):
         before = values.copy()
-        result, finite = _centred(transform, values, 0.75, split, check=True)
+        result, finite = run(lambda: _centred(transform, values, 0.75, check=True))
         assert np.array_equal(_bits(values), _bits(before))
         assert finite is True
         assert np.array_equal(_bits(result), _bits(_full_centred(transform, values, 0.75)))
         # without check, stage B scans nothing and the bits are the same
-        unchecked, flag = _centred(transform, values, 0.75, split)
+        unchecked, flag = run(lambda: _centred(transform, values, 0.75))
         assert flag is None
         assert np.array_equal(_bits(unchecked), _bits(result))
 

@@ -2,8 +2,8 @@
 
 Each mutant edits one constant, operator, loop bound or literal in one file:
 the bound in ``src/phasestab/bounds.py``, the block runner, its pairwise
-blocks and tree sum, the slabs, the centred transform's axis passes and
-stages, ``shift``'s product and the dual's link in
+blocks and tree sum, the slabs, the centred transform and its stages,
+``shift``'s product and the dual's link in
 ``src/phasestab/grid.py``, ``gaussian``'s finite flag in
 ``src/phasestab/experiments.py``, the blocked half-disk gap in
 ``src/phasestab/geometry.py``, or the text that ``save_field`` joins in
@@ -113,8 +113,8 @@ BOUNDS_MUTANTS = [
 ]
 # every elementwise stage of the evaluators, the spectrum helpers and
 # lemma1_gap runs through the block runner, shift and gaussian through the
-# slabs, and every transform through the centred transform, a 3-D one from
-# the gate on through its two stages
+# slabs, and every transform through the centred transform, a 2-D or 3-D one
+# from the gate on through its two stages
 GRID_MUTANTS = [
     ("block runner's worker repeats the caller's half", "_run_parts",
      "map(step, parts[middle:])", "map(step, parts[:middle])"),
@@ -124,7 +124,13 @@ GRID_MUTANTS = [
      "middle = len(parts) // 2", "middle = (len(parts) + 1) // 2"),
     # killed at exactly _TWO_THREADS_MIN_POINTS, where the worker must start
     ("block runner's gate written with <=", "_run_parts",
-     "if size < _TWO_THREADS_MIN_POINTS:", "if size <= _TWO_THREADS_MIN_POINTS:"),
+     "if size < _TWO_THREADS_MIN_POINTS or", "if size <= _TWO_THREADS_MIN_POINTS or"),
+    # the stages of the pair pass's F and G then open workers of their own
+    ("block runner nests", "_run_parts",
+     " or _IN_PARTS.get()", ""),
+    # the first two-thread call leaves every later call on one thread
+    ("block runner never leaves its parts", "_run_parts",
+     "_IN_PARTS.reset(token)", "pass"),
     # killed at exactly _TWO_THREADS_MIN_POINTS, where the steps widen
     ("step size's gate written with >", "_block",
      "size >= _TWO_THREADS_MIN_POINTS", "size > _TWO_THREADS_MIN_POINTS"),
@@ -140,9 +146,6 @@ GRID_MUTANTS = [
     # np.fft.fftn's order; on n-D grids the other order rounds differently
     ("centred transform runs its axes first axis first", "_centred_in_place",
      "reversed(range(a.ndim))", "range(a.ndim)"),
-    # each half then holds half of every line, not half of the lines
-    ("axis pass splits its lines along the transformed axis", "_axis_pass",
-     "cut = 1 if axis == 0 else 0", "cut = axis"),
     # a slab skips the row after it; killed by the slab tests and the parity
     # tests of shift and gaussian
     ("slab step off by one", "_slabs",
@@ -166,13 +169,19 @@ GRID_MUTANTS = [
     # runs sized and counted along axis 0: where N0 < N1 the last planes
     # are never transformed along axis 0
     ("stage B's runs are the slabs of the unswapped shape", "_staged",
-     "_slabs((a.shape[1], a.shape[0], a.shape[2]))", "_slabs(a.shape)"),
+     "(a.shape[1], a.shape[0], *a.shape[2:])", "a.shape"),
     # an overflowed transform is then kept as a field
     ("stage B finds every run finite", "_staged",
      "return not check or _all_finite(scratch)", "return True"),
     # killed by the slabs that start at odd rows (one- and three-row slabs)
     ("stage A flips the input signs of every slab as of row 0", "_staged",
      "_flip_signs(slab, (1 + s.start) % 2)", "_flip_signs(slab, 1)"),
+    # fftn's order; killed by the 3-D parity tests
+    ("stage A runs its axes first axis first", "_staged",
+     "reversed(range(1, a.ndim))", "range(1, a.ndim)"),
+    # a lone 2-D transform from the gate on then runs on one thread
+    ("only 3-D grids run in stages", "_in_stages",
+     "len(shape) > 1", "len(shape) == 3"),
 ]
 # gaussian's finite flag must hold for every slab, not for one
 EXPERIMENTS_MUTANTS = [
