@@ -19,11 +19,11 @@ from phasestab.grid import (
     Spectrum,
     fourier_transform,
     _BLOCK,
+    _IN_PARTS,
     _TWO_THREADS_MIN_POINTS,
     _WIDE_BLOCK,
     _block,
     _blocks,
-    _IN_PARTS,
     _centred,
     _flip_signs,
     _in_stages,
