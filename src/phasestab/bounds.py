@@ -26,9 +26,10 @@ transformed once, whatever number of exponents p or forms are read from it,
 and the evaluators are one-report wrappers over that pass.  Its elementwise
 stages, like those of the public spectrum helpers, run through
 ``grid._run_blocks``.  Each block returns the np.sum of its part of every
-integral, and ``grid._sum_blocks`` adds them in np.sum's own pairwise order,
-so every integral has the bits of one np.sum over a full-size array, whether
-or not a second thread took half the blocks.
+integral, and ``grid._sum_blocks`` adds them by ``math.fsum``, so every
+integral is correctly rounded over its block sums and has the same bits
+whether or not a second thread took half the blocks; on a grid of one block
+it is one np.sum.
 
 Only eps = |f - g|_p and the sub-level mass at 10 eps depend on p, so
 :func:`evaluate_theorem` keeps the rest of the last pair it evaluated in one
@@ -272,18 +273,20 @@ def _pair(f, g, ps: tuple[float, ...], caller: str) -> _Pair:
     modulus stage alone writes |F|.  F and G are the two parts of one
     ``grid._run_parts`` call and the elementwise stages run block by block
     through ``grid._run_blocks``, so from the two-thread gate on G and the
-    right half of every stage's blocks are a worker's.  Every block runs the
+    second half of every stage's blocks are a worker's.  Every block runs the
     same numpy operations in the same order as one full-size pass and returns
-    its np.sums, which ``grid._sum_blocks`` adds in np.sum's pairwise order, so
-    the bits do not depend on the thread, the blocks or the other p.  A pair
-    with f != g whose |f - g|_2^2 underflows below the smallest normal double
-    raises ArithmeticError: its reports would be checked with no significant
-    digits, and at lhs = 0 they would certify vacuously.
+    its np.sums, which ``grid._sum_blocks`` adds by ``math.fsum``, so the bits
+    do not depend on the thread or the other p.  A pair with f != g whose
+    |f - g|_2^2 underflows below the smallest normal double raises
+    ArithmeticError: its reports would be checked with no significant digits,
+    and at lhs = 0 they would certify vacuously.
 
     No array is checked for inf or NaN: overflow is the reports' to refuse.
     f and g are finite by construction, so a non-finite sample of f - g is an
-    overflow and makes lhs non-finite; one of F or G makes | |F|-|G| | inf or
-    NaN there, so ``modulus_l2`` and the reports' ``term_modulus`` are too.
+    overflow and makes lhs non-finite, as does a sum of finite block sums
+    past the double range (``grid._fsum``); one of F or G makes | |F|-|G| |
+    inf or NaN there, so ``modulus_l2`` and the reports' ``term_modulus`` are
+    too.
     """
     if not isinstance(f, SampledFunction) or not isinstance(g, SampledFunction):
         raise TypeError(f"{caller} expects two SampledFunction inputs")

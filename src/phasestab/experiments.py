@@ -25,6 +25,7 @@ masquerade as slope error.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import asdict, dataclass
 from typing import Sequence
@@ -42,7 +43,7 @@ from .bounds import (
 )
 from .bounds import _corollary, _pair, _theorems
 from .grid import GridSpec, SampledFunction, Spectrum, fourier_transform, inverse_transform
-from .grid import _all_finite, _index, _lp_norm, _real, _reals, _run_slabs, _slab_sum, shift
+from .grid import _all_finite, _index, _lp_norm, _real, _reals, _run_slabs, shift
 
 __all__ = [
     "ScalingResult",
@@ -188,21 +189,27 @@ def gaussian(
 ) -> SampledFunction:
     """amplitude * exp(-pi sum_i ((x_i - c_i)/w_i)^2) sampled on ``grid``.
 
-    The samples are formed slab by slab (``grid._run_slabs``), each with the
-    operations of one full-size pass, so they have that pass's bits.  Each
-    slab is checked for finiteness while it is in cache, and the field keeps
-    the buffer (``_GridField._own``).
+    The samples are formed slab by slab (``grid._run_slabs``) from one 1-D
+    factor exp(-pi ((x_i - c_i)/w_i)^2) per axis: the factors of axes 1 and
+    up are multiplied once into one array of a slab's row shape, and each
+    slab takes that times its rows' axis-0 factor.  Each slab is checked for
+    finiteness while it is in cache, and the field keeps the buffer
+    (``_GridField._own``).
     """
     centers = _reals(center, "center", grid.dimension)
     widths = _reals(width, "width", grid.dimension)
     if min(widths) <= 0:
         raise ValueError("width must be positive")
-    terms = [((x - c) / w) ** 2 for c, w, x in zip(centers, widths, grid.coordinate_grids())]
+    first, *others = (
+        np.exp(-np.pi * ((x - c) / w) ** 2)
+        for c, w, x in zip(centers, widths, grid.coordinate_grids())
+    )
+    rest = functools.reduce(np.multiply, others) if others else None
     values = np.empty(grid.shape, dtype=np.complex128)
 
     def fill(s):
         block = values[s]
-        np.multiply(amplitude, np.exp(-np.pi * _slab_sum(terms, s)), out=block)
+        np.multiply(amplitude, first[s] if rest is None else first[s] * rest, out=block)
         return _all_finite(block)
 
     return SampledFunction._own(grid, values, all(_run_slabs(fill, grid.shape)))

@@ -34,26 +34,25 @@ same.
 
 The library's elementwise passes over large arrays (the pair pass, the
 spectrum helpers and lemma1_gap) run through one block runner,
-``_run_blocks``: blocks of at most ``_block(size)`` points, each with the
-operations of one full-size pass.  The blocks are the leaves of np.sum's
-pairwise tree (``_blocks``), so a block returns the np.sum of its part of an
-integrand and ``_sum_blocks``, the one function that adds them, walks the
-same tree: an integral has the bits of one np.sum over a full-size array
-that is never formed.  ``shift`` and experiments.gaussian build their fields
-the same way, in slabs of axis-0 rows (``_run_slabs``), each with the
-operations of the full-size formula.  ``_block`` is the one owner of the
-step size of blocks, slabs and stage B's runs of planes: ``_BLOCK`` below
-the two-thread gate and four times that, ``_WIDE_BLOCK``, from it on, so two
-threads make fewer numpy calls, each of which gives up the GIL and takes it
-back.  They, the transforms, io.load_field and the field
-arithmetic hand the fresh buffer they wrote to the field they return without
-a copy (``_GridField._own``), with the finite flag of the pass that wrote
-it where there is one.  One function, ``_run_parts``, runs the parts of every
-blocked pass, slab pass, stage and the pair pass's two transforms, and alone
+``_run_blocks``: consecutive blocks of ``_block(size)`` points, the last one
+partial, each with the operations of one full-size pass.  A block returns
+the np.sum of its part of an integrand, and ``_sum_blocks``, the one
+function that adds them, takes their ``math.fsum``: an integral is correctly
+rounded over its block sums, whatever their grouping and whichever thread
+summed each, and one of at most ``_BLOCK`` points is one np.sum.  ``shift``
+and experiments.gaussian build their fields in slabs of axis-0 rows
+(``_run_slabs``; the blocks are the slabs of a 1-D array), each from one
+1-D factor per axis.  ``_block`` is the one owner of the step size of
+blocks, slabs and stage B's runs of planes: ``_BLOCK`` below the two-thread
+gate and four times that, ``_WIDE_BLOCK``, from it on, so two threads make
+fewer numpy calls, each of which gives up the GIL and takes it back.  The
+two builders, the transforms, io.load_field and the field arithmetic hand
+the fresh buffer they wrote to the field they return without a copy
+(``_GridField._own``), with the finite flag of the pass that wrote it where
+there is one.  One function, ``_run_parts``, runs the parts of every blocked
+pass, slab pass, stage and the pair pass's two transforms, and alone
 decides, from the size it is given and whether it runs inside a part,
-whether a worker thread takes the second half of the parts.  The blocks of
-the tree's left half are the first half of its leaves, so the worker's
-blocks are those of its right half.
+whether a worker thread takes the second half of the parts.
 """
 
 from __future__ import annotations
@@ -84,9 +83,8 @@ MAX_TOTAL_POINTS = 2**26
 
 # Most points per step of a pass below the two-thread gate (see _block): per
 # block of the passes that run through _run_blocks (the pair pass, the
-# spectrum helpers and lemma1_gap) and per slab.  A block of a larger array
-# has from about half of that up to all of it (see _blocks).  A block's
-# operands (about 0.5 MB) stay in cache between the operations on it.
+# spectrum helpers and lemma1_gap) and per slab.  A block's operands (about
+# 0.5 MB) stay in cache between the operations on it.
 # _WIDE_BLOCK at every size made a 256^2 pass's blocks full-size temporaries
 # and raised cli_roundtrip_2d's peak RSS from 52.3 to 53.7 MiB.
 _BLOCK = 2**14
@@ -120,42 +118,6 @@ def _block(size: int) -> int:
     """Most points per step of a pass over ``size`` points: ``_BLOCK`` below
     the two-thread gate, ``_WIDE_BLOCK`` from it on."""
     return _WIDE_BLOCK if size >= _TWO_THREADS_MIN_POINTS else _BLOCK
-
-
-# From this many bytes on, numpy computes ``x * y`` with a temporary ``y`` in
-# place as ``y * x`` (its temporary elision, NPY_MIN_ELIDE_BYTES).  A
-# complex128 product is not bitwise commutative (21074 of 65536 products of a
-# 256^2 Gaussian spectrum and its shift factor differed, numpy 2.4 on
-# AVX-512), so ``shift``, whose full-size formula was ``S * np.exp(...)``,
-# multiplies factor first from this size on.
-_FACTOR_FIRST_BYTES = 256 * 1024
-
-
-def _split(n: int) -> int:
-    """Where np.sum's pairwise summation splits ``n`` points: the left part
-    is about half, cut down to a multiple of 8 (numpy's unroll)."""
-    half = n // 2
-    return half - half % 8
-
-
-# bounded: lemma1_gap takes arrays of any size
-@functools.lru_cache(maxsize=64)
-def _blocks(size: int) -> tuple[slice, ...]:
-    """The leaves of np.sum's pairwise tree over range(size), in order: the
-    tree is split at ``_split`` until a part has at most ``_block(size)``
-    points.  The np.sum of a contiguous float64 array is that tree, down to
-    its leaves, so ``_sum_blocks`` of the leaves' np.sums has its bits."""
-    block = _block(size)
-
-    def leaves(start, n):
-        if n <= block:
-            yield slice(start, start + n)
-        else:
-            half = _split(n)
-            yield from leaves(start, half)
-            yield from leaves(start + half, n - half)
-
-    return tuple(leaves(0, size)) if size else ()
 
 
 # True while the parts of a two-thread _run_parts call run, on both threads:
@@ -193,19 +155,15 @@ def _run_parts(step, parts, size: int) -> list:
         _IN_PARTS.reset(token)
 
 
-def _run_blocks(step, size: int) -> list:
-    """``step(s)`` for each slice ``s`` of ``_blocks(size)``, which cover
-    range(size) in order; their results, in block order."""
-    return _run_parts(step, _blocks(size), size)
-
-
-# bounded, as _blocks is: a slab pass runs on every gaussian and shift
+# bounded: lemma1_gap takes arrays of any size, and a slab pass runs on
+# every gaussian and shift
 @functools.lru_cache(maxsize=64)
 def _slabs(shape: tuple[int, ...]) -> tuple[slice, ...]:
     """Runs of axis-0 rows of an array of ``shape``, in order, each of at most
     ``_block`` points of the array (one row where a row alone has more)."""
     rows = max(1, _block(math.prod(shape)) // math.prod(shape[1:]))
-    return tuple(slice(start, start + rows) for start in range(0, shape[0], rows))
+    starts = range(0, shape[0], rows)
+    return tuple(slice(start, min(start + rows, shape[0])) for start in starts)
 
 
 def _run_slabs(step, shape: tuple[int, ...]) -> list:
@@ -214,32 +172,37 @@ def _run_slabs(step, shape: tuple[int, ...]) -> list:
     return _run_parts(step, _slabs(shape), math.prod(shape))
 
 
-def _slab_sum(terms, s) -> np.ndarray:
-    """0.0 + terms[0][s] + terms[1] + ...: the sum of the broadcastable
-    per-axis ``terms`` on slab ``s`` of axis 0, added in the order of the
-    same sum over the whole grid, so with its bits."""
-    total = np.zeros((), dtype=float)
-    for term in (terms[0][s], *terms[1:]):
-        total = total + term
-    return total
+def _run_blocks(step, size: int) -> list:
+    """``step(s)`` for each block ``s`` of range(size), the slabs of
+    ``(size,)``: ``_block(size)`` points each but the last; their results,
+    in block order."""
+    return _run_slabs(step, (size,))
+
+
+def _fsum(sums) -> float:
+    """``math.fsum`` of the nonnegative ``sums``, or inf where their total
+    overflows although each is finite (fsum raises there, and a report must
+    name the field that overflowed)."""
+    try:
+        return math.fsum(sums)
+    except OverflowError:
+        return math.inf
 
 
 def _sum_blocks(step, size: int):
-    """The sum over range(size) of an integrand whose np.sum over block ``s``
-    is ``step(s)``: the bits of one np.sum over the full-size integrand, as
-    the blocks' sums are added in np.sum's pairwise order.  A step that
+    """The sum over range(size) of a nonnegative integrand whose np.sum over
+    block ``s`` of ``_run_blocks`` is ``step(s)``: the ``math.fsum`` of the
+    blocks' sums, correctly rounded over them, so it depends neither on how
+    they are grouped nor on the thread that summed each.  A lone block's sum
+    is returned as it is (the fsum of one value is that value).  A step that
     returns the np.sums of several integrands as one float64 array gets an
-    array of their sums, each with those bits.  0.0 for no points."""
-    parts = iter(_run_blocks(step, size))
-    block = _block(size)
-
-    def total(n):
-        if n <= block:
-            return next(parts)
-        half = _split(n)
-        return total(half) + total(n - half)
-
-    return total(size) if size else 0.0
+    array of their sums.  0.0 for no points."""
+    sums = _run_blocks(step, size)
+    if len(sums) == 1:
+        return sums[0]
+    if sums and np.ndim(sums[0]):
+        return np.array([_fsum(column) for column in zip(*sums)])
+    return _fsum(sums)
 
 
 def _index(value) -> int | None:
@@ -685,28 +648,28 @@ def shift(f: SampledFunction, offset) -> SampledFunction:
     phase factor slab by slab and transformed back in place; that buffer
     becomes the result's samples (``_GridField._own``), so besides the input it
     is the only full-size array.  The product is the inverse transform's fill
-    (``_centred_in_place``): on a staged 3-D grid each slab is modulated in
-    stage A just before its first FFTs, elsewhere the slabs are a pass of
-    their own (``_run_slabs``).  Each slab's phase, exponential and product
-    are the operations of one full-size pass, in numpy's operand order
-    (``_FACTOR_FIRST_BYTES``), so the result has the bits of the full-array
-    formula.
+    (``_centred_in_place``): on a staged grid each slab is modulated in stage
+    A just before its first FFTs, elsewhere the slabs are a pass of their own
+    (``_run_slabs``).  The factor is separable, one 1-D exponential per axis:
+    the factors of axes 1 and up are multiplied once into one array of a
+    slab's row shape, and each slab takes that and its rows' axis-0 factor,
+    so no complex exponential is taken per sample.
     """
     if not isinstance(f, SampledFunction):
         raise TypeError("shift expects a SampledFunction")
     offsets = _reals(offset, "offset", f.grid.dimension)
     dual = f.grid.dual()
     spectrum, _ = _centred(np.fft.fft, f.values, f.grid.cell_volume)
-    scaled = [eps * xi for eps, xi in zip(offsets, dual.coordinate_grids())]
-    factor_first = spectrum.nbytes >= _FACTOR_FIRST_BYTES
+    first, *others = (
+        np.exp(-2j * np.pi * (eps * xi)) for eps, xi in zip(offsets, dual.coordinate_grids())
+    )
+    rest = functools.reduce(np.multiply, others) if others else None
 
     def modulate(s):
-        factor = np.exp(-2j * np.pi * _slab_sum(scaled, s))
         block = spectrum[s]
-        if factor_first:
-            np.multiply(factor, block, out=block)
-        else:
-            np.multiply(block, factor, out=block)
+        if rest is not None:
+            block *= rest
+        block *= first[s]
 
     scale = dual.cell_volume * dual.size
     finite = _centred_in_place(np.fft.ifft, spectrum, scale, fill=modulate, check=True)

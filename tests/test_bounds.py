@@ -40,10 +40,9 @@ from phasestab.grid import (
     SampledFunction,
     Spectrum,
     _block,
-    _blocks,
     _centred,
     _run_blocks,
-    _split,
+    _slabs,
     _sum_blocks,
     fourier_transform,
     inverse_transform,
@@ -726,7 +725,7 @@ class TestConcurrentPairPass:
         assert _bits(pair.F) == _bits(F)
         assert _bits(pair.G) == _bits(G)
         assert _bits(pair.magF) == _bits(magF)
-        assert pair.modulus_l2 == math.sqrt(volume * np.sum((magF - np.abs(G)) ** 2))
+        assert pair.modulus_l2 == math.sqrt(volume * _blocked_sum((magF - np.abs(G)) ** 2))
         assert pair.volume == volume
 
     @pytest.mark.filterwarnings("error")
@@ -781,9 +780,20 @@ class TestConcurrentPairPass:
 
 
 # ---------------------------------------------------------------------------
-# the blocked pair pass: the elementwise stages in blocks of grid._BLOCK points,
-# split between two threads from the gate on
+# the blocked pair pass: the elementwise stages in blocks of grid._block(size)
+# points, split between two threads from the gate on, and every integral
+# the math.fsum of its blocks' np.sums
 # ---------------------------------------------------------------------------
+
+
+def _blocked_sum(x) -> float:
+    """A blocked integral by its rule, written out: the np.sums of the flat
+    ``x``'s consecutive chunks of ``_block(x.size)`` points, added by
+    math.fsum; a lone chunk's np.sum as it is."""
+    x = np.ravel(x)
+    step = _block(x.size)
+    sums = [np.sum(x[start : start + step]) for start in range(0, x.size, step)]
+    return float(sums[0]) if len(sums) == 1 else math.fsum(sums)
 
 BLOCKED_GRIDS = [
     pytest.param(GridSpec.uniform(1, 16.0, 1024), id="1d-one-block"),
@@ -808,17 +818,18 @@ def _complex_pair(grid):
 
 def _sequential_pass(f, g, p):
     """F, G, |F|, eps, lhs, | |F|-|G| |_2 and the dual cell volume, each stage
-    one full-size pass in the order of its formula."""
+    one full-size pass in the order of its formula, each integral summed by
+    the blocked rule (``_blocked_sum``)."""
     volume = f.grid.cell_volume
     absdiff = np.abs(f.values - g.values)
-    lhs = math.sqrt(volume * float(np.sum(absdiff * absdiff)))
-    eps = (volume * float(np.sum(absdiff**p))) ** (1.0 / p)
+    lhs = math.sqrt(volume * float(_blocked_sum(absdiff * absdiff)))
+    eps = (volume * float(_blocked_sum(absdiff**p))) ** (1.0 / p)
     F = _centred(np.fft.fft, f.values, volume)[0]
     G = _centred(np.fft.fft, g.values, volume)[0]
     magF = np.abs(F)
     dual = f.grid.dual().cell_volume
     modulus = magF - np.abs(G)
-    modulus_l2 = math.sqrt(dual * float(np.sum(modulus * modulus)))
+    modulus_l2 = math.sqrt(dual * float(_blocked_sum(modulus * modulus)))
     return F, G, magF, eps, lhs, modulus_l2, dual
 
 
@@ -826,10 +837,10 @@ def _sequential_theorem(f, g, p):
     F, G, magF, eps, lhs, modulus_l2, dual = _sequential_pass(f, g, p)
     field = np.zeros_like(magF)
     np.divide((np.conjugate(F) * G).imag, magF, out=field, where=magF > 1e-12 * magF.max())
-    translation = 2.0 * math.sqrt(dual * float(np.sum(field * field)))
+    translation = 2.0 * math.sqrt(dual * float(_blocked_sum(field * field)))
     sq = magF * magF
     sq[magF > 10.0 * eps] = 0.0
-    mass = float(dual * np.sum(sq))
+    mass = float(dual * _blocked_sum(sq))
     modulus = 2.0 * modulus_l2
     smoothness = math.sqrt(8.0 * mass) + (eps if p > 1.0 else 0.0)
     rhs = modulus + smoothness + translation
@@ -849,7 +860,7 @@ def _sequential_corollary1(f, g):
     L = float(dual * np.count_nonzero(magF > 1e-12 * magF.max()))
     modulus = 2.0 * modulus_l2
     bandlimit = 30.0 * math.sqrt(L) * eps
-    translation = 2.0 * math.sqrt(dual * float(np.sum(G.imag * G.imag)))
+    translation = 2.0 * math.sqrt(dual * float(_blocked_sum(G.imag * G.imag)))
     rhs = modulus + bandlimit + translation
     return Corollary1Report(eps, lhs, modulus, bandlimit, translation, L, rhs, rhs - lhs)
 
@@ -896,12 +907,12 @@ class TestBlockedPairPass:
         dual = Fs.grid.cell_volume
         field = np.zeros_like(magF)
         np.divide((np.conjugate(F) * G).imag, magF, out=field, where=magF > 1e-12 * magF.max())
-        translation = 2.0 * math.sqrt(dual * float(np.sum(field * field)))
+        translation = 2.0 * math.sqrt(dual * float(_blocked_sum(field * field)))
         assert translation_term(Fs, Gs).hex() == translation.hex()
         for eps in (1e-6, 1e-3, 0.05):
             sq = magF * magF
             sq[magF > 10.0 * eps] = 0.0
-            assert spectral_tail(Fs, eps).hex() == float(dual * np.sum(sq)).hex()
+            assert spectral_tail(Fs, eps).hex() == float(dual * _blocked_sum(sq)).hex()
 
     @pytest.mark.usefixtures("cleared_record")
     def test_stage_exception_on_the_worker_is_raised_in_the_caller(self, monkeypatch):
@@ -939,11 +950,10 @@ def _record_blocks(size):
     return _run_blocks(lambda s: (s.start, s.stop, threading.current_thread()), size)
 
 
-# np.sum's pairwise tree: up to 8, up to 128 and more points in one block;
-# one point either side of _BLOCK; leaves of exactly _WIDE_BLOCK points (the
-# gate); halves of different leaf counts (2^21 + 6) and halves cut by 4 or
-# more to reach a multiple of 8 (65552, 1000003)
-TREE_SIZES = [
+# one block up to _BLOCK points (np.sum's own tree inside it), one point
+# either side of _BLOCK, partial last blocks below and above the gate, and
+# blocks of exactly _WIDE_BLOCK points from the gate on
+SUM_SIZES = [
     0, 1, 7, 8, 9, 127, 128, 129, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 5,
     65552, _TWO_THREADS_MIN_POINTS, 1000003, 2**21 + 6,
 ]
@@ -957,55 +967,62 @@ class TestRunBlocks:
             pytest.param(0, id="empty"),
             pytest.param(_BLOCK - 1, id="one-partial-block"),
             pytest.param(3 * _BLOCK + 7, id="partial-last-block"),
-            pytest.param(65552, id="uneven-leaves-below-the-gate"),
+            pytest.param(65552, id="partial-block-of-16-below-the-gate"),
             pytest.param(_TWO_THREADS_MIN_POINTS - 1, id="one-below-the-gate"),
             pytest.param(_TWO_THREADS_MIN_POINTS, id="at-the-gate"),
             pytest.param(_TWO_THREADS_MIN_POINTS + 7, id="partial-last-block-above-the-gate"),
-            pytest.param(30 * 34 * 1002, id="uneven-leaves-above-the-gate"),
+            pytest.param(30 * 34 * 1002, id="partial-last-block-of-sixteen-above-the-gate"),
         ],
     )
     def test_blocks_in_order_and_their_threads(self, size):
         results = _record_blocks(size)
-        assert [(start, stop) for start, stop, _ in results] == [
-            (s.start, s.stop) for s in _blocks(size)
-        ]
-        # the blocks cover range(size) in order, each of 1 to _block(size)
-        # points: _BLOCK below the gate, _WIDE_BLOCK from it on
-        starts = [start for start, _, _ in results]
-        stops = [stop for _, stop, _ in results]
-        assert starts + [size] == [0] + stops
+        # consecutive blocks of _block(size) points, the last one partial:
+        # _BLOCK below the gate, _WIDE_BLOCK from it on
         block = _block(size)
-        assert all(0 < stop - start <= block for start, stop in zip(starts, stops))
+        assert [(start, stop) for start, stop, _ in results] == [
+            (start, min(start + block, size)) for start in range(0, size, block)
+        ]
+        assert _slabs((size,)) == tuple(slice(start, stop) for start, stop, _ in results)
         caller = threading.current_thread()
         threads = [thread for _, _, thread in results]
         if size < _TWO_THREADS_MIN_POINTS:
             assert all(thread is caller for thread in threads)
         else:
-            # the tree's left half on the caller, its right half, the last
-            # block included, on one worker
-            half = _split(size)
-            assert half in starts
-            assert all(thread is caller for thread in threads[: starts.index(half)])
-            assert len({id(thread) for thread in threads[starts.index(half) :]}) == 1
+            # the first half of the blocks on the caller, the second half,
+            # the last block included, on one worker
+            half = len(threads) // 2
+            assert all(thread is caller for thread in threads[:half])
+            assert len({id(thread) for thread in threads[half:]}) == 1
             assert threads[-1] is not caller
 
     def test_no_points_no_blocks(self):
-        assert _blocks(0) == ()
+        assert _slabs((0,)) == ()
         assert _run_blocks(lambda s: 1 / 0, 0) == []
         assert _sum_blocks(lambda s: 1 / 0, 0) == 0.0
 
-    @pytest.mark.parametrize("size", TREE_SIZES)
-    def test_tree_sum_of_block_sums_is_np_sum(self, rng, size):
+    @pytest.mark.parametrize("size", SUM_SIZES)
+    def test_block_sums_are_added_by_fsum(self, rng, size):
         # magnitudes e^-20 .. e^20 of both signs: every addition rounds
         x, y = (
             np.exp(rng.uniform(-20.0, 20.0, size)) * rng.choice([-1.0, 1.0], size) for _ in range(2)
         )
         got = np.float64(_sum_blocks(lambda s: x[s].sum(), size))
-        assert got.view(np.uint64) == np.sum(x).view(np.uint64)
-        # two integrands' block sums as one array, added elementwise
+        assert got.view(np.uint64) == np.float64(_blocked_sum(x)).view(np.uint64)
+        if size <= _BLOCK:
+            # one block: np.sum's own bits
+            assert got.view(np.uint64) == np.sum(x).view(np.uint64)
+        # two integrands' block sums as one array, each added by the same rule
         both = _sum_blocks(lambda s: np.array([x[s].sum(), y[s].sum()]), size)
         got = np.broadcast_to(np.asarray(both, dtype=float), (2,))
-        assert list(got.view(np.uint64)) == list(np.array([np.sum(x), np.sum(y)]).view(np.uint64))
+        want = np.array([_blocked_sum(x), _blocked_sum(y)])
+        assert list(got.view(np.uint64)) == list(want.view(np.uint64))
+
+    def test_a_total_past_the_double_range_is_inf(self):
+        # finite block sums whose total overflows: math.fsum raises there, and
+        # the sum must be inf for the report to refuse it by name
+        assert _sum_blocks(lambda s: 1e308, 2 * _BLOCK) == math.inf
+        both = _sum_blocks(lambda s: np.array([1e308, 1.0]), 2 * _BLOCK)
+        assert list(both) == [math.inf, 2.0]
 
     def test_worker_exception_is_raised_in_the_caller(self):
         def step(s):

@@ -7,7 +7,9 @@ set of pairs, all built in code here:
   ``iter_certification_pairs`` seeded with 3, all four read from one pass
   over each pair, as ``phasestab certify`` reads them;
 * ``evaluate_theorem`` at the same four p on a Gaussian pair and a shifted
-  pair in 2-D (256^2) and 3-D (32^3);
+  pair in 2-D (256^2 and 1024 x 512) and 3-D (32^3); 1024 x 512 is from the
+  two-thread gate on, so its pairs run a staged 2-D transform in
+  2^16-point steps with a worker's half of every pass;
 * the band-limited form on ``optimality_family`` at L = 4 and 16, read from
   a pass that has already yielded the bound's report, as
   ``optimality_experiment`` reads it;
@@ -61,7 +63,11 @@ def build_corpus() -> dict:
         reports = _theorems(_pair(f, g, P_VALUES, "evaluate_theorem"))
         for p, report in zip(P_VALUES, reports):
             entries[f"certify/{index}/{family}/p={p!r}"] = report.to_dict()
-    grids = {"2d": GridSpec.uniform(2, 8.0, 256), "3d": GridSpec.uniform(3, 4.0, 32)}
+    grids = {
+        "2d": GridSpec.uniform(2, 8.0, 256),
+        "3d": GridSpec.uniform(3, 4.0, 32),
+        "1024x512": GridSpec(2, (8.0, 8.0), (1024, 512)),
+    }
     for name, grid in grids.items():
         for kind, (f, g) in _gaussian_pairs(grid, 0.05).items():
             for p in P_VALUES:

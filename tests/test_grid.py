@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import functools
 import math
 import pickle
 import re
@@ -23,7 +24,6 @@ from phasestab.grid import (
     _TWO_THREADS_MIN_POINTS,
     _WIDE_BLOCK,
     _block,
-    _blocks,
     _centred,
     _flip_signs,
     _in_stages,
@@ -583,30 +583,40 @@ def _full_centred(transform, values, scale):
     return a
 
 
+def _separable(factors):
+    """The first of the broadcastable per-axis ``factors`` and the product of
+    the others (None in 1-D), formed as shift and gaussian form them."""
+    first, *others = factors
+    return first, functools.reduce(np.multiply, others) if others else None
+
+
 def _full_shift(f, offsets):
-    """shift as one full-size formula: one exponential per point, and numpy's
-    own operand order for the product (its temporary elision swaps it from
-    256 KiB on)."""
+    """shift as one full-size formula: the spectrum times the product of the
+    other axes' phase factors, then times axis 0's, in that operand order."""
     dual = f.grid.dual()
     spectrum = _full_centred(np.fft.fft, f.values, f.grid.cell_volume)
-    phase = np.zeros((), dtype=float)
-    for eps, xi in zip(offsets, dual.coordinate_grids()):
-        phase = phase + eps * xi
-    shifted = spectrum * np.exp(-2j * np.pi * phase)
-    return _full_centred(np.fft.ifft, shifted, dual.cell_volume * dual.size)
+    first, rest = _separable(
+        [np.exp(-2j * np.pi * (eps * xi)) for eps, xi in zip(offsets, dual.coordinate_grids())]
+    )
+    if rest is not None:
+        np.multiply(spectrum, rest, out=spectrum)
+    np.multiply(spectrum, first, out=spectrum)
+    return _full_centred(np.fft.ifft, spectrum, dual.cell_volume * dual.size)
 
 
 def _full_gaussian(grid, centers, widths, amplitude):
-    """experiments.gaussian as one full-size formula."""
-    expo = np.zeros(grid.shape, dtype=float)
-    for c, w, x in zip(centers, widths, grid.coordinate_grids()):
-        expo = expo + ((x - c) / w) ** 2
-    return np.array(amplitude * np.exp(-np.pi * expo), dtype=np.complex128)
+    """experiments.gaussian as one full-size formula: the amplitude times the
+    product of one 1-D Gaussian factor per axis."""
+    first, rest = _separable(
+        [np.exp(-np.pi * ((x - c) / w) ** 2) for c, w, x in zip(centers, widths, grid.coordinate_grids())]
+    )
+    product = first if rest is None else first * rest
+    return np.array(amplitude * product, dtype=np.complex128)
 
 
-# either side of numpy's 256 KiB elision threshold (16384 complex points), at
-# the gate (1024x512), above it with rows of more than _BLOCK points
-# (30x34x1002), the verify_3d grid, and the staged 3-D transform's shapes
+# 1-D in one slab, up to exactly _BLOCK points, at the gate (1024x512),
+# above it with rows of more than _BLOCK points (30x34x1002), the verify_3d
+# grid, and the staged 3-D transform's shapes
 PARITY_SHAPES = [
     (1024,), (16382,), (16384,), (6, 10), (256, 256), (1024, 512), (30, 34, 1002),
     (128, 128, 128),
@@ -669,15 +679,15 @@ def test_slabs_cover_axis_0_in_order(shape):
 
 def test_steps_are_wider_from_the_gate_on():
     # below the gate every step has at most _BLOCK points, from it on
-    # _WIDE_BLOCK: the leaves of np.sum's tree, the slabs and stage B's runs
+    # _WIDE_BLOCK: the blocks of a sum, the slabs and stage B's runs
     assert (_BLOCK, _WIDE_BLOCK) == (2**14, 2**16)
     below = _TWO_THREADS_MIN_POINTS - 8
     assert _block(below) == 2**14 and _block(_TWO_THREADS_MIN_POINTS) == 2**16
-    assert max(s.stop - s.start for s in _blocks(below)) == 2**14
-    assert [s.stop - s.start for s in _blocks(_TWO_THREADS_MIN_POINTS)] == [2**16] * 8
+    assert max(s.stop - s.start for s in _slabs((below,))) == 2**14
+    assert [s.stop - s.start for s in _slabs((_TWO_THREADS_MIN_POINTS,))] == [2**16] * 8
     assert len(_slabs((64, 64, 64))) == 16 and len(_slabs((1024, 256))) == 16
     shape = (128, 128, 128)
-    assert [s.stop - s.start for s in _blocks(math.prod(shape))] == [2**16] * 32
+    assert [s.stop - s.start for s in _slabs((math.prod(shape),))] == [2**16] * 32
     assert [(s.start, s.stop) for s in _slabs(shape)] == [(i, i + 4) for i in range(0, 128, 4)]
     # 32 slabs of 4 rows transformed along axes 2 and 1, then 32 runs of 4
     # planes along axis 0; at 1024x512, 8 slabs of 128 rows along axis 1,
@@ -913,16 +923,19 @@ class TestOwnedBuffers:
 
 
 def test_gaussian_refuses_a_non_finite_slab(monkeypatch):
-    # a fault in the last slab alone: the finite flag must hold for every slab
+    # a NaN coordinate in the last row makes the last slab alone non-finite:
+    # the finite flag must hold for every slab
     grid = GridSpec.uniform(2, 8.0, 256)
-    last = _slabs(grid.shape)[-1]
-    slab_sum = experiments._slab_sum
+    coordinate_grids = GridSpec.coordinate_grids
 
-    def faulty(terms, s):
-        total = slab_sum(terms, s)
-        return total * np.nan if s == last else total
+    def faulty(self):
+        x, *rest = coordinate_grids(self)
+        x = x.copy()
+        x[-1] = np.nan
+        return [x, *rest]
 
-    monkeypatch.setattr(experiments, "_slab_sum", faulty)
+    monkeypatch.setattr(GridSpec, "coordinate_grids", faulty)
+    assert len(_slabs(grid.shape)) > 1
     with pytest.raises(ValueError, match="non-finite sample"):
         gaussian(grid)
 

@@ -560,6 +560,24 @@ class TestCmdVerify:
         assert fragment in err
         assert not out.exists()
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_block_sums_past_the_double_range_are_numerical_error(self, tmp_path, capsys):
+        # |f - g|^2 = 3.6e303 at each of 256^2 points: each block's sum is
+        # finite, their total is not.  math.fsum raises OverflowError there;
+        # the sum must come out as inf, so that the report names the field
+        grid = GridSpec.uniform(2, 8.0, 256)
+        f = SampledFunction(grid, np.full(grid.shape, 3e151))
+        with pytest.raises(ArithmeticError, match="non-finite lhs, slack, squared_form_slack"):
+            evaluate_theorem(f, -f, 1.5)
+        f_path, g_path, out = tmp_path / "f.json", tmp_path / "g.json", tmp_path / "report.json"
+        save_field(f_path, f)
+        save_field(g_path, -f)
+        code = main(["verify", "--f", str(f_path), "--g", str(g_path), "--p", "1.5", "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("numerical error: ") and "non-finite" in err
+        assert not out.exists()
+
 
 # ---------------------------------------------------------------------------
 # CLI: corollary1, lemma1, experiment

@@ -1,11 +1,11 @@
 """Run the tier-1 suite against one-token mutants of the library.
 
 Each mutant edits one constant, operator, loop bound or literal in one file:
-the bound in ``src/phasestab/bounds.py``, the block runner, its pairwise
-blocks and tree sum, the slabs, the centred transform and its stages,
-``shift``'s product and the dual's link in
-``src/phasestab/grid.py``, ``gaussian``'s finite flag in
-``src/phasestab/experiments.py``, the blocked half-disk gap in
+the bound in ``src/phasestab/bounds.py``, the block runner, the fsum of its
+block sums and that sum's overflow guard, the slabs, the centred transform
+and its stages, ``shift``'s separable factor and the dual's link in
+``src/phasestab/grid.py``, ``gaussian``'s finite flag and separable factor
+in ``src/phasestab/experiments.py``, the blocked half-disk gap in
 ``src/phasestab/geometry.py``, or the text that ``save_field`` joins in
 ``src/phasestab/io.py``.  It is applied
 to a fresh copy of ``src/``, ``tests/`` and ``pyproject.toml`` in a
@@ -119,7 +119,7 @@ GRID_MUTANTS = [
     ("block runner's worker repeats the caller's half", "_run_parts",
      "map(step, parts[middle:])", "map(step, parts[:middle])"),
     # the same parts on each thread wherever their count is even; killed by
-    # the odd leaf counts of the runner's tests
+    # the odd part counts of the runner's tests
     ("block runner's middle rounds up", "_run_parts",
      "middle = len(parts) // 2", "middle = (len(parts) + 1) // 2"),
     # killed at exactly _TWO_THREADS_MIN_POINTS, where the worker must start
@@ -134,15 +134,16 @@ GRID_MUTANTS = [
     # killed at exactly _TWO_THREADS_MIN_POINTS, where the steps widen
     ("step size's gate written with >", "_block",
      "size >= _TWO_THREADS_MIN_POINTS", "size > _TWO_THREADS_MIN_POINTS"),
-    # the blocks and the tree sum still agree, but no longer with np.sum
-    ("pairwise split cut to a multiple of 4", "_split",
-     "half - half % 8", "half - half % 4"),
-    ("blocks split a part of exactly the step size", "_blocks",
-     "if n <= block:", "if n < block:"),
-    ("tree sum splits a part of exactly the step size", "_sum_blocks",
-     "if n <= block:", "if n < block:"),
-    ("tree sum takes the right half's parts first", "_sum_blocks",
-     "total(half) + total(n - half)", "total(n - half) + total(half)"),
+    # block sums added one after another: killed by the sums of many blocks
+    # that pin the rule's bits
+    ("math.fsum written as sum", "_fsum",
+     "return math.fsum(sums)", "return sum(sums)"),
+    # fsum's OverflowError then escapes in place of the report's refusal
+    ("a total past the double range raises", "_fsum",
+     "return math.inf", "raise"),
+    # every sum is then its first block's
+    ("every sum takes the lone-block shortcut", "_sum_blocks",
+     "if len(sums) == 1:", "if len(sums) >= 1:"),
     # np.fft.fftn's order; on n-D grids the other order rounds differently
     ("centred transform runs its axes first axis first", "_centred_in_place",
      "reversed(range(a.ndim))", "range(a.ndim)"),
@@ -150,13 +151,9 @@ GRID_MUTANTS = [
     # tests of shift and gaussian
     ("slab step off by one", "_slabs",
      "range(0, shape[0], rows)", "range(0, shape[0], rows + 1)"),
-    # complex128 a * b is not bitwise b * a; numpy's elision puts the factor
-    # first from 256 KiB on
-    ("shift's product takes the spectrum first above 256 KiB", "shift",
-     "np.multiply(factor, block, out=block)", "np.multiply(block, factor, out=block)"),
-    # killed at 16384 points, exactly 256 KiB
-    ("shift's 256 KiB test written with >", "shift",
-     "spectrum.nbytes >= _FACTOR_FIRST_BYTES", "spectrum.nbytes > _FACTOR_FIRST_BYTES"),
+    # a 3-D shift then moves along axes 0 and 1 only
+    ("shift's separable factor drops the last axis", "shift",
+     "functools.reduce(np.multiply, others)", "functools.reduce(np.multiply, others[:1])"),
     # negates the input and the output: only the sign of an exact zero moves
     ("sign flips select the other parity", "_corners",
      "sum(corner) % 2 == parity", "sum(corner) % 2 != parity"),
@@ -183,10 +180,14 @@ GRID_MUTANTS = [
     ("only 3-D grids run in stages", "_in_stages",
      "len(shape) > 1", "len(shape) == 3"),
 ]
-# gaussian's finite flag must hold for every slab, not for one
+# gaussian's finite flag must hold for every slab, not for one, and its
+# separable factor must take every axis
 EXPERIMENTS_MUTANTS = [
     ("gaussian accepts a field with one finite slab", "gaussian",
      "all(_run_slabs(fill, grid.shape))", "any(_run_slabs(fill, grid.shape))"),
+    # a 3-D gaussian is then constant along axis 2
+    ("gaussian's separable factor drops the last axis", "gaussian",
+     "functools.reduce(np.multiply, others)", "functools.reduce(np.multiply, others[:1])"),
 ]
 GEOMETRY_MUTANTS = [
     # 2**14 is grid._BLOCK, the step below the gate
