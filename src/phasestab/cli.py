@@ -41,6 +41,7 @@ echoed into the "config" object of every report.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -314,10 +315,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built on the first call of main, about 0.8 ms; parse_args leaves it as it was
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits with 2 on usage errors; remap onto the input-error code
         return EXIT_USAGE if exc.code else EXIT_OK

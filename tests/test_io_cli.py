@@ -1,6 +1,7 @@
 import base64
 import dataclasses
 import io
+import itertools
 import json
 import math
 import os
@@ -16,7 +17,7 @@ from phasestab.bounds import evaluate_corollary1, evaluate_theorem
 from phasestab.cli import main
 from phasestab.experiments import gaussian, triangle_spectrum
 from phasestab.grid import GridSpec, SampledFunction, Spectrum, inverse_transform, shift
-from phasestab.io import load_field, save_field, write_text_atomic
+from phasestab.io import _b64decode, _split, load_field, save_field, write_text_atomic
 
 GRID = GridSpec.uniform(1, 16.0, 1024)
 ENCODING = "f64le-base64"
@@ -40,6 +41,13 @@ def _as_list_form(payload: dict) -> dict:
     """The same field in the list form: no encoding key, lists of JSON numbers."""
     lists = {k: _samples(payload[k]).tolist() for k in ("values_re", "values_im")}
     return {k: v for k, v in payload.items() if k != "encoding"} | lists
+
+
+def _saved_text(payload: dict) -> str:
+    """The text save_field writes for the grid of ``payload``, all samples 0."""
+    header = {k: payload[k] for k in ("dimension", "half_extent", "points_per_axis", "domain")}
+    zeros = _b64([0.0] * payload["points_per_axis"][0])
+    return json.dumps({**header, "encoding": ENCODING, "values_re": zeros, "values_im": zeros})
 
 
 def _assert_fixture_values(loaded):
@@ -188,6 +196,8 @@ class TestFieldFiles:
             "values_im",
         ]
         assert load_field(path).values.tobytes() == values.tobytes()
+        # the reader's own path: cut at the separators, the same object
+        assert _split(text) == json.loads(text)
 
     @pytest.mark.parametrize(
         "layout",
@@ -198,6 +208,25 @@ class TestFieldFiles:
                 lambda payload: "\n " + json.dumps(payload, separators=(" ,\t", " :\r\n ")) + " \n\n",
                 id="extra-whitespace",
             ),
+            # near save_field's own layout: each goes through json.loads whole
+            pytest.param(
+                lambda payload: json.dumps(payload).replace(
+                    '"values_re": "A', '"values_re": "\\u0041', 1
+                ),
+                id="escape-in-a-sample",
+            ),
+            pytest.param(lambda payload: json.dumps(payload) + "\n", id="trailing-newline"),
+            # json.loads keeps the last value of a key, in the place of its first
+            pytest.param(
+                lambda payload: json.dumps(payload).replace(
+                    '"dimension": 1', '"dimension": 3, "dimension": 1', 1
+                ),
+                id="duplicate-key",
+            ),
+            pytest.param(
+                lambda payload: json.dumps(payload).replace('"dimension": 1', '"dimension":  1', 1),
+                id="whitespace-in-the-header",
+            ),
         ],
     )
     def test_reader_does_not_depend_on_the_layout(self, layout, tmp_path):
@@ -205,6 +234,7 @@ class TestFieldFiles:
         path = tmp_path / "f.json"
         path.write_text(layout(payload))
         assert path.read_bytes() != BASE64_FIXTURE.read_bytes()
+        assert _split(path.read_text()) is None
         _assert_fixture_values(load_field(path))
 
     def test_list_form_copy_loads_identically(self, tmp_path, grid_2d, rng):
@@ -401,6 +431,13 @@ class TestFieldFiles:
                 lambda p: {**p, "values_re": _b64([0.0] * 4), "values_im": _b64([0.0] * 4)},
                 "JSON numbers", id="strings-without-encoding",
             ),
+            # near save_field's own layout, written as text: json.loads names
+            # what is wrong, as it does for any other layout
+            pytest.param(
+                lambda p: _saved_text(p).replace('"values_im": "AA', '"values_im": "A\x01', 1),
+                "malformed JSON", id="control-character-in-a-sample",
+            ),
+            pytest.param(lambda p: _saved_text(p)[:-9], "malformed JSON", id="truncated"),
         ],
     )
     def test_invalid_payload_is_input_error(self, change, fragment, tmp_path, capsys):
@@ -413,7 +450,8 @@ class TestFieldFiles:
             "values_im": [0.0] * 4,
         }
         bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps(change(payload)))
+        changed = change(payload)
+        bad.write_text(changed if isinstance(changed, str) else json.dumps(changed))
         with pytest.raises(ValueError, match=fragment):
             load_field(bad)
         assert main(["verify", "--f", str(bad), "--g", str(bad), "--p", "1.0"]) == 1
@@ -424,6 +462,92 @@ class TestFieldFiles:
         bad.write_text("{not json")
         with pytest.raises(ValueError, match="malformed JSON"):
             load_field(bad)
+
+
+def _decoded(decode, text):
+    """The bytes ``decode`` makes of ``text``, or the type and text of its error."""
+    try:
+        return bytes(decode(text))
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def _assert_decodes_as_b64decode(text):
+    """Assert that _b64decode accepts, refuses and returns what b64decode
+    does; its outcome."""
+    expected = _decoded(lambda t: base64.b64decode(t, validate=True), text)
+    assert _decoded(lambda t: _b64decode(t).tobytes(), text) == expected
+    return expected
+
+
+BASE64_ALPHABET = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+
+
+class TestBase64Decoder:
+    """io._b64decode accepts, refuses and returns what b64decode(validate=True) does."""
+
+    @pytest.mark.parametrize("size", range(65))
+    def test_every_short_length(self, size, rng):
+        raw = rng.bytes(size)
+        text = base64.b64encode(raw).decode("ascii")
+        assert _b64decode(text).tobytes() == raw
+        _assert_decodes_as_b64decode(text)
+
+    @pytest.mark.parametrize(
+        "size",
+        [
+            pytest.param(8 * 256**2, id="256^2-part"),
+            # from the two-thread gate on (2^19 quads but the last), the
+            # second half of the blocks is decoded on a worker
+            pytest.param(3 * 2**19 + 5, id="past-the-gate"),
+        ],
+    )
+    def test_blocked_parts(self, size, rng):
+        raw = rng.bytes(size)
+        text = base64.b64encode(raw).decode("ascii")
+        assert _b64decode(text).tobytes() == raw
+        # a character outside the alphabet in the first block, the last
+        # block before the last quad, or the last quad
+        for position in (0, len(text) - 5, len(text) - 3):
+            _assert_decodes_as_b64decode(text[:position] + "*" + text[position + 1 :])
+
+    def test_every_byte_outside_the_alphabet(self, rng):
+        text = base64.b64encode(rng.bytes(3000)).decode("ascii")
+        outside = [b for b in range(256) if b not in BASE64_ALPHABET]
+        assert len(outside) == 192
+        for byte in outside:
+            position = int(rng.integers(0, len(text) - 4))
+            bad = text[:position] + chr(byte) + text[position + 1 :]
+            assert not isinstance(_assert_decodes_as_b64decode(bad), bytes)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            pytest.param("QUJD=QUJ", id="pad-in-the-body"),
+            pytest.param("QQ==QUJD", id="padded-quad-in-the-body"),
+            pytest.param("QUJDQQ", id="missing-padding"),
+            pytest.param("QUJDQQ=", id="short-padding"),
+            pytest.param("QUJDQQ===", id="extra-padding"),
+            pytest.param("QUJD====", id="padding-quad"),
+            pytest.param("QUJDQUJ=====", id="extra-padding-quad"),
+            pytest.param("QUJDQ", id="length-one-past-a-quad"),
+            pytest.param("QUJDQUJDQUJDQ", id="length-not-divisible-by-4"),
+            pytest.param("QUJDQR==", id="trailing-bits-set"),
+            pytest.param("QUJD\nQUJD", id="line-break"),
+            pytest.param("QUJDQUJ\u00e9", id="non-ascii"),
+            pytest.param("\u20acUJDQUJD", id="non-ascii-first"),
+            pytest.param("QUJD QUJD", id="space"),
+            pytest.param("", id="empty"),
+        ],
+    )
+    def test_invalid_and_edge_forms(self, text):
+        _assert_decodes_as_b64decode(text)
+
+    def test_every_short_text_over_a_small_alphabet(self):
+        # "Q" has low bits set, "/" is the last sextet, "=" is padding or worse
+        for size in range(9):
+            for chars in itertools.product("Q/=", repeat=size):
+                _assert_decodes_as_b64decode("".join(chars))
 
 
 # ---------------------------------------------------------------------------

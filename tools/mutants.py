@@ -6,7 +6,8 @@ block sums and that sum's overflow guard, the slabs, the centred transform
 and its stages, ``shift``'s separable factor and the dual's link in
 ``src/phasestab/grid.py``, ``gaussian``'s finite flag and separable factor
 in ``src/phasestab/experiments.py``, the blocked half-disk gap in
-``src/phasestab/geometry.py``, or the text that ``save_field`` joins in
+``src/phasestab/geometry.py``, or the text that ``save_field`` joins, the
+reader's split of that text and its base64 decoder in
 ``src/phasestab/io.py``.  It is applied
 to a fresh copy of ``src/``, ``tests/`` and ``pyproject.toml`` in a
 temporary directory, never to the working tree, and tier-1 runs in that
@@ -197,13 +198,29 @@ GEOMETRY_MUTANTS = [
     ("lemma1_gap drops the worker half's admissibility", "lemma1_gap",
      "if not all(checked):", "if not all(checked[: len(checked) // 2]):"),
 ]
-# the files still load the same; only the pinned bytes can tell
 IO_MUTANTS = [
-    ("save_field drops the space after the separator", "save_field",
-     """', "values_re": "'""", """',"values_re": "'"""),
+    # the files still load the same (the reader shares the separator, and a
+    # reordered file goes through json.loads); only the pinned bytes can tell
+    ("save_field drops the space after the separator", None,
+     """_RE_AFTER_HEADER = ', "values_re": "'""", """_RE_AFTER_HEADER = ',"values_re": "'"""),
     ("save_field writes values_im before values_re", "save_field",
-     """', "values_re": "', re, '", "values_im": "', im,""",
+     "_RE_AFTER_HEADER, re, _IM_AFTER_RE, im,",
      """', "values_im": "', im, '", "values_re": "', re,"""),
+    # the decoder's packing of a quad: its second sextet lands one bit high
+    ("decoder shifts the second sextet by 5", "_decode_quads",
+     "(quad & 0x3F00) << 4", "(quad & 0x3F00) << 5"),
+    # a character outside the alphabet then decodes from its table byte 0xFF
+    ("decoder takes characters outside the alphabet", "_decode_quads",
+     'if b"\\xff" in sextets:', "if False:"),
+    # an escape in a sample string then reaches the decoder as a backslash
+    ("reader splits samples that hold a quote or backslash", "_split",
+     """if '"' in re or "\\\\" in re or '"' in im or "\\\\" in im:""", "if False:"),
+    # a header with a duplicate key or extra whitespace then takes the split
+    ("reader takes any header with the five keys", "_split",
+     " or json.dumps(header) != head", ""),
+    # a raw control character in a sample is then named as bad base64
+    ("a refusal of the split is not read again through json.loads", "load_field",
+     "if split is None:", "if True:"),
 ]
 # (name, the file, scope, old, new)
 MUTANTS = (
