@@ -293,7 +293,7 @@ def _pair(f, g, ps: tuple[float, ...], caller: str) -> _Pair:
     _require_same_grid(f, g)
     space_volume, size = f.grid.cell_volume, f.grid.size
     F, G = _run_parts(
-        lambda v: _centred(np.fft.fft, v, space_volume)[0].reshape(-1), (f.values, g.values), size
+        lambda v: _centred(np.fft.fft, v, space_volume).reshape(-1), (f.values, g.values), size
     )
     lhs, *epsilons = _distances(f, g, (2.0, *ps))
     # sqrt(min) is 2^-511 exactly, so this is lhs**2 < min without the ** that
@@ -452,11 +452,11 @@ def _reports(theorem: _Pair) -> list[BoundReport]:
     return [report(*row) for row in zip(theorem.ps, theorem.epsilons, masses)]
 
 
-def _theorems(pair: _Pair, zero_tol: float | None = None) -> list[BoundReport]:
-    """The BoundReport of ``pair`` at each p of ``pair.ps``, in order.  The
-    translation term, the modulus term and the sub-level masses at every eps
-    are formed once for all of them."""
-    return _reports(_theorem(pair, zero_tol))
+def _theorems(pair: _Pair) -> list[BoundReport]:
+    """The BoundReport of ``pair`` at each p of ``pair.ps``, at the default
+    ``zero_tol``, in order.  The translation term, the modulus term and the
+    sub-level masses at every eps are formed once for all of them."""
+    return _reports(_theorem(pair))
 
 
 # evaluate_theorem's record of its last pass: (weak references to its f and g,

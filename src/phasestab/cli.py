@@ -264,6 +264,9 @@ def _csv_floats(text: str) -> tuple[float, ...]:
     return values
 
 
+# built once, on the first call (about 0.8 ms), and shared by every caller:
+# main's parse_args leaves it as it was
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="phasestab",
@@ -315,15 +318,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# built on the first call of main, about 0.8 ms; parse_args leaves it as it was
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    return build_parser()
-
-
 def main(argv=None) -> int:
     try:
-        args = _parser().parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits with 2 on usage errors; remap onto the input-error code
         return EXIT_USAGE if exc.code else EXIT_OK

@@ -25,8 +25,11 @@ masquerade as slope error.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import itertools
+import math
+import numbers
 from dataclasses import asdict, dataclass
 from typing import Sequence
 
@@ -43,7 +46,7 @@ from .bounds import (
 )
 from .bounds import _corollary, _pair, _theorems
 from .grid import GridSpec, SampledFunction, Spectrum, fourier_transform, inverse_transform
-from .grid import _all_finite, _index, _lp_norm, _real, _reals, _run_slabs, shift
+from .grid import _index, _lp_norm, _real, _reals, _run_slabs, shift
 
 __all__ = [
     "ScalingResult",
@@ -192,14 +195,21 @@ def gaussian(
     The samples are formed slab by slab (``grid._run_slabs``) from one 1-D
     factor exp(-pi ((x_i - c_i)/w_i)^2) per axis: the factors of axes 1 and
     up are multiplied once into one array of a slab's row shape, and each
-    slab takes that times its rows' axis-0 factor.  Each slab is checked for
-    finiteness while it is in cache, and the field keeps the buffer
-    (``_GridField._own``).
+    slab takes that times its rows' axis-0 factor, and the field keeps the
+    buffer (``_GridField._own``).  ``amplitude`` is a finite real or complex
+    number, not a bool; every factor lies in [0, 1], so the samples are
+    finite.
     """
     centers = _reals(center, "center", grid.dimension)
     widths = _reals(width, "width", grid.dimension)
     if min(widths) <= 0:
         raise ValueError("width must be positive")
+    try:
+        finite = isinstance(amplitude, numbers.Complex) and cmath.isfinite(amplitude)
+    except OverflowError:  # an int too large for a double
+        finite = False
+    if isinstance(amplitude, bool) or not finite:
+        raise ValueError(f"amplitude must be a finite real or complex number, got {amplitude!r}")
     first, *others = (
         np.exp(-np.pi * ((x - c) / w) ** 2)
         for c, w, x in zip(centers, widths, grid.coordinate_grids())
@@ -208,11 +218,10 @@ def gaussian(
     values = np.empty(grid.shape, dtype=np.complex128)
 
     def fill(s):
-        block = values[s]
-        np.multiply(amplitude, first[s] if rest is None else first[s] * rest, out=block)
-        return _all_finite(block)
+        np.multiply(amplitude, first[s] if rest is None else first[s] * rest, out=values[s])
 
-    return SampledFunction._own(grid, values, all(_run_slabs(fill, grid.shape)))
+    _run_slabs(fill, grid.shape)
+    return SampledFunction._own(grid, values)
 
 
 def smooth_bump(t):
@@ -290,11 +299,17 @@ def _quintic_smoothstep(t):
     return t * t * t * (t * (6.0 * t - 15.0) + 10.0)
 
 
-def _check_amplitude(delta: float) -> None:
-    if delta < 0.0:
+def _check_amplitude(delta) -> float:
+    """``delta`` as a float: a finite real (not a bool or a string) that is
+    not negative, else ValueError."""
+    value = _real(delta)
+    if value is None or not math.isfinite(value):
+        raise ValueError(f"triangle amplitude delta must be a finite real, got {delta!r}")
+    if value < 0.0:
         raise ValueError(
-            f"triangle amplitude delta={delta!r} is negative: it flips no sample, so g = f"
+            f"triangle amplitude delta={value!r} is negative: it flips no sample, so g = f"
         )
+    return value
 
 
 def edge_sign_flip(xi: np.ndarray, fhat: np.ndarray, delta: float) -> np.ndarray:
@@ -305,9 +320,9 @@ def edge_sign_flip(xi: np.ndarray, fhat: np.ndarray, delta: float) -> np.ndarray
     The smooth transition keeps f - g integrable-looking on the truncated grid
     (a hard flip edge would add a slowly decaying 1/x tail whose L^1 mass grows
     logarithmically and pollutes the fitted exponent).  delta = 0 flips
-    nothing; a negative delta raises ValueError.
+    nothing; a negative or non-finite delta raises ValueError.
     """
-    _check_amplitude(delta)
+    delta = _check_amplitude(delta)
     u = 1.0 - np.abs(xi)  # height of the triangle at xi, negative outside
     inner = 0.5 * delta
     with np.errstate(divide="ignore", invalid="ignore"):  # delta = 0 never selects the ramp

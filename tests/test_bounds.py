@@ -486,6 +486,42 @@ def test_underflow_boundary_is_shared(pair, evaluate, grid_1d):
 
 
 # ---------------------------------------------------------------------------
+# the p = 1 floor is attained: g = -f and g = -3f
+# ---------------------------------------------------------------------------
+
+# g = -lam f: | |F| - |G| | = |1 - lam| |F|, conj(F) G = -lam |F|^2 is real,
+# and |F| <= |f|_1 <= 10 eps puts the whole grid in the sub-level set.  So at
+# p = 1 lhs = (1 + lam) |F|_2 and rhs = (2 |1 - lam| + sqrt(8)) |F|_2, and the
+# squared form's slack is 2 (1 - lam)^2 + 8 - (1 + lam)^2 = (lam - 3)^2 times
+# |F|_2^2: rhs / lhs = sqrt(2) at lam = 1, a slack of 0 at lam = 3.  Each
+# report is a few rounded norms; on these fields the error was within 1.5
+# units of 2^-52 of sqrt(2), and within 1.8 of lhs^2
+ATTAINED_ULPS = 4
+
+
+def _attaining_field(grid, kind):
+    real = gaussian(grid, center=0.3, width=1.1)
+    if kind == "real":
+        return real
+    return real + gaussian(grid, center=-0.4, width=0.8, amplitude=0.7j)
+
+
+@pytest.mark.parametrize("kind", ["real", "complex"])
+@pytest.mark.parametrize(
+    "grid",
+    [GridSpec.uniform(1, 16.0, 1024), GridSpec.uniform(2, 8.0, 64), GridSpec.uniform(3, 4.0, 32)],
+    ids=["1d", "2d", "3d"],
+)
+def test_minus_f_and_minus_three_f_attain_the_p1_floor(grid, kind):
+    f = _attaining_field(grid, kind)
+    ulp = 2.0**-52
+    flip = evaluate_theorem(f, -f, 1.0)
+    assert abs(flip.rhs / flip.lhs - math.sqrt(2.0)) <= ATTAINED_ULPS * ulp * math.sqrt(2.0)
+    tripled = evaluate_theorem(f, -3.0 * f, 1.0)
+    assert abs(tripled.squared_form_slack) <= ATTAINED_ULPS * ulp * tripled.lhs**2
+
+
+# ---------------------------------------------------------------------------
 # support, exceptional set, tail
 # ---------------------------------------------------------------------------
 
@@ -718,8 +754,8 @@ class TestConcurrentPairPass:
         assert len(threads) == 2
         off_main = [t for t in threads if t is not threading.main_thread()]
         assert len(off_main) == int(concurrent)
-        F = _centred(np.fft.fft, f.values, grid.cell_volume)[0]
-        G = _centred(np.fft.fft, g.values, grid.cell_volume)[0]
+        F = _centred(np.fft.fft, f.values, grid.cell_volume)
+        G = _centred(np.fft.fft, g.values, grid.cell_volume)
         magF = np.abs(F)
         volume = grid.dual().cell_volume
         assert _bits(pair.F) == _bits(F)
@@ -824,8 +860,8 @@ def _sequential_pass(f, g, p):
     absdiff = np.abs(f.values - g.values)
     lhs = math.sqrt(volume * float(_blocked_sum(absdiff * absdiff)))
     eps = (volume * float(_blocked_sum(absdiff**p))) ** (1.0 / p)
-    F = _centred(np.fft.fft, f.values, volume)[0]
-    G = _centred(np.fft.fft, g.values, volume)[0]
+    F = _centred(np.fft.fft, f.values, volume)
+    G = _centred(np.fft.fft, g.values, volume)
     magF = np.abs(F)
     dual = f.grid.dual().cell_volume
     modulus = magF - np.abs(G)
@@ -1254,7 +1290,8 @@ def _record_pair(pair):
 
 def _fresh(f, g, p, zero_tol=None):
     """The report of a pass over (f, g) at p alone, which the record never sees."""
-    return bounds._theorems(bounds._pair(f, g, (p,), "evaluate_theorem"), zero_tol)[0]
+    pair = bounds._pair(f, g, (p,), "evaluate_theorem")
+    return bounds._reports(bounds._theorem(pair, zero_tol))[0]
 
 
 def _uint64(report):

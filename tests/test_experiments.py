@@ -371,6 +371,37 @@ def test_gaussian_refuses_non_real_center_and_width(name, value):
         gaussian(_GRID_2D, **{name: value})
 
 
+@pytest.mark.parametrize(
+    "amplitude",
+    [math.inf, math.nan, complex(0.0, math.inf), True, "1.0", 10**400],
+    ids=["inf", "nan", "complex-inf", "bool", "str", "huge-int"],
+)
+def test_gaussian_refuses_a_non_finite_or_non_numeric_amplitude(amplitude):
+    # numpy would warn on inf, take True as 1 and fail on the string with its own error
+    with pytest.raises(ValueError, match=f"amplitude .*got {re.escape(repr(amplitude))}"):
+        gaussian(_GRID_2D, amplitude=amplitude)
+
+
+def test_gaussian_takes_real_and_complex_amplitudes_of_any_number_type():
+    one = gaussian(_GRID_2D).values
+    for amplitude in (1, np.int64(1), np.float64(1.0), 1 + 0j, np.complex64(1.0)):
+        assert np.array_equal(gaussian(_GRID_2D, amplitude=amplitude).values, one)
+    assert np.array_equal(gaussian(_GRID_2D, amplitude=2j).values, 2j * one)
+
+
+@pytest.mark.parametrize(
+    "delta",
+    [math.nan, math.inf, True, "0.1", 0.1j],
+    ids=["nan", "inf", "bool", "str", "complex"],
+)
+def test_edge_sign_flip_refuses_a_non_finite_or_non_real_delta(delta):
+    # a NaN delta gave a NaN spectrum, True flipped as 1 and a string raised a bare TypeError
+    freq = TRIANGLE_GRID.dual()
+    fhat = triangle_spectrum(freq)
+    with pytest.raises(ValueError, match=f"delta must be a finite real, got {re.escape(repr(delta))}"):
+        edge_sign_flip(freq.axis_coordinate(0), fhat.values, delta)
+
+
 def test_gaussian_takes_ints_numpy_reals_and_one_value_per_axis(rng):
     def values(center, width):
         return gaussian(_GRID_2D, center=center, width=width).values

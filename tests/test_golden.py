@@ -15,6 +15,12 @@ set of pairs, all built in code here:
   ``optimality_experiment`` reads it;
 * the ``ScalingResult`` fields of ``phasestab experiment --name all``.
 
+The bound's p = 1 reports of the corpus's pairs, and of ``certify``'s
+default 200 pairs, must also keep the floor lhs <= rhs / sqrt(2) that the
+bound's own constants give (README, "The p = 1 floor"): a check of the
+formulas against mathematics rather than against stored bits, which keeps
+its force when the corpus is regenerated.
+
 Under the numpy version that wrote the corpus every float must match exactly
 (compared as ``repr``); under another numpy, whose FFT may round differently,
 each float must lie within 4 ulps.  A change that moves a report on purpose
@@ -29,13 +35,15 @@ same report read alone, which ``test_shared_pass_matches_one_p_passes`` pins.
 
 import contextlib
 import io
+import itertools
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from phasestab.bounds import _corollary, _pair, _theorems, evaluate_theorem
+from phasestab.bounds import _REGIME, _corollary, _default_tol, _pair, _theorems, evaluate_theorem
 from phasestab.cli import main
 from phasestab.experiments import (
     OPTIMALITY_GRID,
@@ -48,6 +56,17 @@ from phasestab.grid import GridSpec, shift
 CORPUS = Path(__file__).parent / "data" / "golden_reports.json"
 P_VALUES = (1.0, 1.25, 1.5, 1.75)
 ULPS = 4
+GRIDS = {
+    "2d": GridSpec.uniform(2, 8.0, 256),
+    "3d": GridSpec.uniform(3, 4.0, 32),
+    "1024x512": GridSpec(2, (8.0, 8.0), (1024, 512)),
+}
+# the headline's relative slack at p = 1 is at least 1 - 1/sqrt(2), equal for
+# g = -f.  rhs is a sum of three rounded norms, each the root of an fsum of
+# rounded integrands; 16 units of 2^-52 rhs cover that rounding with room for
+# another FFT (the smallest margin on certify's 200 pairs was -2.2e-16 rhs)
+FLOOR = 1.0 - 1.0 / math.sqrt(2.0)
+FLOOR_RTOL = 16 * 2.0**-52
 
 
 def _gaussian_pairs(grid, offset):
@@ -56,22 +75,30 @@ def _gaussian_pairs(grid, offset):
     return {"gaussian": (f, g), "shift": (f, shift(f, offset))}
 
 
+def _certify_pairs(count: int, seed: int):
+    """(label, f, g) of the first ``count`` certification pairs of ``seed``."""
+    pairs = iter_certification_pairs(count, np.random.default_rng(seed))
+    for index, (family, f, g) in enumerate(pairs):
+        yield f"certify/{index}/{family}", f, g
+
+
+def _grid_pairs():
+    """(label, f, g) of the corpus's 2-D and 3-D pairs."""
+    for name, grid in GRIDS.items():
+        for kind, (f, g) in _gaussian_pairs(grid, 0.05).items():
+            yield f"{name}/{kind}", f, g
+
+
 def build_corpus() -> dict:
     """label -> report fields, for every report of the corpus."""
     entries = {}
-    for index, (family, f, g) in enumerate(iter_certification_pairs(50, np.random.default_rng(3))):
+    for label, f, g in _certify_pairs(50, 3):
         reports = _theorems(_pair(f, g, P_VALUES, "evaluate_theorem"))
         for p, report in zip(P_VALUES, reports):
-            entries[f"certify/{index}/{family}/p={p!r}"] = report.to_dict()
-    grids = {
-        "2d": GridSpec.uniform(2, 8.0, 256),
-        "3d": GridSpec.uniform(3, 4.0, 32),
-        "1024x512": GridSpec(2, (8.0, 8.0), (1024, 512)),
-    }
-    for name, grid in grids.items():
-        for kind, (f, g) in _gaussian_pairs(grid, 0.05).items():
-            for p in P_VALUES:
-                entries[f"{name}/{kind}/p={p!r}"] = evaluate_theorem(f, g, p).to_dict()
+            entries[f"{label}/p={p!r}"] = report.to_dict()
+    for label, f, g in _grid_pairs():
+        for p in P_VALUES:
+            entries[f"{label}/p={p!r}"] = evaluate_theorem(f, g, p).to_dict()
     for L in (4.0, 16.0):
         pair = _pair(*optimality_family(OPTIMALITY_GRID, L), (1.0,), "evaluate_theorem")
         _theorems(pair)  # the bound's report first, as optimality_experiment reads them
@@ -131,13 +158,8 @@ def _shared_pass_pairs():
     for family, f, g in pairs:
         yield pytest.param(f, g, id=family)
     # several blocks, and from 1024 x 512 on a worker's half of them
-    for name, grid in [
-        ("2d", GridSpec.uniform(2, 8.0, 256)),
-        ("3d", GridSpec.uniform(3, 4.0, 32)),
-        ("1024x512", GridSpec(2, (8.0, 8.0), (1024, 512))),
-    ]:
-        for kind, (f, g) in _gaussian_pairs(grid, 0.05).items():
-            yield pytest.param(f, g, id=f"{name}-{kind}")
+    for label, f, g in _grid_pairs():
+        yield pytest.param(f, g, id=label.replace("/", "-"))
 
 
 def _bits(report) -> list[int]:
@@ -152,6 +174,27 @@ def test_shared_pass_matches_one_p_passes(f, g):
     reports = _theorems(_pair(f, g, ps, "evaluate_theorem"))
     assert [r.p for r in reports] == list(ps)
     assert [_bits(r) for r in reports] == [_bits(evaluate_theorem(f, g, p)) for p in ps]
+
+
+@pytest.mark.parametrize(
+    "pairs",
+    [
+        pytest.param(lambda: itertools.chain(_certify_pairs(50, 3), _grid_pairs()), id="corpus"),
+        pytest.param(lambda: _certify_pairs(200, 0), id="certify-seed-0"),
+    ],
+)
+def test_p1_reports_keep_the_floor(pairs):
+    # the floor needs zero_tol <= 10 eps (README); no pair here is outside it
+    short, outside = [], []
+    for label, f, g in pairs():
+        pair = _pair(f, g, (1.0,), "evaluate_theorem")
+        report = _theorems(pair)[0]
+        if _default_tol(pair.magF, None, "zero_tol") > _REGIME * report.epsilon:
+            outside.append(label)
+        elif report.slack < (FLOOR - FLOOR_RTOL) * report.rhs:
+            short.append((label, report.slack / report.rhs - FLOOR))
+    assert outside == []
+    assert short == []
 
 
 if __name__ == "__main__":

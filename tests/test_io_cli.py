@@ -945,8 +945,8 @@ class TestCmdCertify:
         assert err == message + "\n"
 
     def test_failure_names_its_pair(self, monkeypatch, capsys):
-        def violated(pair, zero_tol=None):
-            return [dataclasses.replace(r, slack=-1.0) for r in bounds._theorems(pair, zero_tol)]
+        def violated(pair):
+            return [dataclasses.replace(r, slack=-1.0) for r in bounds._theorems(pair)]
 
         monkeypatch.setattr(cli, "_theorems", violated)
         code = main(["certify", "--count", "2", "--seed", "7", "--p", "1.5"])
@@ -1052,8 +1052,8 @@ class TestClosedStdout:
         assert capsys.readouterr().err == ""
 
     def test_certify_failed(self, closed_main, tmp_path, monkeypatch, capsys):
-        def violated(pair, zero_tol=None):
-            return [dataclasses.replace(r, slack=-1.0) for r in bounds._theorems(pair, zero_tol)]
+        def violated(pair):
+            return [dataclasses.replace(r, slack=-1.0) for r in bounds._theorems(pair)]
 
         monkeypatch.setattr(cli, "_theorems", violated)
         out = tmp_path / "summary.json"

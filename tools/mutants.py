@@ -3,9 +3,9 @@
 Each mutant edits one constant, operator, loop bound or literal in one file:
 the bound in ``src/phasestab/bounds.py``, the block runner, the fsum of its
 block sums and that sum's overflow guard, the slabs, the centred transform
-and its stages, ``shift``'s separable factor and the dual's link in
-``src/phasestab/grid.py``, ``gaussian``'s finite flag and separable factor
-in ``src/phasestab/experiments.py``, the blocked half-disk gap in
+and its stages, ``shift``'s separable factor, the dual's link and the
+fields' finiteness check in ``src/phasestab/grid.py``, ``gaussian``'s
+separable factor in ``src/phasestab/experiments.py``, the blocked half-disk gap in
 ``src/phasestab/geometry.py``, or the text that ``save_field`` joins, the
 reader's split of that text and its base64 decoder in
 ``src/phasestab/io.py``.  It is applied
@@ -168,9 +168,6 @@ GRID_MUTANTS = [
     # are never transformed along axis 0
     ("stage B's runs are the slabs of the unswapped shape", "_staged",
      "(a.shape[1], a.shape[0], *a.shape[2:])", "a.shape"),
-    # an overflowed transform is then kept as a field
-    ("stage B finds every run finite", "_staged",
-     "return not check or _all_finite(scratch)", "return True"),
     # killed by the slabs that start at odd rows (one- and three-row slabs)
     ("stage A flips the input signs of every slab as of row 0", "_staged",
      "_flip_signs(slab, (1 + s.start) % 2)", "_flip_signs(slab, 1)"),
@@ -180,12 +177,13 @@ GRID_MUTANTS = [
     # a lone 2-D transform from the gate on then runs on one thread
     ("only 3-D grids run in stages", "_in_stages",
      "len(shape) > 1", "len(shape) == 3"),
+    # the one judge of a field's finiteness: an overflowed transform or sum,
+    # or a NaN sample, is then kept as a field
+    ("fields keep non-finite samples", "_take",
+     "if not _all_finite(vals):", "if False:"),
 ]
-# gaussian's finite flag must hold for every slab, not for one, and its
-# separable factor must take every axis
+# gaussian's separable factor must take every axis
 EXPERIMENTS_MUTANTS = [
-    ("gaussian accepts a field with one finite slab", "gaussian",
-     "all(_run_slabs(fill, grid.shape))", "any(_run_slabs(fill, grid.shape))"),
     # a 3-D gaussian is then constant along axis 2
     ("gaussian's separable factor drops the last axis", "gaussian",
      "functools.reduce(np.multiply, others)", "functools.reduce(np.multiply, others[:1])"),
