@@ -619,5 +619,8 @@ def evaluate_corollary1(
 
     Requires the spectrum of f to be real valued (relative imaginary part at
     most 1e-8); rejects otherwise, naming the violated hypothesis.
+    ``support_tol`` is checked before the pass, as ``evaluate_theorem``
+    checks ``zero_tol``.
     """
-    return _corollary(_pair(f, g, (1.0,), "evaluate_corollary1"), support_tol)
+    tol = _check_tol(support_tol, "support_tol")
+    return _corollary(_pair(f, g, (1.0,), "evaluate_corollary1"), tol)

@@ -23,7 +23,7 @@ decimal formatting, so reports are byte-stable across runs):
   PREFIX.<result-name>.csv with header "parameter,observable".  ``--name all``
   runs the fixed list optimality, triangle, translation and tail at (k, n) =
   (2, 1), (4, 1), (3, 2) with default sweeps and grids, and takes none of the
-  sweep, grid, k or n options.
+  sweep, grid, k or n options; only ``--name tail`` takes k and n.
 * ``certify [--count INT] [--seed INT] [--p CSV-list] [--out PATH]`` -
   certifies the bound and its squared form on ``count`` random pairs from the
   built-in families (``iter_certification_pairs`` seeded with ``seed``) at
@@ -228,14 +228,18 @@ def cmd_experiment(args) -> int:
         if args.name == "tail":
             args.k = 2 if args.k is None else args.k
             args.n = 1 if args.n is None else args.n
+        else:
+            given = [flag for flag in ("--k", "--n") if options[flag] is not None]
+            if given:
+                raise ValueError(f"--name {args.name} takes no {', '.join(given)}; only tail does")
         sweep = args.sweep
         results = _run_experiment(args.name, sweep, _experiment_grid(args), args.k, args.n)
         config = {
             "sweep": list(sweep) if sweep is not None else list(DEFAULT_SWEEPS[args.name]),
             "grid_n": args.grid_n,
             "grid_extent": args.grid_extent,
-            "k": args.k if args.name == "tail" else None,
-            "n": args.n if args.name == "tail" else None,
+            "k": args.k,
+            "n": args.n,
             "version": __version__,
         }
     payload = {"name": args.name, "results": [r.to_dict() for r in results], "config": config}

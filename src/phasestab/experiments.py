@@ -210,10 +210,13 @@ def gaussian(
         finite = False
     if isinstance(amplitude, bool) or not finite:
         raise ValueError(f"amplitude must be a finite real or complex number, got {amplitude!r}")
-    first, *others = (
-        np.exp(-np.pi * ((x - c) / w) ** 2)
-        for c, w, x in zip(centers, widths, grid.coordinate_grids())
-    )
+    # a tiny width overflows ((x - c) / w)^2 away from the centre, where the
+    # factor's true value is 0, which exp(-inf) gives
+    with np.errstate(over="ignore"):
+        first, *others = (
+            np.exp(-np.pi * ((x - c) / w) ** 2)
+            for c, w, x in zip(centers, widths, grid.coordinate_grids())
+        )
     rest = functools.reduce(np.multiply, others) if others else None
     values = np.empty(grid.shape, dtype=np.complex128)
 

@@ -22,14 +22,16 @@ which equals fftshift(fftn(ifftshift(x))) bit for bit when every axis is a
 power of two, and to within rounding (a few 1e-16 relative) otherwise.  The
 fftn is the 1-D transform applied in place once per axis, last axis first:
 the calls numpy's own fftn makes, without its per-call argument handling.
-A 2-D or 3-D transform from the two-thread gate on, the pair pass's
-included, runs in two cache-sized stages (``_staged``): each slab of axis-0
-rows is filled, sign-flipped and transformed along every other axis, then
-each run of axis-1 indices is gathered, transformed along axis 0, scaled,
-flipped and scattered back.  A 1-D transform, and any below the gate, makes
-one pass per axis on the calling thread.  Either way every line gets the
-same FFT call and every sample the same scaling and negation, so the bits
-are the same.
+Every transform runs through one routine, ``_centred_in_place``, whose
+caller's fill writes the input into the buffer: a copy of the samples, or
+``shift``'s phase product.  A 1-D transform, and any below the two-thread
+gate, is filled by one call and makes one whole-array pass per step on the
+calling thread.  A 2-D or 3-D transform from the gate on, the pair pass's
+included, runs in two cache-sized stages: each slab of axis-0 rows is
+filled, sign-flipped and transformed along every other axis, then each run
+of axis-1 indices is gathered, transformed along axis 0, scaled, flipped
+and scattered back.  Either way every line gets the same FFT call and every
+sample the same scaling and negation, so the bits are the same.
 
 The library's elementwise passes over large arrays (the pair pass, the
 spectrum helpers and lemma1_gap) run through one block runner,
@@ -38,13 +40,14 @@ partial, each with the operations of one full-size pass.  A block returns
 the np.sum of its part of an integrand, and ``_sum_blocks``, the one
 function that adds them, takes their ``math.fsum``: an integral is correctly
 rounded over its block sums, whatever their grouping and whichever thread
-summed each, and one of at most ``_BLOCK`` points is one np.sum.  ``shift``
-and experiments.gaussian build their fields in slabs of axis-0 rows
-(``_run_slabs``; the blocks are the slabs of a 1-D array), each from one
-1-D factor per axis.  ``_block`` is the one owner of the step size of
-blocks, slabs and stage B's runs of planes: ``_BLOCK`` below the two-thread
-gate and four times that, ``_WIDE_BLOCK``, from it on, so two threads make
-fewer numpy calls, each of which gives up the GIL and takes it back.  The
+summed each, and one of at most ``_BLOCK`` points is one np.sum.
+experiments.gaussian builds its field in slabs of axis-0 rows
+(``_run_slabs``; the blocks are the slabs of a 1-D array), and ``shift``
+modulates its spectrum as the inverse transform's fill, each from one 1-D
+factor per axis.  ``_block`` is the one owner of the step size of blocks,
+slabs and stage B's runs of planes: ``_BLOCK`` below the two-thread gate
+and four times that, ``_WIDE_BLOCK``, from it on, so two threads make fewer
+numpy calls, each of which gives up the GIL and takes it back.  The
 two builders, the transforms, io.load_field and the field arithmetic hand
 the fresh buffer they wrote to the field they return without a copy
 (``_GridField._own``), which scans it for finiteness once, as the public
@@ -430,24 +433,28 @@ def _flip_signs(a: np.ndarray, parity: int) -> None:
         np.subtract(0.0, view, out=view)
 
 
-def _output_parity(shape: tuple[int, ...]) -> int:
-    """The index-sum parity of the samples that the centred transform's
-    output flip negates: (-1)^(1 + sum N/2) of the module docstring."""
-    return (1 + sum(n // 2 for n in shape)) % 2
-
-
 def _in_stages(shape: tuple[int, ...]) -> bool:
     """Whether a centred transform of ``shape`` runs in two stages
-    (``_staged``): 2-D or 3-D, from the two-thread gate on.  Below the gate
-    a lone staged transform was 12-20 % slower than the whole-array passes
-    at 256^2 and 32^3, and about 3 % faster at 512^2."""
+    (``_centred_in_place``): 2-D or 3-D, from the two-thread gate on.  Below
+    the gate a lone staged transform was 12-20 % slower than the whole-array
+    passes at 256^2 and 32^3, and about 3 % faster at 512^2."""
     return len(shape) > 1 and math.prod(shape) >= _TWO_THREADS_MIN_POINTS
 
 
-def _staged(transform, a: np.ndarray, scale: float, fill) -> None:
-    """The centred transform of a 2-D or 3-D ``a`` in place, in two
-    cache-sized stages.
+def _centred_in_place(transform, a: np.ndarray, scale: float, fill) -> None:
+    """``scale`` times the 1-D ``transform`` (np.fft.fft or np.fft.ifft) over
+    every axis of the zero-centred complex128 samples that ``fill(s)`` writes
+    into ``a``, written over ``a``; ``s`` is ``slice(None)`` or a slab of
+    ``_slabs``, an index of axis 0.
 
+    The centring is the sign modulation of the module docstring, applied
+    through strided views, and each axis's FFT writes into the same buffer,
+    last axis first as in np.fft.fftn, which gives fftn's bits.  A 1-D
+    array, or any below the gate, is filled by one call and then makes one
+    whole-array pass per step on this thread: the input flip, one FFT per
+    axis, the scaling and the output flip.
+
+    A 2-D or 3-D array from the gate on runs in two cache-sized stages.
     Stage A, for each slab ``s`` of ``_slabs``: ``fill(s)`` writes the slab,
     its input signs are flipped and the FFT runs along every axis but 0,
     last axis first, while it is in cache.  Stage B, for each run ``s`` of
@@ -457,12 +464,21 @@ def _staged(transform, a: np.ndarray, scale: float, fill) -> None:
     starting at an odd index flips the local parity) and scattered back.
     Every line gets the FFT call of the whole-array path, in fftn's axis
     order, and every sample the same scaling and negation, so the bits are
-    the same.  Each stage is one
-    ``_run_slabs`` call, so a lone transform gives the second half of its
-    parts to a worker and the pair pass's F and G, each already a part, run
-    them in order.
+    the same.  Each stage is one ``_run_slabs`` call, so a lone transform
+    gives the second half of its parts to a worker and the pair pass's F and
+    G, each already a part, run them in order.
     """
-    parity = _output_parity(a.shape)
+    # the index-sum parity of the samples that the output flip negates:
+    # (-1)^(1 + sum N/2) of the module docstring
+    parity = (1 + sum(n // 2 for n in a.shape)) % 2
+    if not _in_stages(a.shape):
+        fill(slice(None))
+        _flip_signs(a, 1)
+        for axis in reversed(range(a.ndim)):
+            transform(a, axis=axis, out=a)
+        a *= scale
+        _flip_signs(a, parity)
+        return
 
     def rows(s):
         fill(s)
@@ -483,39 +499,11 @@ def _staged(transform, a: np.ndarray, scale: float, fill) -> None:
     _run_slabs(planes, (a.shape[1], a.shape[0], *a.shape[2:]))
 
 
-def _centred_in_place(transform, a: np.ndarray, scale: float, fill=None) -> None:
-    """``scale`` times the 1-D ``transform`` (np.fft.fft or np.fft.ifft) over
-    every axis of the zero-centred complex128 samples ``a``, written over
-    ``a``.  ``fill(s)``, when given, first writes slab ``s`` of ``a``
-    (``_slabs``); every caller on a staged grid gives one.
-
-    The centring is the sign modulation of the module docstring, applied
-    through strided views, and each axis's FFT writes into the same buffer,
-    last axis first as in np.fft.fftn, which gives fftn's bits.  A 2-D or
-    3-D array from the gate on runs in two stages (``_staged``), which fill
-    it on the way; any other runs the fill as a slab pass, then one pass per
-    axis on this thread.
-    """
-    if _in_stages(a.shape):
-        return _staged(transform, a, scale, fill)
-    if fill is not None:
-        _run_slabs(fill, a.shape)
-    _flip_signs(a, 1)
-    for axis in reversed(range(a.ndim)):
-        transform(a, axis=axis, out=a)
-    a *= scale
-    _flip_signs(a, _output_parity(a.shape))
-
-
 def _centred(transform, values: np.ndarray, scale: float) -> np.ndarray:
-    """``_centred_in_place`` on a fresh complex128 copy of ``values``, which
-    is read once and never written: the copy.  The staged path copies slab
-    by slab as its stage A's fill; below it one ``np.array`` copy was about
-    1.6 us (8 %) faster than a slab pass at 1024 points."""
-    if not _in_stages(values.shape):
-        a = np.array(values, dtype=np.complex128)
-        _centred_in_place(transform, a, scale)
-        return a
+    """``_centred_in_place`` on a fresh complex128 array whose fill copies
+    ``values``, which is read once and never written: the copy.  Below the
+    gate the fill is one whole-array copy, on a staged grid one slab at a
+    time in stage A."""
     a = np.empty(values.shape, dtype=np.complex128)
 
     def copy(s):
@@ -634,20 +622,28 @@ def shift(f: SampledFunction, offset) -> SampledFunction:
     modulus as the spectrum of ``f`` pointwise.
 
     The spectrum is formed in one full-size buffer, multiplied in place by the
-    phase factor slab by slab and transformed back in place; that buffer
-    becomes the result's samples (``_GridField._own``), so besides the input it
-    is the only full-size array.  The product is the inverse transform's fill
+    phase factor and transformed back in place; that buffer becomes the
+    result's samples (``_GridField._own``), so besides the input it is the
+    only full-size array.  The product is the inverse transform's fill
     (``_centred_in_place``): on a staged grid each slab is modulated in stage
-    A just before its first FFTs, elsewhere the slabs are a pass of their own
-    (``_run_slabs``).  The factor is separable, one 1-D exponential per axis:
-    the factors of axes 1 and up are multiplied once into one array of a
-    slab's row shape, and each slab takes that and its rows' axis-0 factor,
-    so no complex exponential is taken per sample.
+    A just before its first FFTs, elsewhere the whole spectrum in one call.
+    The factor is separable, one 1-D exponential per axis: the factors of
+    axes 1 and up are multiplied once into one array of a row's shape, and
+    the spectrum takes that and its rows' axis-0 factor, so no complex
+    exponential is taken per sample.  An offset whose phase 2 pi offset_i xi
+    is not finite somewhere on the dual grid raises ValueError.
     """
     if not isinstance(f, SampledFunction):
         raise TypeError("shift expects a SampledFunction")
     offsets = _reals(offset, "offset", f.grid.dimension)
     dual = f.grid.dual()
+    # |xi| is largest at each axis's negative end, (0 - N/2) dxi; the product
+    # in the order np.exp's argument forms it
+    for eps, n, dxi in zip(offsets, dual.points_per_axis, dual.spacing):
+        if not math.isfinite(2.0 * math.pi * (eps * (-(n // 2) * dxi))):
+            raise ValueError(
+                f"offset {offset!r} is too large: its phase 2 pi offset.xi overflows on the dual grid"
+            )
     spectrum = _centred(np.fft.fft, f.values, f.grid.cell_volume)
     first, *others = (
         np.exp(-2j * np.pi * (eps * xi)) for eps, xi in zip(offsets, dual.coordinate_grids())

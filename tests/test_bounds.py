@@ -543,6 +543,22 @@ def test_tolerance_must_be_finite_and_nonnegative(call, tol, grid_1d):
 
 
 @pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda f, tol: evaluate_theorem(f, f, 1.0, tol), id="theorem"),
+        pytest.param(lambda f, tol: evaluate_corollary1(f, f, tol), id="corollary1"),
+    ],
+)
+def test_tolerance_is_checked_before_the_pass(call, grid_1d, monkeypatch, cleared_record):
+    def no_pass(*args):
+        raise AssertionError("the pair pass ran before the tolerance was checked")
+
+    monkeypatch.setattr(bounds, "_pair", no_pass)
+    with pytest.raises(ValueError, match="nonnegative finite real, got -1.0"):
+        call(gaussian(grid_1d), -1.0)
+
+
+@pytest.mark.parametrize(
     "call, name",
     [
         (lambda F: translation_term(F, F), "zero_tol"),

@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -380,6 +381,21 @@ def test_gaussian_refuses_a_non_finite_or_non_numeric_amplitude(amplitude):
     # numpy would warn on inf, take True as 1 and fail on the string with its own error
     with pytest.raises(ValueError, match=f"amplitude .*got {re.escape(repr(amplitude))}"):
         gaussian(_GRID_2D, amplitude=amplitude)
+
+
+@pytest.mark.parametrize(
+    "grid", [GridSpec.uniform(1, 16.0, 64), GridSpec.uniform(2, 16.0, 64)], ids=["1d", "2d"]
+)
+def test_gaussian_of_a_tiny_width_is_its_amplitude_at_the_centre(grid):
+    # ((x - c) / w)^2 overflows away from the centre, where the factor is 0;
+    # numpy warned there, which the suite turns into an error
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        values = gaussian(grid, width=1e-200, amplitude=2.5).values
+    assert caught == []
+    expected = np.zeros(grid.shape, dtype=complex)
+    expected[tuple(n // 2 for n in grid.shape)] = 2.5
+    assert np.array_equal(values, expected)
 
 
 def test_gaussian_takes_real_and_complex_amplitudes_of_any_number_type():

@@ -15,8 +15,9 @@ set of pairs, all built in code here:
   ``optimality_experiment`` reads it;
 * the ``ScalingResult`` fields of ``phasestab experiment --name all``.
 
-The bound's p = 1 reports of the corpus's pairs, and of ``certify``'s
-default 200 pairs, must also keep the floor lhs <= rhs / sqrt(2) that the
+The bound's p = 1 reports of the corpus's pairs, of ``certify``'s default
+200 pairs and of the pairs that the optimality, triangle and translation
+experiments certify, must also keep the floor lhs <= rhs / sqrt(2) that the
 bound's own constants give (README, "The p = 1 floor"): a check of the
 formulas against mathematics rather than against stored bits, which keeps
 its force when the corpus is regenerated.
@@ -46,12 +47,17 @@ import pytest
 from phasestab.bounds import _REGIME, _corollary, _default_tol, _pair, _theorems, evaluate_theorem
 from phasestab.cli import main
 from phasestab.experiments import (
+    DEFAULT_GRID,
+    DEFAULT_SWEEPS,
     OPTIMALITY_GRID,
+    TRIANGLE_GRID,
+    edge_sign_flip,
     gaussian,
     iter_certification_pairs,
     optimality_family,
+    triangle_spectrum,
 )
-from phasestab.grid import GridSpec, shift
+from phasestab.grid import GridSpec, Spectrum, inverse_transform, shift
 
 CORPUS = Path(__file__).parent / "data" / "golden_reports.json"
 P_VALUES = (1.0, 1.25, 1.5, 1.75)
@@ -87,6 +93,23 @@ def _grid_pairs():
     for name, grid in GRIDS.items():
         for kind, (f, g) in _gaussian_pairs(grid, 0.05).items():
             yield f"{name}/{kind}", f, g
+
+
+def _experiment_pairs():
+    """(label, f, g) of the pairs that the experiments certify at p = 1 with
+    their default sweeps and grids: optimality, triangle and translation."""
+    for L in DEFAULT_SWEEPS["optimality"]:
+        yield f"optimality/L={L!r}", *optimality_family(OPTIMALITY_GRID, L)
+    freq = TRIANGLE_GRID.dual()
+    fhat = triangle_spectrum(freq)
+    f = inverse_transform(fhat)
+    xi = freq.axis_coordinate(0)
+    for delta in DEFAULT_SWEEPS["triangle"]:
+        g = inverse_transform(Spectrum(freq, edge_sign_flip(xi, fhat.values, delta)))
+        yield f"triangle/delta={delta!r}", f, g
+    f = gaussian(DEFAULT_GRID)
+    for eps in DEFAULT_SWEEPS["translation"]:
+        yield f"translation/eps={eps!r}", f, shift(f, eps)
 
 
 def build_corpus() -> dict:
@@ -181,6 +204,7 @@ def test_shared_pass_matches_one_p_passes(f, g):
     [
         pytest.param(lambda: itertools.chain(_certify_pairs(50, 3), _grid_pairs()), id="corpus"),
         pytest.param(lambda: _certify_pairs(200, 0), id="certify-seed-0"),
+        pytest.param(_experiment_pairs, id="experiments"),
     ],
 )
 def test_p1_reports_keep_the_floor(pairs):

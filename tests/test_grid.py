@@ -4,8 +4,10 @@ import functools
 import math
 import pickle
 import re
+import sys
 import threading
 import tracemalloc
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -553,6 +555,38 @@ class TestShift:
         # numpy would parse the string and take True as 1.0, also inside a list
         with pytest.raises(ValueError, match=f"offset .*got {re.escape(repr(offset))}"):
             shift(gaussian(_SMALL_2D), offset)
+
+    @pytest.mark.parametrize(
+        "grid, offset",
+        [
+            (GridSpec.uniform(1, 16.0, 64), 1e308),
+            (GridSpec.uniform(1, 16.0, 64), -1e308),
+            (_SMALL_2D, (0.25, 1e308)),
+        ],
+        ids=["1d", "1d-negative", "2d-last-axis"],
+    )
+    def test_offset_whose_phase_overflows_refused(self, grid, offset):
+        # 2 pi offset xi past the double range: numpy warned, and the field's
+        # scan then blamed the samples
+        f = gaussian(grid)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ValueError, match=f"offset {re.escape(repr(offset))} is too large"):
+                shift(f, offset)
+        assert caught == []
+
+    def test_largest_offset_whose_phase_is_finite_accepted(self):
+        grid = GridSpec.uniform(1, 16.0, 64)
+        dual = grid.dual()
+        # |xi| at the dual axis's negative end, where the phase is largest
+        edge = abs(float(dual.axis_coordinate(0)[0]))
+        offset = sys.float_info.max / (2.0 * math.pi * edge) * (1.0 - 2.0**-40)
+        assert math.isfinite(2.0 * math.pi * (offset * edge))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            g = shift(gaussian(grid), offset)
+        assert caught == []
+        assert np.isfinite(g.values).all()
 
     def test_real_offsets_accepted(self, rng):
         f = gaussian(_SMALL_2D)

@@ -895,6 +895,19 @@ class TestCmdExperiment:
         assert main(["experiment", "--name", "all", *option]) == 1
         assert "fixed list" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name", ["optimality", "triangle", "translation"])
+    @pytest.mark.parametrize(
+        "option, flags",
+        [(["--k", "3"], "--k"), (["--n", "2"], "--n"), (["--k", "3", "--n", "2"], "--k, --n")],
+        ids=["k", "n", "k-and-n"],
+    )
+    def test_only_tail_takes_k_and_n(self, name, option, flags, capsys):
+        sweep = ["--sweep", "0.001,0.002,0.004,0.008"]
+        assert main(["experiment", "--name", name, *sweep, *option]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --name {name} takes no {flags}; only tail does\n"
+
 
 class TestCmdCertify:
     def test_summary(self, tmp_path, capsys):

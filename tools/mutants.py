@@ -115,7 +115,7 @@ BOUNDS_MUTANTS = [
 # every elementwise stage of the evaluators, the spectrum helpers and
 # lemma1_gap runs through the block runner, shift and gaussian through the
 # slabs, and every transform through the centred transform, a 2-D or 3-D one
-# from the gate on through its two stages
+# from the gate on in its two stages
 GRID_MUTANTS = [
     ("block runner's worker repeats the caller's half", "_run_parts",
      "map(step, parts[middle:])", "map(step, parts[:middle])"),
@@ -162,17 +162,17 @@ GRID_MUTANTS = [
     ("dual drops its link back to its grid", "_dual",
      'dual.__dict__["_dual"] = self', "pass"),
     # every run starting at an odd plane keeps the wrong output signs
-    ("stage B flips the output signs of every run as of plane 0", "_staged",
+    ("stage B flips the output signs of every run as of plane 0", "_centred_in_place",
      "_flip_signs(scratch, (parity + s.start) % 2)", "_flip_signs(scratch, parity)"),
     # runs sized and counted along axis 0: where N0 < N1 the last planes
     # are never transformed along axis 0
-    ("stage B's runs are the slabs of the unswapped shape", "_staged",
+    ("stage B's runs are the slabs of the unswapped shape", "_centred_in_place",
      "(a.shape[1], a.shape[0], *a.shape[2:])", "a.shape"),
     # killed by the slabs that start at odd rows (one- and three-row slabs)
-    ("stage A flips the input signs of every slab as of row 0", "_staged",
+    ("stage A flips the input signs of every slab as of row 0", "_centred_in_place",
      "_flip_signs(slab, (1 + s.start) % 2)", "_flip_signs(slab, 1)"),
     # fftn's order; killed by the 3-D parity tests
-    ("stage A runs its axes first axis first", "_staged",
+    ("stage A runs its axes first axis first", "_centred_in_place",
      "reversed(range(1, a.ndim))", "range(1, a.ndim)"),
     # a lone 2-D transform from the gate on then runs on one thread
     ("only 3-D grids run in stages", "_in_stages",
