@@ -34,9 +34,10 @@ it is one np.sum.
 Only eps = |f - g|_p and the sub-level mass at 10 eps depend on p, so
 :func:`evaluate_theorem` keeps the rest of the last pair it evaluated in one
 record, ``_record``: one read-only float array of the grid's size, |F|, and
-a few floats, until the next call with another pair or zero_tol, or until f
-or g is freed.  It holds weak references to f and g and relies on fields
-being immutable.
+a few floats, until the next call with another pair or zero_tol.  It holds
+weak references to f and g and relies on fields being immutable, so a freed
+pair leaves at most that one array until the next miss, which drops it
+before its own pass allocates.
 
 The public helpers run with numpy's overflow warnings silenced, and one
 whose float result is not finite raises ArithmeticError naming it
@@ -464,14 +465,6 @@ def _theorems(pair: _Pair) -> list[BoundReport]:
 _record: tuple | None = None
 
 
-def _forget(ref) -> None:
-    """Weak-reference callback: the record goes with its f or g, so its |F|
-    is not left between the allocations of whatever runs next."""
-    global _record
-    if ref in (_record or ())[:2]:
-        _record = None
-
-
 def evaluate_theorem(
     f: SampledFunction,
     g: SampledFunction,
@@ -484,11 +477,12 @@ def evaluate_theorem(
     rest of the last pair evaluated here is kept in one record: lhs, the
     modulus and translation terms, the dual cell volume and |F|, one read-only
     float array of the grid's size, until the next call with another pair or
-    zero_tol, or until f or g is freed.  Fields are immutable and compare by
-    identity, and the record holds only weak references to them, so a call
-    with the same f, g and zero_tol forms no transform: it sums |f - g|^p at
-    its p and the mass at its eps, with the bits of a fresh pass.  Any other
-    call drops the record before its pass allocates and keeps its own.
+    zero_tol.  Fields are immutable and compare by identity, and the record
+    holds only weak references to them, so a call with the same f, g and
+    zero_tol forms no transform: it sums |f - g|^p at its p and the mass at
+    its eps, with the bits of a fresh pass.  Any other call drops the record
+    before its pass allocates and keeps its own; that is the record's one
+    release rule, so a freed pair leaves at most its |F| until the next miss.
     """
     global _record
     p, tol = _check_p(p), _check_tol(zero_tol, "zero_tol")
@@ -501,7 +495,7 @@ def evaluate_theorem(
     _record = record = None
     theorem = _theorem(_pair(f, g, (p,), "evaluate_theorem"), tol)
     theorem.magF.flags.writeable = False
-    _record = (weakref.ref(f, _forget), weakref.ref(g, _forget), tol, theorem)
+    _record = (weakref.ref(f), weakref.ref(g), tol, theorem)
     return _reports(theorem)[0]
 
 

@@ -381,7 +381,7 @@ def translation_experiment(
     grid = DEFAULT_GRID if grid is None else grid
     if f is None:
         f = gaussian(grid)
-    elif f.grid.dimension != 1:
+    if f.grid.dimension != 1:
         raise ValueError("translation_experiment is one-dimensional")
     epsilons = _reals(DEFAULT_SWEEPS["translation"] if epsilons is None else epsilons, "epsilons")
     F = fourier_transform(f)
@@ -474,8 +474,14 @@ def _shifted_gaussian_pair(rng, grid):
 
 
 def _signflip_bump_pair(rng, grid):
-    top = min(8.0, 0.5 * grid.dual().half_extent[0])
-    return optimality_family(grid, rng.uniform(2.0, top))
+    half_extent = grid.dual().half_extent[0]
+    if half_extent < 4.0:
+        # L is drawn from [2, min(8, half_extent / 2)], which is then empty
+        raise ValueError(
+            "the signflip_bump pair family needs a dual half-extent of at least 4, "
+            f"got {half_extent!r}"
+        )
+    return optimality_family(grid, rng.uniform(2.0, min(8.0, 0.5 * half_extent)))
 
 
 def _perturbed_triangle_pair(rng, grid):
@@ -524,7 +530,12 @@ FAMILY_BUILDERS = {
 def iter_certification_pairs(
     count: int, rng: np.random.Generator | None = None, grid: GridSpec | None = None
 ):
-    """An iterator over ``count`` random (name, f, g) pairs cycling through all families."""
+    """An iterator over ``count`` random (name, f, g) pairs cycling through all families.
+
+    Each pair is built when it is drawn, so a family that refuses ``grid``
+    (``signflip_bump`` needs a dual half-extent of at least 4,
+    ``bandlimited`` a 1-D grid) raises ValueError only when its turn comes.
+    """
     total = _index(count)
     if total is None or total < 0:
         raise ValueError(f"count must be a nonnegative integer, got {count!r}")

@@ -51,7 +51,10 @@ numpy calls, each of which gives up the GIL and takes it back.  The
 two builders, the transforms, io.load_field and the field arithmetic hand
 the fresh buffer they wrote to the field they return without a copy
 (``_GridField._own``), which scans it for finiteness once, as the public
-constructor scans its copy: ``_GridField._take`` alone judges that.  One
+constructor scans its copy: ``_GridField._take`` alone judges that.  The
+transforms, ``shift`` and the field arithmetic run with numpy's overflow
+warnings silenced, so a result that overflows prints no warning and is
+refused by that judge alone, as a ValueError.  One
 function, ``_run_parts``, runs the parts of every blocked pass, slab pass,
 stage and the pair pass's two transforms, and alone decides, from the size
 it is given and whether it runs inside a part, whether a worker thread
@@ -382,6 +385,7 @@ class _GridField:
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
 
+    @np.errstate(over="ignore", invalid="ignore")
     def _binary(self, other, op):
         if type(other) is not type(self):
             raise TypeError(f"cannot combine {type(self).__name__} with {type(other).__name__}")
@@ -398,6 +402,7 @@ class _GridField:
     def __neg__(self):
         return self._own(self.grid, -self.values)
 
+    @np.errstate(over="ignore", invalid="ignore")
     def __mul__(self, scalar):
         if not np.isscalar(scalar):
             return NotImplemented
@@ -513,6 +518,7 @@ def _centred(transform, values: np.ndarray, scale: float) -> np.ndarray:
     return a
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def fourier_transform(f: SampledFunction) -> Spectrum:
     """Discrete approximation of the continuous transform of ``f``.
 
@@ -529,6 +535,7 @@ def fourier_transform(f: SampledFunction) -> Spectrum:
     return Spectrum._own(f.grid.dual(), _centred(np.fft.fft, f.values, f.grid.cell_volume))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def inverse_transform(spectrum: Spectrum) -> SampledFunction:
     """Inverse of :func:`fourier_transform`; lands on the dual of the spectrum grid."""
     if not isinstance(spectrum, Spectrum):
@@ -613,6 +620,7 @@ def lp_norm(field: SampledFunction | Spectrum, p: float) -> float:
     return _lp_norm(np.abs(field.values), field.grid.cell_volume, value)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def shift(f: SampledFunction, offset) -> SampledFunction:
     """Translate ``f`` by ``offset`` (scalar or one value per axis).
 

@@ -1375,17 +1375,20 @@ class TestLastPairRecord:
         del f, g
         gc.collect()
         assert [ref() for ref in refs] == [None, None]
-        # and the record, with its |F|, went with them
-        assert bounds._record is None
 
-    @pytest.mark.parametrize("gone", ["f", "g"])
-    def test_record_goes_with_either_field(self, gone):
-        pair = dict(zip("fg", _complex_pair(GridSpec.uniform(1, 16.0, 1024))))
-        evaluate_theorem(pair["f"], pair["g"], 1.0)
-        assert bounds._record is not None
-        del pair[gone]
+    def test_record_of_a_freed_pair_lasts_until_the_next_miss(self, transforms):
+        grid = GridSpec.uniform(1, 16.0, 1024)
+        f, g = _complex_pair(grid)
+        evaluate_theorem(f, g, 1.0)
+        del f, g
         gc.collect()
-        assert bounds._record is None
+        # the record stays, its references reading None
+        assert bounds._record is not None
+        assert [bounds._record[0](), bounds._record[1]()] == [None, None]
+        f, g = _complex_pair(grid)
+        evaluate_theorem(f, g, 1.0)
+        assert len(transforms) == 4
+        assert bounds._record[0]() is f and bounds._record[1]() is g
 
     def test_none_is_never_a_hit(self):
         # a record whose field is gone reads None from its weak reference

@@ -347,6 +347,10 @@ _GRID_2D = GridSpec.uniform(2, 8.0, 16)
             id="translation-2d",
         ),
         pytest.param(
+            lambda: translation_experiment(grid=_GRID_2D), "one-dimensional",
+            id="translation-grid-2d",
+        ),
+        pytest.param(
             lambda: FAMILY_BUILDERS["bandlimited"](np.random.default_rng(0), _GRID_2D),
             "one-dimensional", id="bandlimited-2d",
         ),
@@ -502,6 +506,17 @@ class TestCertificationFamilies:
         assert [n for n, _, _ in iter_certification_pairs(np.int64(2))] == list(FAMILY_BUILDERS)[:2]
         name, _, _ = next(iter_certification_pairs(2**62, np.random.default_rng(0), DEFAULT_GRID))
         assert name == next(iter(FAMILY_BUILDERS))
+
+    def test_signflip_bump_refuses_a_narrow_dual_grid(self):
+        # dual half-extent 0.25 * 64 / 16 = 1; the first two families still run
+        grid = GridSpec.uniform(1, 16.0, 64)
+        assert list(FAMILY_BUILDERS)[2] == "signflip_bump"
+        pairs = iter_certification_pairs(3, np.random.default_rng(0), grid)
+        assert [next(pairs)[0] for _ in range(2)] == list(FAMILY_BUILDERS)[:2]
+        with pytest.raises(
+            ValueError, match=r"signflip_bump pair family needs a dual half-extent of at least 4, got 1\.0"
+        ):
+            next(pairs)
 
     def test_experiment_pairs_certify_as_side_condition(self, rng):
         # spot check beyond the experiments' internal raising checks

@@ -3,8 +3,10 @@
 Each mutant edits one constant, operator, loop bound or literal in one file:
 the bound in ``src/phasestab/bounds.py``, the block runner, the fsum of its
 block sums and that sum's overflow guard, the slabs, the centred transform
-and its stages, ``shift``'s separable factor, the dual's link and the
-fields' finiteness check in ``src/phasestab/grid.py``, ``gaussian``'s
+and its stages, ``shift``'s separable factor, the dual's link, the fields'
+finiteness check and the error state in which ``fourier_transform`` leaves
+that check to refuse an overflow without a warning in
+``src/phasestab/grid.py``, ``gaussian``'s
 separable factor in ``src/phasestab/experiments.py``, the blocked half-disk gap in
 ``src/phasestab/geometry.py``, or the text that ``save_field`` joins, the
 reader's split of that text and its base64 decoder in
@@ -181,6 +183,12 @@ GRID_MUTANTS = [
     # or a NaN sample, is then kept as a field
     ("fields keep non-finite samples", "_take",
      "if not _all_finite(vals):", "if False:"),
+    # numpy then warns before the finiteness check refuses an overflowed
+    # spectrum; a scope starts at its def line, below the decorator, so this
+    # edit is scoped to the module
+    ("fourier_transform warns on overflow", None,
+     '@np.errstate(over="ignore", invalid="ignore")\ndef fourier_transform(',
+     "def fourier_transform("),
 ]
 # gaussian's separable factor must take every axis
 EXPERIMENTS_MUTANTS = [
