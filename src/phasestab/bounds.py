@@ -61,14 +61,13 @@ import numpy as np
 from .grid import (
     SampledFunction,
     Spectrum,
-    _centred,
+    _centred_pair,
     _finite,
     _index,
     _lp_integrand,
     _lp_root,
     _real,
     _run_blocks,
-    _run_parts,
     _sum_blocks,
 )
 
@@ -106,8 +105,8 @@ class _Report:
     """Shared by the report types: every field is a finite float."""
 
     def __post_init__(self) -> None:
-        bad = [k for k, v in vars(self).items() if not math.isfinite(v)]
-        if bad:
+        if not all(map(math.isfinite, vars(self).values())):
+            bad = [k for k, v in vars(self).items() if not math.isfinite(v)]
             raise ArithmeticError(
                 f"{type(self).__name__} has non-finite {', '.join(bad)} (overflow or NaN)"
             )
@@ -217,13 +216,13 @@ def _check_tol(tol, name: str) -> float | None:
     return value
 
 
-def _default_tol(mags: np.ndarray, tol: float | None, name: str, strict: bool = False) -> float:
-    """``tol``, checked (``_check_tol``), or 1e-12 * max|F| when it is None.
-    A non-finite default raises ArithmeticError with ``strict``; the evaluators'
-    reports refuse that overflow themselves."""
+def _default_tol(peak: float, tol: float | None, name: str, strict: bool = False) -> float:
+    """``tol``, checked (``_check_tol``), or 1e-12 * ``peak``, max|F|, when it
+    is None.  A non-finite default raises ArithmeticError with ``strict``; the
+    evaluators' reports refuse that overflow themselves."""
     value = _check_tol(tol, name)
     if value is None:
-        value = 1e-12 * float(mags.max(initial=0.0))
+        value = 1e-12 * peak
         if strict and not math.isfinite(value):
             raise ArithmeticError(
                 f"default {name} 1e-12 * max|F| is {value} (the spectrum's modulus overflows)"
@@ -233,31 +232,47 @@ def _default_tol(mags: np.ndarray, tol: float | None, name: str, strict: bool = 
 
 class _Pair(NamedTuple):
     """What every report of a pair reads.  ``epsilons`` holds |f - g|_p for
-    each p of ``ps``, in order; F, G and |F| are flat and the pass's own.
-    ``_theorem`` replaces F and G by the translation term at one zero_tol,
-    which is all the BoundReports read of them."""
+    each p of ``ps``, in order; F, G and |F| are flat and the pass's own, and
+    ``peak`` is max|F| (NaN where |F| has a NaN)."""
 
     ps: tuple[float, ...]
     epsilons: tuple[float, ...]
     lhs: float
-    F: np.ndarray | None
-    G: np.ndarray | None
+    F: np.ndarray
+    G: np.ndarray
+    magF: np.ndarray
+    peak: float
+    modulus_l2: float
+    volume: float
+
+
+class _Theorem(NamedTuple):
+    """What the BoundReports of a pair read at one zero_tol: a ``_Pair``
+    with its translation term in place of F and G."""
+
+    ps: tuple[float, ...]
+    epsilons: tuple[float, ...]
+    lhs: float
     magF: np.ndarray
     modulus_l2: float
     volume: float
-    term_translation: float | None = None
+    term_translation: float
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def _distances(f, g, exponents: tuple[float, ...]) -> list[float]:
-    """|f - g|_q at each q of ``exponents``, in order.  Each block forms
-    |f - g| once, in a block temporary, and sums its power at every q."""
+    """|f - g|_q at each q of ``exponents``, in order, as floats.  Each block
+    forms |f - g| once, in a block temporary, sums its power at every q
+    but the last in a second one and writes the last power over |f - g|.
+    Callers run it under np.errstate(over="ignore", invalid="ignore")."""
     fv, gv = f.values.reshape(-1), g.values.reshape(-1)
+    *others, last = exponents
 
     def difference(s):
         absdiff = np.abs(np.subtract(fv[s], gv[s]))
-        power = np.empty_like(absdiff)
-        return np.array([_lp_integrand(absdiff, q, out=power).sum() for q in exponents])
+        power = np.empty_like(absdiff) if others else None
+        sums = [_lp_integrand(absdiff, q, out=power).sum() for q in others]
+        sums.append(_lp_integrand(absdiff, last, out=absdiff).sum())
+        return np.array(sums)
 
     sums = _sum_blocks(difference, f.grid.size)
     return [_lp_root(float(s), f.grid.cell_volume, q) for q, s in zip(exponents, sums)]
@@ -271,10 +286,12 @@ def _pair(f, g, ps: tuple[float, ...], caller: str) -> _Pair:
 
     F, G, |f - g| and |F| are each computed once, however many p there are:
     ``_distances`` sums each block of |f - g| squared and at every p, and the
-    modulus stage alone writes |F|.  F and G are the two parts of one
-    ``grid._run_parts`` call and the elementwise stages run block by block
-    through ``grid._run_blocks``, so from the two-thread gate on G and the
-    second half of every stage's blocks are a worker's.  Every block runs the
+    modulus stage alone writes |F| and takes each block's max, whose max is
+    ``peak``.  F and G come from one ``grid._centred_pair`` call: below the
+    two-thread gate one batched transform of both, from it on the two parts
+    of one ``grid._run_parts`` call.  The elementwise stages run block by
+    block through ``grid._run_blocks``, so from the gate on G and the second
+    half of every stage's blocks are a worker's.  Every block runs the
     same numpy operations in the same order as one full-size pass and returns
     its np.sums, which ``grid._sum_blocks`` adds by ``math.fsum``, so the bits
     do not depend on the thread or the other p.  A pair with f != g whose
@@ -292,10 +309,8 @@ def _pair(f, g, ps: tuple[float, ...], caller: str) -> _Pair:
     if not isinstance(f, SampledFunction) or not isinstance(g, SampledFunction):
         raise TypeError(f"{caller} expects two SampledFunction inputs")
     _require_same_grid(f, g)
-    space_volume, size = f.grid.cell_volume, f.grid.size
-    F, G = _run_parts(
-        lambda v: _centred(np.fft.fft, v, space_volume).reshape(-1), (f.values, g.values), size
-    )
+    size = f.grid.size
+    F, G = _centred_pair(f.values, g.values, f.grid.cell_volume)
     lhs, *epsilons = _distances(f, g, (2.0, *ps))
     # sqrt(min) is 2^-511 exactly, so this is lhs**2 < min without the ** that
     # raises OverflowError for a large lhs
@@ -306,15 +321,21 @@ def _pair(f, g, ps: tuple[float, ...], caller: str) -> _Pair:
         )
     # the one full-size float array of the pass
     magF = np.empty(size)
+    # appended by both threads from the gate on, in any order: their max is
+    # max|F| either way, and a NaN wins in np.max
+    maxima = []
 
     def modulus(s):
+        block = np.abs(F[s], out=magF[s])
+        maxima.append(block.max())
         diff = np.abs(G[s])
-        np.subtract(np.abs(F[s], out=magF[s]), diff, out=diff)
+        np.subtract(block, diff, out=diff)
         return _lp_integrand(diff, 2.0, out=diff).sum()
 
     volume = f.grid.dual().cell_volume
     modulus_l2 = _lp_root(float(_sum_blocks(modulus, size)), volume, 2.0)
-    return _Pair(ps, tuple(epsilons), lhs, F, G, magF, modulus_l2, volume)
+    peak = float(np.max(maxima))
+    return _Pair(ps, tuple(epsilons), lhs, F, G, magF, peak, modulus_l2, volume)
 
 
 def _sublevel_masses(mags: np.ndarray, volume: float, xs) -> list[float]:
@@ -405,52 +426,56 @@ def translation_term(
     _require_same_grid(f_spectrum, g_spectrum)
     F, G = f_spectrum.values.reshape(-1), g_spectrum.values.reshape(-1)
     magF = np.abs(F)
-    tol = _default_tol(magF, zero_tol, "zero_tol", strict=True)
+    tol = _default_tol(float(magF.max()), zero_tol, "zero_tol", strict=True)
     return _translation(F, G, magF, tol, f_spectrum.grid.cell_volume)
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _theorem(pair: _Pair, zero_tol: float | None = None) -> _Pair:
+def _theorem(pair: _Pair, zero_tol: float | None = None) -> _Theorem:
     """``pair`` with its translation term at ``zero_tol`` in place of F and G."""
-    tol = _default_tol(pair.magF, zero_tol, "zero_tol")
+    tol = _default_tol(pair.peak, zero_tol, "zero_tol")
     term_translation = _translation(pair.F, pair.G, pair.magF, tol, pair.volume)
-    return pair._replace(F=None, G=None, term_translation=term_translation)
+    return _Theorem(
+        pair.ps, pair.epsilons, pair.lhs, pair.magF, pair.modulus_l2, pair.volume, term_translation
+    )
+
+
+def _report(theorem: _Theorem, p: float, epsilon: float, mass: float) -> BoundReport:
+    """The BoundReport of ``theorem`` at p, from eps = |f - g|_p and the
+    sub-level mass at 10 eps: the one place its fields are formed."""
+    lhs, term_translation = theorem.lhs, theorem.term_translation
+    term_modulus = 2.0 * theorem.modulus_l2
+    term_smoothness = _smoothness(mass, epsilon, p)
+    rhs = term_modulus + term_smoothness + term_translation
+    try:
+        squared_form_slack = (
+            2.0 * theorem.modulus_l2**2
+            + _TANGENTIAL_WEIGHT * (term_translation / 2.0) ** 2
+            + (epsilon**2 if p > 1.0 else 0.0)
+            + _MASS_WEIGHT * mass
+        ) - lhs**2
+    except OverflowError:
+        # a Python float ** past the double range; the report refuses it by name
+        squared_form_slack = math.inf
+    return BoundReport(
+        p=p,
+        epsilon=epsilon,
+        lhs=lhs,
+        term_modulus=term_modulus,
+        term_smoothness=term_smoothness,
+        term_translation=term_translation,
+        rhs=rhs,
+        slack=rhs - lhs,
+        squared_form_slack=squared_form_slack,
+    )
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _reports(theorem: _Pair) -> list[BoundReport]:
+def _reports(theorem: _Theorem) -> list[BoundReport]:
     """The BoundReport of a ``_theorem`` at each of its p, in order.  The
     sub-level masses at every eps are formed in one pass over |F|."""
-    lhs, term_translation = theorem.lhs, theorem.term_translation
     masses = _sublevel_masses(theorem.magF, theorem.volume, theorem.epsilons)
-    term_modulus = 2.0 * theorem.modulus_l2
-
-    def report(p, epsilon, mass):
-        term_smoothness = _smoothness(mass, epsilon, p)
-        rhs = term_modulus + term_smoothness + term_translation
-        try:
-            squared_form_slack = (
-                2.0 * theorem.modulus_l2**2
-                + _TANGENTIAL_WEIGHT * (term_translation / 2.0) ** 2
-                + (epsilon**2 if p > 1.0 else 0.0)
-                + _MASS_WEIGHT * mass
-            ) - lhs**2
-        except OverflowError:
-            # a Python float ** past the double range; the report refuses it by name
-            squared_form_slack = math.inf
-        return BoundReport(
-            p=p,
-            epsilon=epsilon,
-            lhs=lhs,
-            term_modulus=term_modulus,
-            term_smoothness=term_smoothness,
-            term_translation=term_translation,
-            rhs=rhs,
-            slack=rhs - lhs,
-            squared_form_slack=squared_form_slack,
-        )
-
-    return [report(*row) for row in zip(theorem.ps, theorem.epsilons, masses)]
+    return [_report(theorem, *row) for row in zip(theorem.ps, theorem.epsilons, masses)]
 
 
 def _theorems(pair: _Pair) -> list[BoundReport]:
@@ -465,6 +490,7 @@ def _theorems(pair: _Pair) -> list[BoundReport]:
 _record: tuple | None = None
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def evaluate_theorem(
     f: SampledFunction,
     g: SampledFunction,
@@ -479,10 +505,12 @@ def evaluate_theorem(
     float array of the grid's size, until the next call with another pair or
     zero_tol.  Fields are immutable and compare by identity, and the record
     holds only weak references to them, so a call with the same f, g and
-    zero_tol forms no transform: it sums |f - g|^p at its p and the mass at
-    its eps, with the bits of a fresh pass.  Any other call drops the record
-    before its pass allocates and keeps its own; that is the record's one
-    release rule, so a freed pair leaves at most its |F| until the next miss.
+    zero_tol forms no transform: it sums |f - g|^p at its p, with the bits of
+    a fresh pass.  Any other call drops the record before its pass allocates
+    and keeps its own; that is the record's one release rule, so a freed pair
+    leaves at most its |F| until the next miss.  Either way the report is
+    formed the same way, from the mass at its eps (``_sublevel_masses``) and
+    ``_report``, under np.errstate(over="ignore", invalid="ignore").
     """
     global _record
     p, tol = _check_p(p), _check_tol(zero_tol, "zero_tol")
@@ -491,12 +519,16 @@ def evaluate_theorem(
     # gone, so None never hits
     record = _record if f is not None and g is not None else None
     if record is not None and record[0]() is f and record[1]() is g and record[2] == tol:
-        return _reports(record[3]._replace(ps=(p,), epsilons=tuple(_distances(f, g, (p,)))))[0]
-    _record = record = None
-    theorem = _theorem(_pair(f, g, (p,), "evaluate_theorem"), tol)
-    theorem.magF.flags.writeable = False
-    _record = (weakref.ref(f), weakref.ref(g), tol, theorem)
-    return _reports(theorem)[0]
+        theorem = record[3]
+        (epsilon,) = _distances(f, g, (p,))
+    else:
+        _record = record = None
+        theorem = _theorem(_pair(f, g, (p,), "evaluate_theorem"), tol)
+        (epsilon,) = theorem.epsilons
+        theorem.magF.flags.writeable = False
+        _record = (weakref.ref(f), weakref.ref(g), tol, theorem)
+    (mass,) = _sublevel_masses(theorem.magF, theorem.volume, (epsilon,))
+    return _report(theorem, p, epsilon, mass)
 
 
 class CertificationError(ArithmeticError):
@@ -533,7 +565,7 @@ def support_measure(F: Spectrum, support_tol: float | None = None) -> float:
     """
     _require_spectrum(F)
     mags = np.abs(F.values).reshape(-1)
-    tol = _default_tol(mags, support_tol, "support_tol", strict=True)
+    tol = _default_tol(float(mags.max()), support_tol, "support_tol", strict=True)
     return _support_measure(mags, F.grid.cell_volume, tol)
 
 
@@ -575,8 +607,7 @@ def spectral_tail(f_spectrum: Spectrum, epsilon: float) -> float:
 @np.errstate(over="ignore", invalid="ignore")
 def _corollary(pair: _Pair, support_tol: float | None = None) -> Corollary1Report:
     """The Corollary1Report of ``pair``, a pass at ps = (1.0,)."""
-    F, G, size = pair.F, pair.G, pair.magF.size
-    peak = float(pair.magF.max(initial=0.0))
+    F, G, size, peak = pair.F, pair.G, pair.magF.size, pair.peak
     # np.max, not max: a NaN block maximum must win, as in one full-size max
     im_peak = float(
         np.max(_run_blocks(lambda s: np.abs(F[s].imag).max(initial=0.0), size), initial=0.0)
@@ -586,7 +617,7 @@ def _corollary(pair: _Pair, support_tol: float | None = None) -> Corollary1Repor
             "hypothesis violated: spectrum of f must be real-valued "
             f"(max |Im| = {im_peak:.3e} exceeds 1e-8 * max |F| = {1e-8 * peak:.3e})"
         )
-    tol = _default_tol(pair.magF, support_tol, "support_tol")
+    tol = _default_tol(peak, support_tol, "support_tol")
     L = _support_measure(pair.magF, pair.volume, tol)
     (epsilon,), lhs = pair.epsilons, pair.lhs
     term_modulus = 2.0 * pair.modulus_l2

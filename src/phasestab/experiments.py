@@ -108,6 +108,19 @@ class ScalingResult:
     passed: bool
 
     def __post_init__(self) -> None:
+        # the fields of the experiment JSON: a NaN or inf there, or a "pass"
+        # that is not a bool, would be written as it is
+        for name in (
+            "parameter_values",
+            "observable_values",
+            "fitted_slope",
+            "slope_stderr",
+            "expected_slope",
+            "slope_tolerance",
+        ):
+            _reals(getattr(self, name), name)
+        if not isinstance(self.passed, bool):
+            raise ValueError(f"passed must be a bool, got {self.passed!r}")
         if len(self.parameter_values) != len(self.observable_values):
             raise ValueError("parameter and observable lists must have equal length")
         if len(self.parameter_values) < 4:
@@ -231,10 +244,12 @@ def smooth_bump(t):
     """Standard compactly supported bump exp(-1/(1 - t^2)) on (-1, 1), else 0."""
     t = np.asarray(t, dtype=float)
     out = np.zeros_like(t)
+    # inside, 1 - t^2 is positive and exp only underflows
     inside = np.abs(t) < 1.0
-    with np.errstate(divide="ignore", over="ignore"):
-        out[inside] = np.exp(-1.0 / (1.0 - t[inside] ** 2))
-    return out
+    np.square(t, out=out, where=inside)
+    np.subtract(1.0, out, out=out, where=inside)
+    np.divide(-1.0, out, out=out, where=inside)
+    return np.exp(out, out=out, where=inside)
 
 
 def triangle_spectrum(freq_grid: GridSpec) -> Spectrum:

@@ -31,7 +31,11 @@ included, runs in two cache-sized stages: each slab of axis-0 rows is
 filled, sign-flipped and transformed along every other axis, then each run
 of axis-1 indices is gathered, transformed along axis 0, scaled, flipped
 and scattered back.  Either way every line gets the same FFT call and every
-sample the same scaling and negation, so the bits are the same.
+sample the same scaling and negation, so the bits are the same.  Below the
+gate the pair pass's f and g are the two rows of one buffer, filled,
+flipped, transformed, scaled and flipped by one such call
+(``_centred_pair``): a batched FFT over rows gives each row the bits of its
+own transform.
 
 The library's elementwise passes over large arrays (the pair pass, the
 spectrum helpers and lemma1_gap) run through one block runner,
@@ -56,9 +60,11 @@ transforms, ``shift`` and the field arithmetic run with numpy's overflow
 warnings silenced, so a result that overflows prints no warning and is
 refused by that judge alone, as a ValueError.  One
 function, ``_run_parts``, runs the parts of every blocked pass, slab pass,
-stage and the pair pass's two transforms, and alone decides, from the size
-it is given and whether it runs inside a part, whether a worker thread
-takes the second half of the parts.
+stage and, from the gate on, the pair pass's two transforms, and alone
+decides, from the size it is given and whether it runs inside a part,
+whether a worker thread takes the second half of the parts.  Each grid forms its coordinate arrays
+once, read-only (``GridSpec.axis_coordinate``), as it forms its spacing and
+its dual.
 """
 
 from __future__ import annotations
@@ -272,9 +278,15 @@ class GridSpec:
         if dimension is None or not 1 <= dimension <= 3:
             raise ValueError(f"dimension must be an integer in [1, 3], got {self.dimension!r}")
         object.__setattr__(self, "dimension", dimension)
-        extents = tuple(self.half_extent)
+        try:
+            extents, given = tuple(self.half_extent), tuple(self.points_per_axis)
+        except TypeError:
+            raise ValueError(
+                "half_extent and points_per_axis must be sequences with one entry per axis, "
+                f"got {self.half_extent!r} and {self.points_per_axis!r}; "
+                "GridSpec.uniform takes one value for every axis"
+            ) from None
         object.__setattr__(self, "half_extent", tuple(map(_real, extents)))
-        given = tuple(self.points_per_axis)
         object.__setattr__(self, "points_per_axis", tuple(map(_index, given)))
         if len(self.half_extent) != self.dimension or len(self.points_per_axis) != self.dimension:
             raise ValueError(
@@ -313,15 +325,33 @@ class GridSpec:
     def cell_volume(self) -> float:
         return math.prod(self.spacing)
 
+    # formed once per grid and read-only, so every caller shares them: the
+    # builders, shift and the pair families read them on every field
+    @functools.cached_property
+    def _coordinates(self) -> tuple[np.ndarray, ...]:
+        axes = tuple(
+            (np.arange(n) - n // 2) * dx for n, dx in zip(self.points_per_axis, self.spacing)
+        )
+        for x in axes:
+            x.flags.writeable = False
+        return axes
+
+    def __getstate__(self) -> dict:
+        # a pickled or copied array comes back writable: a clone forms its own
+        return {k: v for k, v in self.__dict__.items() if k != "_coordinates"}
+
     def axis_coordinate(self, axis: int) -> np.ndarray:
-        """Physical coordinates along one axis: (-T, ..., T - dx) through 0."""
-        n = self.points_per_axis[axis]
-        return (np.arange(n) - n // 2) * self.spacing[axis]
+        """Physical coordinates along one axis: (-T, ..., T - dx) through 0.
+        The grid's own read-only array."""
+        return self._coordinates[axis]
 
     def coordinate_grids(self) -> list[np.ndarray]:
-        """Sparse (broadcastable) coordinate arrays, one per axis."""
-        axes = [self.axis_coordinate(i) for i in range(self.dimension)]
-        return list(np.meshgrid(*axes, indexing="ij", sparse=True))
+        """Sparse (broadcastable) coordinate arrays, one per axis: read-only
+        views of the axis coordinates, each along its own axis."""
+        ones = (1,) * self.dimension
+        return [
+            x.reshape(ones[:i] + (-1,) + ones[i + 1 :]) for i, x in enumerate(self._coordinates)
+        ]
 
     def dual(self) -> "GridSpec":
         return self._dual
@@ -420,19 +450,22 @@ class Spectrum(_GridField):
 
 
 @functools.cache
-def _corners(ndim: int, parity: int) -> tuple[tuple[slice, ...], ...]:
+def _corners(ndim: int, parity: int, rows: bool = False) -> tuple[tuple[slice, ...], ...]:
     """The strided index tuples, one per corner of the unit cell, that select
-    the samples of an ``ndim``-axis array whose index sum has the given parity."""
+    the samples of an ``ndim``-axis array whose index sum has the given
+    parity; with ``rows``, axis 0 indexes rows that are each selected alike,
+    and the sum runs over the other axes."""
     return tuple(
-        tuple(slice(c, None, 2) for c in corner)
-        for corner in itertools.product((0, 1), repeat=ndim)
+        (slice(None),) * rows + tuple(slice(c, None, 2) for c in corner)
+        for corner in itertools.product((0, 1), repeat=ndim - rows)
         if sum(corner) % 2 == parity
     )
 
 
-def _flip_signs(a: np.ndarray, parity: int) -> None:
-    """Negate in place the samples of ``a`` whose index sum has the given parity."""
-    for corner in _corners(a.ndim, parity):
+def _flip_signs(a: np.ndarray, parity: int, rows: bool = False) -> None:
+    """Negate in place the samples of ``a`` whose index sum has the given
+    parity; with ``rows``, in each row along axis 0 (``_corners``)."""
+    for corner in _corners(a.ndim, parity, rows):
         view = a[corner]
         # 0 - x rather than -x: an exact +0 stays +0, as in the shifted FFT
         np.subtract(0.0, view, out=view)
@@ -446,18 +479,22 @@ def _in_stages(shape: tuple[int, ...]) -> bool:
     return len(shape) > 1 and math.prod(shape) >= _TWO_THREADS_MIN_POINTS
 
 
-def _centred_in_place(transform, a: np.ndarray, scale: float, fill) -> None:
+def _centred_in_place(transform, a: np.ndarray, scale: float, fill, rows: bool = False) -> None:
     """``scale`` times the 1-D ``transform`` (np.fft.fft or np.fft.ifft) over
     every axis of the zero-centred complex128 samples that ``fill(s)`` writes
     into ``a``, written over ``a``; ``s`` is ``slice(None)`` or a slab of
-    ``_slabs``, an index of axis 0.
+    ``_slabs``, an index of axis 0.  With ``rows``, axis 0 of ``a`` indexes
+    arrays of the other axes' shape, below the gate, each transformed on
+    its own.
 
     The centring is the sign modulation of the module docstring, applied
     through strided views, and each axis's FFT writes into the same buffer,
     last axis first as in np.fft.fftn, which gives fftn's bits.  A 1-D
     array, or any below the gate, is filled by one call and then makes one
     whole-array pass per step on this thread: the input flip, one FFT per
-    axis, the scaling and the output flip.
+    axis, the scaling and the output flip.  With ``rows`` each pass covers
+    every row, and a batched FFT over rows gives each row the bits of its
+    own transform.
 
     A 2-D or 3-D array from the gate on runs in two cache-sized stages.
     Stage A, for each slab ``s`` of ``_slabs``: ``fill(s)`` writes the slab,
@@ -475,17 +512,18 @@ def _centred_in_place(transform, a: np.ndarray, scale: float, fill) -> None:
     """
     # the index-sum parity of the samples that the output flip negates:
     # (-1)^(1 + sum N/2) of the module docstring
-    parity = (1 + sum(n // 2 for n in a.shape)) % 2
-    if not _in_stages(a.shape):
+    shape = a.shape[rows:]
+    parity = (1 + sum(n // 2 for n in shape)) % 2
+    if not _in_stages(shape):
         fill(slice(None))
-        _flip_signs(a, 1)
-        for axis in reversed(range(a.ndim)):
+        _flip_signs(a, 1, rows)
+        for axis in reversed(range(rows, a.ndim)):
             transform(a, axis=axis, out=a)
         a *= scale
-        _flip_signs(a, parity)
+        _flip_signs(a, parity, rows)
         return
 
-    def rows(s):
+    def slab_of_rows(s):
         fill(s)
         slab = a[s]
         # a slab starting at an odd row flips the local parity
@@ -500,7 +538,7 @@ def _centred_in_place(transform, a: np.ndarray, scale: float, fill) -> None:
         _flip_signs(scratch, (parity + s.start) % 2)
         a[:, s] = scratch
 
-    _run_slabs(rows, a.shape)
+    _run_slabs(slab_of_rows, a.shape)
     _run_slabs(planes, (a.shape[1], a.shape[0], *a.shape[2:]))
 
 
@@ -516,6 +554,27 @@ def _centred(transform, values: np.ndarray, scale: float) -> np.ndarray:
 
     _centred_in_place(transform, a, scale, copy)
     return a
+
+
+def _centred_pair(f: np.ndarray, g: np.ndarray, scale: float) -> tuple[np.ndarray, np.ndarray]:
+    """The forward centred transforms of the same-shaped ``f`` and ``g``,
+    scaled by ``scale``, flat, in fresh memory.  Below the two-thread gate
+    they are the two rows of one ``(2, *shape)`` buffer, filled and
+    transformed by one batched ``_centred_in_place`` call; from the gate on
+    each is a ``_centred`` part of one ``_run_parts`` call, so G is a
+    worker's."""
+    if f.size >= _TWO_THREADS_MIN_POINTS:
+        F, G = _run_parts(lambda v: _centred(np.fft.fft, v, scale).reshape(-1), (f, g), f.size)
+        return F, G
+    both = np.empty((2, *f.shape), dtype=np.complex128)
+
+    def copy(s):
+        both[0] = f
+        both[1] = g
+
+    _centred_in_place(np.fft.fft, both, scale, copy, rows=True)
+    F, G = both.reshape(2, -1)
+    return F, G
 
 
 @np.errstate(over="ignore", invalid="ignore")

@@ -32,6 +32,21 @@ def cleared_record():
 
 
 @pytest.fixture
+def transforms(monkeypatch, cleared_record):
+    """The shapes of the fields that the pair pass transforms, in order: f's
+    and g's for each of its ``grid._centred_pair`` calls."""
+    shapes = []
+    centred_pair = bounds._centred_pair
+
+    def counted(f, g, scale):
+        shapes.extend((f.shape, g.shape))
+        return centred_pair(f, g, scale)
+
+    monkeypatch.setattr(bounds, "_centred_pair", counted)
+    return shapes
+
+
+@pytest.fixture
 def no_thread_outlives_the_call():
     before = threading.active_count()
     yield

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from phasestab import bounds
+from phasestab import bounds, grid as grid_module
 from phasestab.bounds import (
     CERTIFICATION_RTOL,
     BoundReport,
@@ -765,9 +765,11 @@ class TestConcurrentPairPass:
             threads.append(threading.current_thread())
             return _centred(transform, values, scale)
 
-        monkeypatch.setattr(bounds, "_centred", centred)
+        monkeypatch.setattr(grid_module, "_centred", centred)
         pair = bounds._pair(f, g, (1.5,), "test")
-        assert len(threads) == 2
+        # below the gate one batched transform of both rows, which makes no
+        # lone transform; from it on one each, G's on the worker
+        assert len(threads) == 2 * concurrent
         off_main = [t for t in threads if t is not threading.main_thread()]
         assert len(off_main) == int(concurrent)
         F = _centred(np.fft.fft, f.values, grid.cell_volume)
@@ -825,7 +827,7 @@ class TestConcurrentPairPass:
                 raise MemoryError("worker")
             return _centred(transform, values, scale)
 
-        monkeypatch.setattr(bounds, "_centred", centred)
+        monkeypatch.setattr(grid_module, "_centred", centred)
         f = gaussian(CONCURRENT_GRID)
         with pytest.raises(MemoryError, match="worker"):
             evaluate_theorem(f, shift(f, 0.1), 1.0)
@@ -933,7 +935,25 @@ class TestBlockedPairPass:
         assert _bits(pair.F) == _bits(F)
         assert _bits(pair.G) == _bits(G)
         assert _bits(pair.magF) == _bits(magF)
+        # from the modulus stage's block maxima
+        assert pair.peak == float(magF.max())
         assert (pair.epsilons, pair.lhs, pair.modulus_l2, pair.volume) == ((eps,), lhs, modulus_l2, dual)
+
+    @pytest.mark.parametrize("amplitude", [1.0, 1e307, 1e308])
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            pytest.param(GridSpec.uniform(1, 16.0, 1024), id="1d-one-block"),
+            pytest.param(GridSpec.uniform(2, 8.0, 256), id="256x256-four-blocks"),
+            pytest.param(CONCURRENT_GRID, id="1024x512-at-the-gate"),
+        ],
+    )
+    def test_peak_is_the_max_of_the_modulus(self, grid, amplitude):
+        # the max of the modulus stage's block maxima; at 1e307 |F| holds an
+        # inf, at 1e308 also NaNs, and a NaN must win as in one full-size max
+        pair = bounds._pair(gaussian(grid, amplitude=amplitude), gaussian(grid), (1.5,), "test")
+        assert np.array_equal(pair.peak, pair.magF.max(), equal_nan=True)
+        assert type(pair.peak) is float
 
     @pytest.mark.parametrize("p", [1.0, 1.25, 1.5, 1.75])
     @pytest.mark.parametrize("grid", BLOCKED_GRIDS)
@@ -1322,17 +1342,6 @@ def _leaves(value):
 
 @pytest.mark.usefixtures("cleared_record")
 class TestLastPairRecord:
-    @pytest.fixture
-    def transforms(self, monkeypatch):
-        calls = []
-
-        def counted(*args, **kwargs):
-            calls.append(args[0])
-            return _centred(*args, **kwargs)
-
-        monkeypatch.setattr(bounds, "_centred", counted)
-        return calls
-
     @pytest.mark.parametrize("pair", RECORD_PAIRS)
     def test_hit_has_the_bits_of_a_fresh_pass(self, pair, transforms):
         f, g = _record_pair(pair)

@@ -80,6 +80,37 @@ class TestFitScaling:
         with pytest.raises(ValueError):
             ScalingResult("bad", (1.0, -2.0, 3.0, 4.0), (1.0, 2.0, 3.0, 4.0), 1, 0, 1, 0.1, True)
 
+    GOOD = dict(
+        name="x",
+        parameter_values=(1.0, 2.0, 3.0, 4.0),
+        observable_values=(1.0, 2.0, 3.0, 4.0),
+        fitted_slope=1.0,
+        slope_stderr=0.1,
+        expected_slope=1.0,
+        slope_tolerance=0.1,
+        passed=True,
+    )
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("parameter_values", (1.0, 2.0, 3.0, math.nan)),
+            ("parameter_values", (1.0, 2.0, math.inf, 4.0)),
+            ("observable_values", (math.nan, 2.0, 3.0, 4.0)),
+            ("observable_values", (1.0, 2.0, 3.0, math.inf)),
+            ("fitted_slope", math.nan),
+            ("slope_stderr", math.inf),
+            ("expected_slope", -math.inf),
+            ("slope_tolerance", math.nan),
+            ("passed", 1),
+            ("passed", np.True_),
+        ],
+    )
+    def test_non_finite_field_or_non_bool_pass_refused(self, field, value):
+        # each would reach the experiment JSON as NaN, Infinity or "pass": 1
+        with pytest.raises(ValueError, match=field):
+            ScalingResult(**{**self.GOOD, field: value})
+
     def test_matches_linregress_bit_for_bit(self):
         # scipy is a test-only dependency: the reference the closed form follows
         from scipy.stats import linregress

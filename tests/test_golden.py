@@ -213,7 +213,7 @@ def test_p1_reports_keep_the_floor(pairs):
     for label, f, g in pairs():
         pair = _pair(f, g, (1.0,), "evaluate_theorem")
         report = _theorems(pair)[0]
-        if _default_tol(pair.magF, None, "zero_tol") > _REGIME * report.epsilon:
+        if _default_tol(pair.peak, None, "zero_tol") > _REGIME * report.epsilon:
             outside.append(label)
         elif report.slack < (FLOOR - FLOOR_RTOL) * report.rhs:
             short.append((label, report.slack / report.rhs - FLOOR))

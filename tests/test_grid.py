@@ -27,6 +27,7 @@ from phasestab.grid import (
     _WIDE_BLOCK,
     _block,
     _centred,
+    _centred_pair,
     _flip_signs,
     _in_stages,
     _run_parts,
@@ -145,6 +146,46 @@ class TestGridSpec:
     def test_invalid_specs_rejected(self, kwargs):
         with pytest.raises(ValueError, match="dimension must|half_extent|points_per_axis"):
             GridSpec(**kwargs)
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            (1, 16.0, 1024),
+            (1, (16.0,), 1024),
+            (2, 8.0, (16, 16)),
+            (1, np.float64(16.0), np.int64(1024)),
+            (1, np.array(16.0), (1024,)),
+        ],
+    )
+    def test_scalar_extent_or_count_names_uniform(self, args):
+        # a scalar per-axis entry is not iterated into a TypeError
+        with pytest.raises(ValueError, match=r"GridSpec\.uniform"):
+            GridSpec(*args)
+
+    @pytest.mark.parametrize(
+        "grid",
+        [GridSpec.uniform(1, 16.0, 1024), GridSpec(3, (1.5, 2.0, 0.7), (6, 10, 2))],
+        ids=["1d", "3d"],
+    )
+    def test_coordinates_are_formed_once_and_read_only(self, grid):
+        axes = [grid.axis_coordinate(axis) for axis in range(grid.dimension)]
+        for axis, x in enumerate(axes):
+            n = grid.points_per_axis[axis]
+            assert np.array_equal(_bits((np.arange(n) - n // 2) * grid.spacing[axis]), _bits(x))
+            assert grid.axis_coordinate(axis) is x
+        with pytest.raises(ValueError, match="read-only"):
+            grid.axis_coordinate(0)[0] = 1.0
+        # the sparse grids are views of the same arrays, each along its axis
+        meshgrid = np.meshgrid(*axes, indexing="ij", sparse=True)
+        for xs, reference in zip(grid.coordinate_grids(), meshgrid, strict=True):
+            assert xs.shape == reference.shape and np.array_equal(_bits(xs), _bits(reference))
+            with pytest.raises(ValueError, match="read-only"):
+                xs[...] = 0.0
+        # a clone forms its own, read-only too
+        for clone in (pickle.loads(pickle.dumps(grid)), copy.deepcopy(grid)):
+            assert np.array_equal(_bits(clone.axis_coordinate(0)), _bits(axes[0]))
+            with pytest.raises(ValueError, match="read-only"):
+                clone.axis_coordinate(0)[0] = 1.0
 
     def test_numpy_integer_counts_accepted(self):
         grid = GridSpec(np.int64(2), (1.0, 1.0), (np.int64(8), np.int32(4)))
@@ -695,6 +736,36 @@ def test_slabs_and_stages_keep_the_full_formulas_bits(shape, amplitude):
         _bits(inverse_transform(Spectrum(dual, values)).values),
         _bits(_full_centred(np.fft.ifft, values, dual.cell_volume * dual.size)),
     )
+
+
+@pytest.mark.parametrize("amplitude", AMPLITUDES)
+@pytest.mark.parametrize(
+    "shape",
+    [(2,), (1024,), (16384,), (6, 10), (256, 256), (64, 32, 34), (1024, 512)],
+    ids=lambda shape: "x".join(map(str, shape)),
+)
+def test_pair_transform_keeps_each_fields_bits(shape, amplitude):
+    # below the gate f and g are the rows of one batched transform, from it
+    # on each is a lone one; g = -f has a negative zero in every imaginary
+    # part, whose sign a flip across the rows would move
+    n = len(shape)
+    grid = GridSpec(n, (8.0, 6.0, 4.0)[:n], shape)
+    f = _full_gaussian(grid, (0.3, -0.2, 0.1)[:n], (1.1, 0.9, 1.2)[:n], amplitude)
+    for g in (-f, np.zeros(shape, dtype=np.complex128), f):
+        F, G = _centred_pair(f, g, grid.cell_volume)
+        assert F.shape == G.shape == (grid.size,)
+        assert np.array_equal(_bits(F), _bits(_full_centred(np.fft.fft, f, grid.cell_volume).reshape(-1)))
+        assert np.array_equal(_bits(G), _bits(_full_centred(np.fft.fft, g, grid.cell_volume).reshape(-1)))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_row_sums_are_each_rows_sum(seed):
+    # a standing rule of the blocked sums: np.sum over axis 1 of C-contiguous
+    # rows of 2^14 points gives each row's own np.sum, bit for bit
+    rng = np.random.default_rng(seed)
+    rows = int(rng.integers(1, 64))
+    a = rng.standard_normal((rows, _BLOCK)) * 10.0 ** rng.uniform(-3, 3, (rows, 1))
+    assert np.array_equal(_bits(a.sum(axis=1)), _bits(np.array([row.sum() for row in a])))
 
 
 @pytest.mark.parametrize(

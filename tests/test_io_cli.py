@@ -1000,18 +1000,6 @@ def test_certify_refuses_a_numerical_fault(
 class TestOnePassPerPair:
     """Each pair is transformed once, however many p or forms are read from it."""
 
-    @pytest.fixture
-    def transforms(self, monkeypatch, cleared_record):
-        calls = []
-        centred = bounds._centred
-
-        def counted(*args, **kwargs):
-            calls.append(args[0])
-            return centred(*args, **kwargs)
-
-        monkeypatch.setattr(bounds, "_centred", counted)
-        return calls
-
     def test_certify(self, transforms, capsys):
         assert main(["certify", "--count", "10", "--seed", "0"]) == 0
         assert len(transforms) == 20

@@ -1,12 +1,13 @@
 """Run the tier-1 suite against one-token mutants of the library.
 
 Each mutant edits one constant, operator, loop bound or literal in one file:
-the bound in ``src/phasestab/bounds.py``, the block runner, the fsum of its
-block sums and that sum's overflow guard, the slabs, the centred transform
-and its stages, ``shift``'s separable factor, the dual's link, the fields'
-finiteness check and the error state in which ``fourier_transform`` leaves
-that check to refuse an overflow without a warning in
-``src/phasestab/grid.py``, ``gaussian``'s
+the bound, the last pair's record and the pair pass's block maxima of |F|
+in ``src/phasestab/bounds.py``, the block runner, the fsum of its block
+sums and that sum's overflow guard, the slabs, the centred transform, its
+stages and the pair pass's batched rows, ``shift``'s separable factor, the
+dual's link, the read-only coordinate cache, the fields' finiteness check
+and the error state in which ``fourier_transform`` leaves that check to
+refuse an overflow without a warning in ``src/phasestab/grid.py``, ``gaussian``'s
 separable factor in ``src/phasestab/experiments.py``, the blocked half-disk gap in
 ``src/phasestab/geometry.py``, or the text that ``save_field`` joins, the
 reader's split of that text and its base64 decoder in
@@ -43,9 +44,9 @@ COPIED = ("src", "tests", "pyproject.toml")
 # (name, the function whose body holds the edit or None for the module, old, new);
 # ``old`` must occur exactly once in that scope of the mutant's file.
 BOUNDS_MUTANTS = [
-    ("theorem modulus 2 -> 1.5", "_reports",
+    ("theorem modulus 2 -> 1.5", "_report",
      "term_modulus = 2.0 *", "term_modulus = 1.5 *"),
-    ("theorem modulus 2 -> 3", "_reports",
+    ("theorem modulus 2 -> 3", "_report",
      "term_modulus = 2.0 *", "term_modulus = 3.0 *"),
     ("corollary modulus 2 -> 1.5", "_corollary",
      "term_modulus = 2.0 *", "term_modulus = 1.5 *"),
@@ -74,7 +75,7 @@ BOUNDS_MUTANTS = [
      "magF >= _REGIME", "magF > _REGIME"),
     ("exceptional set |F - G| ties: >= -> >", "exceptional_set",
      "magdiff >= epsilon", "magdiff > epsilon"),
-    ("squared form modulus 2 -> 3", "_reports",
+    ("squared form modulus 2 -> 3", "_report",
      "2.0 * theorem.modulus_l2**2", "3.0 * theorem.modulus_l2**2"),
     # the weight of Im(conj(F) G / |F|)^2 in the squared form and in
     # geometry's per-frequency estimate
@@ -82,7 +83,7 @@ BOUNDS_MUTANTS = [
      "_TANGENTIAL_WEIGHT = 6.0 / 5.0", "_TANGENTIAL_WEIGHT = 5.0 / 5.0"),
     ("tangential weight 6/5 -> 2, at every site", None,
      "_TANGENTIAL_WEIGHT = 6.0 / 5.0", "_TANGENTIAL_WEIGHT = 10.0 / 5.0"),
-    ("squared form |f-g|_p^2 dropped", "_reports",
+    ("squared form |f-g|_p^2 dropped", "_report",
      "(epsilon**2 if p > 1.0 else 0.0)", "(0.0 if p > 1.0 else 0.0)"),
     # the weight of the sub-level mass in h and in the squared form
     ("mass weight 8 -> 4, at every site", None,
@@ -90,7 +91,8 @@ BOUNDS_MUTANTS = [
     ("CERTIFICATION_RTOL 1e-6 -> 1e-2", None,
      "CERTIFICATION_RTOL = 1e-6", "CERTIFICATION_RTOL = 1e-2"),
     # the pair pass leaves overflow to the reports, so this is its only guard
-    ("report refuses non-finite fields", None, "if bad:", "if False:"),
+    ("report refuses non-finite fields", None,
+     "if not all(map(math.isfinite, vars(self).values())):", "if False:"),
     # the pair pass is the one owner of underflow, for both evaluators
     ("pair pass refuses no underflow", "_pair",
      "if lhs < math.sqrt(sys.float_info.min)", "if lhs < 0.0"),
@@ -104,15 +106,20 @@ BOUNDS_MUTANTS = [
      "theorem.epsilons, masses)", "theorem.epsilons, masses[::-1])"),
     # the exponents are (2, *ps): lhs's square, then each p
     ("difference stage sums the first p's power at every p", "_distances",
-     "for q in exponents]", "for q in exponents[:2] + exponents[1:2] * (len(exponents) - 2)]"),
+     "for q in others]", "for q in others[:2] + others[1:2] * (len(others) - 2)]"),
     # evaluate_theorem's record of the last pair: a hit must be the same f, g
-    # and zero_tol, and must read its own p's eps
+    # and zero_tol, and must read its own p's eps and the mass at that eps
     ("record's key ignores g", "evaluate_theorem",
      " and record[1]() is g", ""),
     ("record's key ignores zero_tol", "evaluate_theorem",
      " and record[2] == tol", ""),
     ("a hit reuses the first p's eps", "evaluate_theorem",
-     ", epsilons=tuple(_distances(f, g, (p,)))", ""),
+     "(epsilon,) = _distances(f, g, (p,))", "(epsilon,) = theorem.epsilons"),
+    ("a hit takes the mass at the record's own eps", "evaluate_theorem",
+     "theorem.volume, (epsilon,))", "theorem.volume, theorem.epsilons)"),
+    # max|F| of the default tolerances: killed on grids of more than one block
+    ("block maxima reduced by min", "_pair",
+     "peak = float(np.max(maxima))", "peak = float(np.min(maxima))"),
 ]
 # every elementwise stage of the evaluators, the spectrum helpers and
 # lemma1_gap runs through the block runner, shift and gaussian through the
@@ -149,7 +156,14 @@ GRID_MUTANTS = [
      "if len(sums) == 1:", "if len(sums) >= 1:"),
     # np.fft.fftn's order; on n-D grids the other order rounds differently
     ("centred transform runs its axes first axis first", "_centred_in_place",
-     "reversed(range(a.ndim))", "range(a.ndim)"),
+     "reversed(range(rows, a.ndim))", "range(rows, a.ndim)"),
+    # the pair pass's batched rows: g's flips then select the other parity,
+    # which moves the sign of a zero
+    ("batched flip also taken over the rows axis", "_flip_signs",
+     "_corners(a.ndim, parity, rows)", "_corners(a.ndim, parity)"),
+    # the arrays that every caller of the grid shares
+    ("coordinate cache left writable", "_coordinates",
+     "x.flags.writeable = False", "pass"),
     # a slab skips the row after it; killed by the slab tests and the parity
     # tests of shift and gaussian
     ("slab step off by one", "_slabs",
